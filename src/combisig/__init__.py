@@ -29,6 +29,7 @@ from .cce import (
     solve_cce_exact,
 )
 from .errors import (
+    CertificateError,
     CombisigError,
     DegenerateBounds,
     InstanceFormatError,
@@ -83,6 +84,7 @@ __all__ = [
     "ApproxOracle",
     "BestResponseCatalog",
     "CCEInstanceView",
+    "CertificateError",
     "CombisigError",
     "DegenerateBounds",
     "DualPoint",

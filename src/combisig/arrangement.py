@@ -2,21 +2,27 @@
 
 Beliefs over D states live on the affine hull {x : sum(x) == 1}; a
 hyperplane ``normal . x == 0`` carves it into sign regions.  This module
-enumerates every full-dimensional region (cell), optionally restricted to
-the open probability simplex, and returns one exact rational interior
-point per cell.
+enumerates the full-dimensional regions (cells) that reach the closed
+probability simplex, flags whether each meets the open simplex or only
+touches its boundary, and returns exact rational witnesses per cell.
 
 Internally each hyperplane is rewritten in chart coordinates
 ``y = (x_2, ..., x_D)`` (with ``x_1 = 1 - sum(y)``) as an affine functional
 ``a . y + b``, canonicalized to a primitive integer vector so coincident
 hyperplanes coalesce (opposite-scaling copies are canonicalized with a
 recorded sign flip).  For one- and two-dimensional charts the cells are
-found geometrically: every cell has a vertex among the pairwise functional
-intersections (including the simplex facets, or a bounding box in
-unrestricted mode), and stepping a rational epsilon into each angular
-sector around each vertex visits every cell.  In higher dimension a
-breadth-first flood over single-sign flips is used, certifying each
-candidate sign pattern with an exact strict-feasibility LP.
+found geometrically and without any LP: the simplex facets join the
+functionals, and every vertex of that combined arrangement lying in the
+closed simplex is probed by stepping a rational epsilon into each angular
+sector around it.  A cell meets the open simplex iff one of its probes lands
+strictly inside; its closure touches the simplex iff some probe reaches it
+at all, because a vertex of the closure's intersection with the simplex is
+one of the probed vertices; the probed vertices on the simplex boundary are
+reported as the cell's boundary beliefs.  In higher dimension a
+breadth-first flood over single-sign flips of a bounding box meeting every
+cell is used, certifying each candidate sign pattern with an exact
+strict-feasibility LP, and each box cell is classified with
+``strict_simplex_point`` and ``weak_simplex_point``.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from itertools import combinations
 from math import factorial, gcd, lcm
 
 from . import lp
-from .errors import DimensionTooSmall, TooLarge
+from .errors import CertificateError, DimensionTooSmall, TooLarge
 from .rationals import ONE, ZERO, as_fraction
 
 DEFAULT_CELL_CAP = 100_000
@@ -54,10 +60,21 @@ def side(plane: Hyperplane, point) -> int:
 
 @dataclass(frozen=True)
 class Cell:
-    """One full-dimensional region: per-input-plane signs plus a witness."""
+    """One full-dimensional region: per-input-plane signs plus a witness.
+
+    An ``interior`` cell meets the open simplex and its witness ``point`` is
+    a strictly positive distribution.  A touching cell lies outside the open
+    simplex and its closure meets the simplex boundary; its ``point`` lies
+    outside the simplex.  ``boundary`` holds distributions on the simplex
+    boundary in the cell's closure, one for each face of the simplex whose
+    relative interior the closure meets (two or three states).  With four or
+    more states only a touching cell carries one, found by LP.
+    """
 
     signs: tuple[int, ...]
     point: tuple[Fraction, ...]
+    interior: bool = True
+    boundary: tuple[tuple[Fraction, ...], ...] = ()
 
 
 def _functional(plane: Hyperplane, num_states: int) -> tuple[tuple[Fraction, ...], Fraction]:
@@ -141,6 +158,10 @@ def _solve_2x2(a1, a2, b1, b2) -> tuple[Fraction, Fraction] | None:
     return (y0, y1)
 
 
+def _sign(v) -> int:
+    return (v > 0) - (v < 0)
+
+
 def _ray_cmp(u, v) -> int:
     def half(w):
         return 0 if (w[1] > 0 or (w[1] == 0 and w[0] > 0)) else 1
@@ -208,12 +229,32 @@ def _strict_point(cutting, context, signs) -> tuple[Fraction, ...] | None:
         model.add_row({h: Fraction(-funcs[h][0][j]) for h in range(m)}, lp.EQ, 0)
     model.add_row([ONE] * (m + 1), lp.EQ, 1)
     res = lp.solve(model)
-    assert res.status == lp.OPTIMAL
+    if res.status != lp.OPTIMAL:
+        raise CertificateError(f"strict-feasibility LP is bounded and feasible, yet ended {res.status}")
     if res.value <= 0:
         return None
     point = tuple(res.duals[:dim])
-    for a, b in funcs:
-        assert _evaluate((a, b), point) > 0, "strict-feasibility witness failed recheck"
+    if any(_evaluate(f, point) <= 0 for f in funcs):
+        raise CertificateError("strict-feasibility witness failed recheck")
+    return point
+
+
+def _weak_point(rows, dim: int) -> tuple[Fraction, ...] | None:
+    """Point of the closed simplex with sign * f >= 0 for every (f, sign) row."""
+    model = lp.LPModel(dim)
+    for k in range(dim):
+        model.set_lower(k, ZERO)
+    model.add_row([ONE] * dim, lp.LE, ONE)
+    for (a, b), s in rows:
+        model.add_row([Fraction(s * v) for v in a], lp.GE, Fraction(-s * b))
+    res = lp.feasibility(model)
+    if res.status != lp.OPTIMAL:
+        return None
+    point = tuple(res.x)
+    if any(_evaluate(f, point) < 0 for f in _simplex_context(dim)) or any(
+        s * _evaluate(f, point) < 0 for f, s in rows
+    ):
+        raise CertificateError("weak-feasibility witness failed recheck")
     return point
 
 
@@ -228,25 +269,23 @@ def _generic_point(dim: int, cutting, context) -> tuple[Fraction, ...]:
     while True:
         y = tuple(Fraction(1, q**k) for k in range(1, dim + 1))
         if all(_evaluate(f, y) != 0 for f in cutting):
-            assert all(_evaluate(f, y) > 0 for f in context)
+            if any(_evaluate(f, y) <= 0 for f in context):
+                raise CertificateError("generic point left the open context region")
             return y
         q += 1
 
 
 def enumerate_cells(
-    hyperplanes,
-    num_states: int,
-    restrict_to_simplex: bool = True,
-    max_cells: int = DEFAULT_CELL_CAP,
+    hyperplanes, num_states: int, max_cells: int = DEFAULT_CELL_CAP
 ) -> list[Cell]:
-    """All full-dimensional sign cells the planes cut the belief hull into.
+    """All full-dimensional sign cells of the planes that reach the simplex.
 
-    With ``restrict_to_simplex`` the cells are those meeting the open
-    probability simplex and every witness point is a strictly positive
-    distribution; without it the cells cover the whole affine hull and
-    witnesses may leave the simplex.  Returns cells in a deterministic
-    order; the sign of every input hyperplane at the witness is reported
-    (0 when a plane vanishes on the whole hull).
+    The cells meeting the open probability simplex come with a strictly
+    positive witness; the cells whose closure touches the simplex only on its
+    boundary are listed too, flagged ``interior=False`` (callers wanting the
+    open simplex alone filter on ``Cell.interior``).  Returns cells in a
+    deterministic order; the sign of every input hyperplane at the witness is
+    reported (0 when a plane vanishes on the whole hull).
     """
     if num_states < 1:
         raise DimensionTooSmall("need at least one state")
@@ -275,81 +314,180 @@ def enumerate_cells(
     if dim == 0:
         return [Cell(_input_signs(recipes, ()), (ONE,))]
 
-    context = _simplex_context(dim) if restrict_to_simplex else _box_context(dim, cutting)
-
+    simplex = _simplex_context(dim)
     if not cutting:
-        y = _generic_point(dim, (), context)
-        return [_make_cell(recipes, (), y)]
+        return [_make_cell(recipes, (), _generic_point(dim, (), simplex), True, {})]
 
-    found: dict[tuple[int, ...], tuple[Fraction, ...]] = {}
+    if dim <= 2:
+        found = _walk(cutting, simplex, max_cells)
+    else:
+        found = _flood(cutting, simplex, max_cells)
+    return [_make_cell(recipes, key, *entry) for key, entry in sorted(found.items())]
 
-    def record(y: tuple[Fraction, ...]) -> tuple[int, ...] | None:
-        if any(_evaluate(f, y) <= 0 for f in context):
-            return None
-        signs = []
-        for f in cutting:
-            v = _evaluate(f, y)
-            if v == 0:
-                return None
-            signs.append(1 if v > 0 else -1)
-        key = tuple(signs)
-        if key not in found:
-            if len(found) >= max_cells:
-                raise TooLarge("arrangement has more cells than allowed", max_cells)
-            found[key] = y
-        return key
 
-    all_funcs = cutting + context
+def _store(found: dict, key, y, inside: bool, max_cells: int) -> list:
+    """Record a probe y of cell ``key``: the first witness is kept, and
+    replaced once by a witness inside the open simplex.  Returns the cell's
+    entry [witness, witness is inside, {support: boundary point}]."""
+    known = found.get(key)
+    if known is None:
+        if len(found) >= max_cells:
+            raise TooLarge("arrangement has more cells than allowed", max_cells)
+        known = found[key] = [y, inside, {}]
+    elif inside and not known[1]:
+        known[0], known[1] = y, True
+    return known
+
+
+def _walk(cutting, simplex, max_cells: int) -> dict:
+    """Cells probed around the vertices in the closed simplex (chart dim <= 2).
+
+    Returns sign key -> [witness, witness lies in the open simplex, boundary
+    vertices probed into the cell keyed by which facets are positive there].
+    """
+    funcs = cutting + simplex
+    dim = len(simplex) - 1
+    found: dict[tuple[int, ...], list] = {}
+
+    def probe(vertex, direction) -> None:
+        y = _step_point(vertex, direction, funcs)
+        inside = all(_evaluate(f, y) > 0 for f in simplex)
+        key = tuple(_sign(_evaluate(f, y)) for f in cutting)
+        entry = _store(found, key, y, inside, max_cells)
+        support = tuple(_evaluate(f, vertex) > 0 for f in simplex)
+        if not all(support):
+            entry[2].setdefault(support, vertex)
 
     if dim == 1:
         seen_roots: set[Fraction] = set()
-        for a, b in all_funcs:
+        for a, b in funcs:
             root = Fraction(-b, a[0])
             if root in seen_roots:
                 continue
             seen_roots.add(root)
-            if any(_evaluate(f, (root,)) < 0 for f in context):
+            if any(_evaluate(f, (root,)) < 0 for f in simplex):
                 continue
             for direction in ((1,), (-1,)):
-                record(_step_point((root,), direction, all_funcs))
-    elif dim == 2:
-        vertices: dict[tuple[Fraction, Fraction], None] = {}
-        for (a1, b1), (a2, b2) in combinations(all_funcs, 2):
-            v = _solve_2x2(a1, a2, b1, b2)
-            if v is None:
-                continue
-            if any(_evaluate(f, v) < 0 for f in context):
-                continue
-            vertices.setdefault(v)
-        for v in vertices:
-            rays: list[tuple[int, int]] = []
-            for a, b in all_funcs:
-                if _evaluate((a, b), v) == 0:
-                    rays.extend(
-                        (_primitive_ray((-a[1], a[0])), _primitive_ray((a[1], -a[0])))
-                    )
-            for direction in _sector_directions(rays):
-                record(_step_point(v, direction, all_funcs))
-    else:
-        seed = _generic_point(dim, cutting, context)
-        seed_key = record(seed)
-        assert seed_key is not None
-        queue = [seed_key]
-        probed: set[tuple[int, ...]] = {seed_key}
-        while queue:
-            key = queue.pop()
-            for h in range(len(cutting)):
-                flipped = key[:h] + (-key[h],) + key[h + 1 :]
-                if flipped in probed:
-                    continue
-                probed.add(flipped)
-                y = _strict_point(cutting, context, flipped)
-                if y is not None:
-                    got = record(y)
-                    assert got == flipped
-                    queue.append(flipped)
+                probe((root,), direction)
+        return found
+    vertices: dict[tuple[Fraction, Fraction], None] = {}
+    for (a1, b1), (a2, b2) in combinations(funcs, 2):
+        v = _solve_2x2(a1, a2, b1, b2)
+        if v is None:
+            continue
+        if any(_evaluate(f, v) < 0 for f in simplex):
+            continue
+        vertices.setdefault(v)
+    # probing the edge midpoints records an edge as a boundary belief of the
+    # cells whose closure holds all of it, when no plane crosses the edge
+    half = Fraction(1, 2)
+    for v in ((half, ZERO), (ZERO, half), (half, half)):
+        vertices.setdefault(v)
+    for v in vertices:
+        rays: list[tuple[int, int]] = []
+        for a, b in funcs:
+            if _evaluate((a, b), v) == 0:
+                rays.extend((_primitive_ray((-a[1], a[0])), _primitive_ray((a[1], -a[0]))))
+        for direction in _sector_directions(rays):
+            probe(v, direction)
+    return found
 
-    return [_make_cell(recipes, key, found[key]) for key in sorted(found)]
+
+def _flood(cutting, simplex, max_cells: int) -> dict:
+    """Cells by single-sign flips from a generic seed, each flip certified by
+    a strict-feasibility LP (chart dim >= 3).
+
+    The flood runs in a box meeting every cell; the box cells are then
+    classified against the simplex, in the format of ``_walk``.
+    """
+    dim = len(simplex[0][0])
+    box = _box_context(dim, cutting)
+    seed = _generic_point(dim, cutting, box)
+    seed_key = tuple(_sign(_evaluate(f, seed)) for f in cutting)
+    cells = {seed_key: seed}
+    queue = [seed_key]
+    probed: set[tuple[int, ...]] = {seed_key}
+    while queue:
+        key = queue.pop()
+        for h in range(len(cutting)):
+            flipped = key[:h] + (-key[h],) + key[h + 1 :]
+            if flipped in probed:
+                continue
+            probed.add(flipped)
+            y = _strict_point(cutting, box, flipped)  # rechecks the signs
+            if y is not None:
+                if len(cells) >= max_cells:
+                    raise TooLarge("arrangement has more cells than allowed", max_cells)
+                cells[flipped] = y
+                queue.append(flipped)
+    return _classify_box_cells(cutting, simplex, cells)
+
+
+def _classify_box_cells(cutting, simplex, cells) -> dict:
+    """Keep the box cells that meet or touch the simplex, classified by the
+    ``strict_simplex_point`` and ``weak_simplex_point`` LPs."""
+    num_states = len(simplex[0][0]) + 1
+    # the hull plane whose chart form is the canonical functional a . y + b
+    planes = [Hyperplane((Fraction(b), *(Fraction(v + b) for v in a))) for a, b in cutting]
+    kept = {}
+    for key, y in cells.items():
+        if all(_evaluate(f, y) > 0 for f in simplex):
+            kept[key] = [y, True, {}]
+            continue
+        inner = strict_simplex_point(key, planes, num_states)
+        if inner is not None:
+            kept[key] = [inner[1:], True, {}]
+            continue
+        weak = weak_simplex_point(key, planes, num_states)
+        if weak is not None:
+            kept[key] = [y, False, {None: weak[1:]}]
+    return kept
+
+
+def _sign_rows(planes, signs, num_states: int, weak: bool = False):
+    """(canonical functional, required sign) rows of a sign pattern.
+
+    Returns None when no point of the hull can satisfy the pattern strictly:
+    a plane vanishing on the hull has no strict side, a constant plane only
+    its own, and a repeated plane only one sign.  With ``weak`` the pattern
+    is read as non-strict, so a vanishing plane imposes nothing and opposite
+    signs on one plane confine the point to it.
+    """
+    rows: list[tuple[tuple, int]] = []
+    for plane, want in zip(planes, signs):
+        if want not in (1, -1):
+            raise DimensionTooSmall(f"sign must be +1 or -1, got {want!r}")
+        canon = _canonical(*_functional(plane, num_states))
+        if canon is None:
+            if weak:
+                continue
+            return None
+        a_int, b_int, flip = canon
+        row = ((a_int, b_int), want * flip)
+        if all(v == 0 for v in a_int):
+            if row[1] != 1:  # canonical constant value is positive
+                return None
+            continue
+        if row in rows:
+            continue
+        if not weak and (row[0], -row[1]) in rows:
+            return None
+        rows.append(row)
+    return rows
+
+
+def _strict_lift(rows, dim: int, box: bool) -> tuple[Fraction, ...] | None:
+    """Strict point of the sign rows in a bounding box or in the simplex."""
+    if rows is None:
+        return None
+    if dim == 0:
+        return (ONE,)
+    cutting = [f for f, _ in rows]
+    context = _box_context(dim, cutting) if box else _simplex_context(dim)
+    if not cutting:
+        return _lift(_generic_point(dim, (), context))
+    y = _strict_point(cutting, context, [s for _, s in rows])
+    return None if y is None else _lift(y)
 
 
 def interior_point(signs, hyperplanes, num_states: int | None = None):
@@ -360,44 +498,12 @@ def interior_point(signs, hyperplanes, num_states: int | None = None):
     Returns the point, or None when no strictly feasible point exists.
     """
     planes = list(hyperplanes)
-    signs = list(signs)
     if num_states is None:
         if not planes:
             raise DimensionTooSmall("cannot infer dimension without hyperplanes")
         num_states = len(planes[0].normal)
-    dim = num_states - 1
-
-    cutting: list[tuple] = []
-    required: dict[tuple, int] = {}
-    for plane, want in zip(planes, signs):
-        if want not in (1, -1):
-            raise DimensionTooSmall(f"sign must be +1 or -1, got {want!r}")
-        a, b = _functional(plane, num_states)
-        canon = _canonical(a, b)
-        if canon is None:
-            return None  # vanishes on the hull; no strict side exists
-        a_int, b_int, flip = canon
-        canon_sign = want * flip
-        if all(v == 0 for v in a_int):
-            if canon_sign != 1:  # canonical constant value is positive
-                return None
-            continue
-        key = (a_int, b_int)
-        if key in required:
-            if required[key] != canon_sign:
-                return None
-        else:
-            required[key] = canon_sign
-            cutting.append(key)
-
-    if dim == 0:
-        return (ONE,)
-    context = _box_context(dim, cutting)
-    if not cutting:
-        y = _generic_point(dim, (), context)
-        return _lift(y)
-    y = _strict_point(cutting, context, [required[k] for k in cutting])
-    return None if y is None else _lift(y)
+    rows = _sign_rows(planes, signs, num_states)
+    return _strict_lift(rows, num_states - 1, box=True)
 
 
 def strict_simplex_point(signs, hyperplanes, num_states: int):
@@ -406,41 +512,8 @@ def strict_simplex_point(signs, hyperplanes, num_states: int):
     Returns a strictly positive distribution on the required strict side of
     every plane, or None when the cell does not meet the open simplex.
     """
-    planes = list(hyperplanes)
-    signs = list(signs)
-    dim = num_states - 1
-
-    cutting: list[tuple] = []
-    required: dict[tuple, int] = {}
-    for plane, want in zip(planes, signs):
-        if want not in (1, -1):
-            raise DimensionTooSmall(f"sign must be +1 or -1, got {want!r}")
-        a, b = _functional(plane, num_states)
-        canon = _canonical(a, b)
-        if canon is None:
-            return None
-        a_int, b_int, flip = canon
-        canon_sign = want * flip
-        if all(v == 0 for v in a_int):
-            if canon_sign != 1:
-                return None
-            continue
-        key = (a_int, b_int)
-        if key in required:
-            if required[key] != canon_sign:
-                return None
-        else:
-            required[key] = canon_sign
-            cutting.append(key)
-
-    if dim == 0:
-        return (ONE,)
-    context = _simplex_context(dim)
-    if not cutting:
-        y = _generic_point(dim, (), context)
-        return _lift(y)
-    y = _strict_point(cutting, context, [required[k] for k in cutting])
-    return None if y is None else _lift(y)
+    rows = _sign_rows(list(hyperplanes), signs, num_states)
+    return _strict_lift(rows, num_states - 1, box=False)
 
 
 def weak_simplex_point(signs, hyperplanes, num_states: int):
@@ -449,46 +522,22 @@ def weak_simplex_point(signs, hyperplanes, num_states: int):
     Certifies that the closure of a sign cell touches the simplex (possibly
     only on its boundary).  Returns such a distribution, or None.
     """
-    planes = list(hyperplanes)
-    signs = list(signs)
-    dim = num_states - 1
-
-    rows: list[tuple[int, tuple, int]] = []
-    for plane, want in zip(planes, signs):
-        if want not in (1, -1):
-            raise DimensionTooSmall(f"sign must be +1 or -1, got {want!r}")
-        a, b = _functional(plane, num_states)
-        canon = _canonical(a, b)
-        if canon is None:
-            continue  # vanishes on the hull: weakly on both sides
-        a_int, b_int, flip = canon
-        canon_sign = want * flip
-        if all(v == 0 for v in a_int):
-            if canon_sign != 1:
-                return None
-            continue
-        rows.append((canon_sign, a_int, b_int))
-
-    if dim == 0:
-        return (ONE,)
-    model = lp.LPModel(dim)
-    for k in range(dim):
-        model.set_lower(k, ZERO)
-    model.add_row([ONE] * dim, lp.LE, ONE)
-    for s, a, b in rows:
-        model.add_row([Fraction(s * v) for v in a], lp.GE, Fraction(-s * b))
-    res = lp.feasibility(model)
-    if res.status != lp.OPTIMAL:
+    rows = _sign_rows(list(hyperplanes), signs, num_states, weak=True)
+    if rows is None:
         return None
-    return _lift(tuple(res.x))
+    if num_states == 1:
+        return (ONE,)
+    y = _weak_point(rows, num_states - 1)
+    return None if y is None else _lift(y)
 
 
 def _lift(y) -> tuple[Fraction, ...]:
     return (ONE - sum(y, ZERO),) + tuple(y)
 
 
-def _make_cell(recipes, canon_signs, y) -> Cell:
-    return Cell(_input_signs(recipes, canon_signs), _lift(y))
+def _make_cell(recipes, canon_signs, y, interior: bool, boundary: dict) -> Cell:
+    points = tuple(_lift(v) for _, v in sorted(boundary.items()))
+    return Cell(_input_signs(recipes, canon_signs), _lift(y), interior, points)
 
 
 def _input_signs(recipes, canon_signs) -> tuple[int, ...]:

@@ -16,17 +16,20 @@ open simplex the bump terms are strictly positive, so the perturbed
 comparison reduces to the exact weights with ties broken by ascending
 element index, and pairs of identical elements (whose perturbed comparison
 never vanishes on the interior) simply drop out of the hyperplane family.
+On a face of the simplex the bumps of the states outside the face vanish,
+which can reverse such a tie; the catalog evaluates those tie-breaks at the
+boundary beliefs the cell enumeration reports.
 """
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations
+from math import comb, factorial
 
 from . import arrangement, matroid
-from .errors import NonLinearReceiver, UnsupportedCombination, UnsupportedSense
+from .errors import NonLinearReceiver, TooLarge, UnsupportedCombination, UnsupportedSense
 from .model import (
     MATROID_KINDS,
     ActionSet,
@@ -37,15 +40,15 @@ from .model import (
 )
 from .rationals import ZERO
 
-AUDIT_SEED = 90377  # fixed seed for the sampled non-degeneracy audit
-AUDIT_SAMPLES = 1000
-EXHAUSTIVE_LIMIT = 7  # n up to this: audit every permutation
+# Linear forests the non-degeneracy audit may check: about 50 s of exact
+# rank tests (273,000 families of a 16-element, 3-state instance take 13.5 s).
+AUDIT_FAMILY_CAP = 1_000_000
 
 
 @dataclass(frozen=True)
 class NondegeneracyReport:
     clean: bool
-    method: str  # "exhaustive" | "sampled" | "vacuous"
+    method: str  # "exhaustive" | "vacuous" | "skipped" (over the cap, not clean)
     families_checked: int
     violations: tuple = ()  # (permutation, positions) witnesses
 
@@ -53,12 +56,12 @@ class NondegeneracyReport:
 @dataclass(frozen=True)
 class BestResponseCatalog:
     actions: tuple[ActionSet, ...]
-    witnesses: tuple[tuple[Fraction, ...], ...]  # one interior belief per action
+    # one point per action: an interior belief, or for an action found only
+    # on a cell touching the simplex boundary a point of that cell outside it
+    witnesses: tuple[tuple[Fraction, ...], ...]
     num_cells: int
     degeneracy: NondegeneracyReport
     perturbed: bool
-    # (element, eps exponent, bumped state) rows when perturbed
-    schedule: tuple[tuple[int, int, int], ...] = field(default=())
 
 
 def _require_linear_matroid(instance: Instance) -> None:
@@ -122,13 +125,87 @@ def _det_nonzero(vectors: list[tuple[Fraction, ...]]) -> bool:
     return True
 
 
+def _count_linear_forests(n: int, d: int) -> int:
+    """Number of d-edge linear forests of K_n.  ``count[v][e]`` sums over the
+    size m of the path through the first of v vertices (m!/2 labeled paths
+    on m >= 2 vertices)."""
+    count = [[int(e == 0) for e in range(d + 1)]]
+    for v in range(1, n + 1):
+        count.append(
+            [
+                sum(
+                    comb(v - 1, m - 1) * (1 if m == 1 else factorial(m) // 2) * count[v - m][e - m + 1]
+                    for m in range(1, min(v, e + 1) + 1)
+                )
+                for e in range(d + 1)
+            ]
+        )
+    return count[n][d]
+
+
+def _linear_forests(n: int, d: int):
+    """Every set of d edges of K_n forming vertex-disjoint paths, lex order.
+
+    Edges are tried in lexicographic order; an edge is refused when either
+    end already has degree two or when it would close a cycle, which for a
+    union of paths means joining the two ends of one path.  ``end[v]`` is the
+    other end of the path that has v as an end.  (A module-level generator
+    rather than a closure: a recursive closure is a reference cycle, which
+    lingers until the cyclic garbage collector runs.)
+    """
+    return _extend_forest(list(combinations(range(n), 2)), d, 0, [0] * n, list(range(n)), [])
+
+
+def _extend_forest(edges, d: int, start: int, degree: list, end: list, chosen: list):
+    if len(chosen) == d:
+        yield tuple(chosen)
+        return
+    for k in range(start, len(edges) - (d - len(chosen)) + 1):
+        i, j = edges[k]
+        if degree[i] == 2 or degree[j] == 2 or end[i] == j:
+            continue
+        a, b = end[i], end[j]
+        end[a], end[b] = b, a
+        degree[i] += 1
+        degree[j] += 1
+        chosen.append((i, j))
+        yield from _extend_forest(edges, d, k + 1, degree, end, chosen)
+        chosen.pop()
+        degree[i] -= 1
+        degree[j] -= 1
+        end[a], end[b] = i, j
+
+
+def _forest_permutation(n: int, forest) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """A permutation holding the forest's paths one after another, and the
+    positions i at which (perm[i], perm[i+1]) is a forest edge."""
+    adjacent: list[list[int]] = [[] for _ in range(n)]
+    for i, j in forest:
+        adjacent[i].append(j)
+        adjacent[j].append(i)
+    perm: list[int] = []
+    for v in range(n):
+        if v not in perm and len(adjacent[v]) < 2:  # walk each path from an end
+            prev, cur = None, v
+            while cur is not None:
+                perm.append(cur)
+                prev, cur = cur, next((w for w in adjacent[cur] if w != prev), None)
+    edges = {frozenset(edge) for edge in forest}
+    positions = tuple(i for i in range(n - 1) if frozenset(perm[i : i + 2]) in edges)
+    return tuple(perm), positions
+
+
 def check_nondegeneracy(instance: Instance) -> NondegeneracyReport:
     """Audit the consecutive-difference independence assumption.
 
     For a permutation pi of the elements and a set S of |states| positions,
     the difference vectors psi[pi[i]] - psi[pi[i+1]], i in S, must be
-    linearly independent.  All permutations are tested for small n
-    (equivalent families deduplicated); larger n gets a fixed-seed sample.
+    linearly independent.  The pair sets these families range over are
+    exactly the |states|-edge linear forests of the complete graph on the
+    elements (concatenating the paths and the remaining elements gives a
+    permutation), so the forests are enumerated directly and the audit is
+    exact for every n.  Each violation is reported as a permutation holding
+    the forest and the positions of its pairs.
     """
     if instance.receiver.kind is not UtilityKind.LINEAR:
         raise NonLinearReceiver("non-degeneracy audit needs linear receiver utility")
@@ -138,52 +215,29 @@ def check_nondegeneracy(instance: Instance) -> NondegeneracyReport:
     if n - 1 < d:
         return NondegeneracyReport(True, "vacuous", 0)
 
-    def families(perm):
-        for positions in combinations(range(n - 1), d):
-            pairs = frozenset(
-                (min(perm[i], perm[i + 1]), max(perm[i], perm[i + 1])) for i in positions
-            )
-            yield positions, pairs
-
+    diff = {
+        (i, j): tuple(a - b for a, b in zip(psi[i], psi[j])) for i, j in combinations(range(n), 2)
+    }
+    if _count_linear_forests(n, d) > AUDIT_FAMILY_CAP:
+        raise TooLarge("non-degeneracy audit has more families than allowed", AUDIT_FAMILY_CAP)
     violations = []
-    seen: set[frozenset] = set()
     checked = 0
-    if n <= EXHAUSTIVE_LIMIT:
-        method = "exhaustive"
-        perms = permutations(range(n))
-    else:
-        method = "sampled"
-        rng = random.Random(AUDIT_SEED)
-        base = list(range(n))
-        sampled = []
-        for _ in range(AUDIT_SAMPLES):
-            rng.shuffle(base)
-            sampled.append(tuple(base))
-        perms = sampled
-    for perm in perms:
-        for positions, key in families(perm):
-            if key in seen:
-                continue
-            seen.add(key)
-            checked += 1
-            vectors = [
-                tuple(a - b for a, b in zip(psi[perm[i]], psi[perm[i + 1]]))
-                for i in positions
-            ]
-            if not _det_nonzero(vectors):
-                violations.append((tuple(perm), positions))
-    return NondegeneracyReport(not violations, method, checked, tuple(violations))
+    for forest in _linear_forests(n, d):
+        checked += 1
+        if not _det_nonzero([diff[edge] for edge in forest]):
+            violations.append(_forest_permutation(n, forest))
+    return NondegeneracyReport(not violations, "exhaustive", checked, tuple(violations))
 
 
 def _lex_weights(
-    psi: list[tuple[Fraction, ...]], point: tuple[Fraction, ...]
+    psi: list[tuple[Fraction, ...]], point: tuple[Fraction, ...], tie_break: tuple[Fraction, ...]
 ) -> list[tuple]:
     """Perturbed expected weights at a belief as lexicographic tuples.
 
     Index t of the tuple carries the eps^t coefficient: the exact expected
-    weight at t=0, and element i's bump point[i mod D] at t=i+1.  At an
-    interior belief every bump is positive, so distinct elements never
-    compare equal.
+    weight at ``point`` for t=0, and element i's bump tie_break[i mod D] at
+    t=i+1.  At an interior belief every bump is positive, so distinct
+    elements never compare equal.
     """
     n = len(psi)
     num_states = len(point)
@@ -191,24 +245,28 @@ def _lex_weights(
     for e in range(n):
         base = sum((point[t] * psi[e][t] for t in range(num_states)), ZERO)
         tiers = [ZERO] * n
-        tiers[e] = point[e % num_states]
+        tiers[e] = tie_break[e % num_states]
         weights.append((base, *tiers))
     return weights
 
 
 def greedy_at_point(
-    instance: Instance, point: tuple[Fraction, ...], drop_negative: bool = False
+    instance: Instance,
+    point: tuple[Fraction, ...],
+    drop_negative: bool = False,
+    tie_break: tuple[Fraction, ...] | None = None,
 ) -> ActionSet:
     """Greedy independent set for the expected weights at a belief.
 
     By default returns the order-determined greedy base (every independent
     element is taken, regardless of weight sign); with ``drop_negative``
     elements whose perturbed weight compares below zero are skipped, which
-    is the receiver's actual best response at the point.
+    is the receiver's actual best response at the point.  Exact ties are
+    broken by the perturbation bumps at ``tie_break`` (default: the point).
     """
     psi = _psi(instance)
     oracle = matroid.oracle_for(instance.constraint, len(psi))
-    weights = _lex_weights(psi, point)
+    weights = _lex_weights(psi, point, point if tie_break is None else tie_break)
     zero = (ZERO,) * (len(psi) + 1)
     order = sorted(range(len(psi)), key=lambda e: weights[e], reverse=True)
     chosen: list[int] = []
@@ -223,51 +281,50 @@ def greedy_at_point(
 def enumerate_best_responses(instance: Instance) -> BestResponseCatalog:
     """Every action that greedy selects on some cell reaching the simplex.
 
-    Cells are enumerated over the whole affine hull of the simplex and kept
-    when their closure touches it.  Cells meeting the open simplex get a
-    strictly interior witness and contribute both the greedy base and the
-    receiver's exact best response there; cells that only touch the simplex
-    boundary contribute the greedy base for their weight order, which is a
-    best response at the touching beliefs (the strict order refines the tie
-    pattern that holds where the closure meets the simplex).  Restricting to
-    open-simplex cells alone would lose actions that are optimal only on
-    the simplex boundary, e.g. when two elements compare equal at a vertex.
+    Cells are kept when their closure touches the closed simplex.  Cells
+    meeting the open simplex come with a strictly interior witness and
+    contribute both the greedy base and the receiver's exact best response
+    there; cells that only touch the simplex boundary contribute the greedy
+    base for their weight order, which is a best response at the touching
+    beliefs (the strict order refines the tie pattern that holds where the
+    closure meets the simplex).  Restricting to open-simplex cells alone
+    would lose actions that are optimal only on the simplex boundary, e.g.
+    when two elements compare equal at a vertex.  Every cell also
+    contributes its greedy base with identical elements tie-broken as the
+    perturbation breaks them at each boundary belief of ``Cell.boundary``:
+    there the bumps of the states with probability zero vanish, so an
+    element that loses the tie inside the simplex can win it on a face.
+
+    An instance whose non-degeneracy audit exceeds ``AUDIT_FAMILY_CAP`` is
+    not audited: its report says ``skipped`` and the catalog is marked
+    ``perturbed``, the caveat that holds whenever ties may matter.
     """
     _require_linear_matroid(instance)
-    report = check_nondegeneracy(instance)
+    try:
+        report = check_nondegeneracy(instance)
+    except TooLarge:
+        report = NondegeneracyReport(False, "skipped", 0)
     planes = receiver_hyperplanes(instance)
     num_states = len(instance.state_names)
-    cells = arrangement.enumerate_cells(planes, num_states, restrict_to_simplex=False)
+    cells = arrangement.enumerate_cells(planes, num_states)
 
     interior: dict[ActionSet, tuple[Fraction, ...]] = {}
     touching: dict[ActionSet, tuple[Fraction, ...]] = {}
-    kept = 0
     for cell in cells:
-        point = cell.point
-        if not all(v > 0 for v in point):
-            point = arrangement.strict_simplex_point(cell.signs, planes, num_states)
-        if point is not None:
-            kept += 1
-            interior.setdefault(greedy_at_point(instance, point), point)
-            interior.setdefault(greedy_at_point(instance, point, drop_negative=True), point)
-            continue
-        weak = arrangement.weak_simplex_point(cell.signs, planes, num_states)
-        if weak is not None:
-            kept += 1
-            touching.setdefault(greedy_at_point(instance, cell.point), cell.point)
+        kind = interior if cell.interior else touching
+        kind.setdefault(greedy_at_point(instance, cell.point), cell.point)
+        if cell.interior:
+            kind.setdefault(greedy_at_point(instance, cell.point, drop_negative=True), cell.point)
+        for belief in cell.boundary:
+            kind.setdefault(greedy_at_point(instance, cell.point, tie_break=belief), cell.point)
 
     found = dict(touching)
     found.update(interior)  # prefer strictly interior witnesses
     actions = tuple(sorted(found))
-    perturbed = not report.clean
-    schedule = ()
-    if perturbed:
-        schedule = tuple((e, e + 1, e % num_states) for e in range(len(instance.element_names)))
     return BestResponseCatalog(
         actions=actions,
         witnesses=tuple(found[a] for a in actions),
-        num_cells=kept,
+        num_cells=len(cells),
         degeneracy=report,
-        perturbed=perturbed,
-        schedule=schedule,
+        perturbed=not report.clean,
     )

@@ -67,3 +67,7 @@ class PriorDegenerate(CombisigError):
 
 class MissingSolution(CombisigError):
     """A known satisfying assignment is required but absent."""
+
+
+class CertificateError(CombisigError):
+    """An exact certificate failed its recheck: a solver produced a wrong answer."""

@@ -295,3 +295,47 @@ def sweep_weak_optimal_2state(instance: Instance) -> set[ActionSet]:
         best = max(values.values())
         winners.update(S for S, v in values.items() if v == best)
     return winners
+
+
+def _rank(rows) -> int:
+    """Rank of a rational matrix by plain Gaussian elimination."""
+    m = [[F(v) for v in row] for row in rows]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        for r in range(len(m)):
+            if r != rank and m[r][col] != 0:
+                factor = m[r][col] / m[rank][col]
+                m[r] = [a - factor * b for a, b in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
+def nondegeneracy_by_permutations(instance: Instance) -> tuple[bool, int]:
+    """Reference audit by the definition: walk every permutation of the
+    elements, and test each distinct set of |states| consecutive pairs for
+    independent receiver difference vectors.  Returns (clean, families
+    checked).  It visits n! permutations, so keep n small.
+    """
+    D = instance.num_states
+    n = instance.num_elements
+    psi = [[instance.receiver.linear[t][e] for t in range(D)] for e in range(n)]
+    if n - 1 < D:
+        return True, 0
+    seen: set[frozenset] = set()
+    clean = True
+    for perm in itertools.permutations(range(n)):
+        for positions in itertools.combinations(range(n - 1), D):
+            family = frozenset(frozenset((perm[i], perm[i + 1])) for i in positions)
+            if family in seen:
+                continue
+            seen.add(family)
+            vectors = [
+                [a - b for a, b in zip(psi[perm[i]], psi[perm[i + 1]])] for i in positions
+            ]
+            if _rank(vectors) < D:
+                clean = False
+    return clean, len(seen)

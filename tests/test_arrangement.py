@@ -7,8 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from combisig import arrangement
-from combisig.errors import DimensionTooSmall
+from combisig import arrangement, lp
+from combisig.errors import CertificateError, DimensionTooSmall
 
 F = Fraction
 
@@ -102,7 +102,7 @@ def test_cells_match_sampling_small():
         num_states = rng.randint(2, 4)
         m = rng.randint(1, 6)
         planes = rand_planes(rng, m, num_states)
-        cells = arrangement.enumerate_cells(planes, num_states)
+        cells = [c for c in arrangement.enumerate_cells(planes, num_states) if c.interior]
         listed = {cell.signs for cell in cells}
         # size bound: cells in dimension d cut by m planes
         d = num_states - 1
@@ -119,13 +119,19 @@ def test_cells_match_sampling_small():
 
 
 def test_unrestricted_mode_covers_outside_simplex():
-    # A plane crossing the hull far from the simplex still splits the hull.
+    # A plane crossing the simplex splits it: both sides are interior cells.
     plane = arrangement.make_hyperplane((F(1), F(1), F(-9)))
-    unrestricted = arrangement.enumerate_cells([plane], 3, restrict_to_simplex=False)
-    assert {cell.signs for cell in unrestricted} == {(1,), (-1,)}
-    inside = arrangement.enumerate_cells([plane], 3)
-    # the simplex lies strictly on one side except near the vertex (0,0,1)
-    assert {cell.signs for cell in inside} == {(1,), (-1,)}
+    closed = arrangement.enumerate_cells([plane], 3)
+    assert {(cell.signs, cell.interior) for cell in closed} == {((1,), True), ((-1,), True)}
+    # x2 = 0 only bounds the simplex: its negative side touches the edge and
+    # is listed as a touching cell, with a witness outside the simplex.
+    edge = arrangement.make_hyperplane((F(0), F(0), F(1)))
+    closed = arrangement.enumerate_cells([edge], 3)
+    assert [(cell.signs, cell.interior) for cell in closed] == [((-1,), False), ((1,), True)]
+    assert closed[0].point[2] < 0 and sum(closed[0].point) == 1
+    # its closure meets the edge x2 = 0 and the corners x0 = 1 and x1 = 1
+    supports = {tuple(x > 0 for x in b) for b in closed[0].boundary}
+    assert supports == {(True, True, False), (True, False, False), (False, True, False)}
 
 
 def test_interior_point_lookup():
@@ -153,3 +159,79 @@ def test_weak_simplex_point_touches_boundary():
     weak = arrangement.weak_simplex_point((1, -1), planes, 3)
     assert weak is not None
     assert sum(weak) == 1 and all(x >= 0 for x in weak)
+
+
+def lp_reference_cells(planes, num_states):
+    """Closed-simplex cells by LP, over every strict sign vector:
+    {signs: interior} for the sign vectors whose cell exists and reaches the
+    closed simplex."""
+    out = {}
+    for signs in itertools.product((1, -1), repeat=len(planes)):
+        if arrangement.interior_point(signs, planes, num_states) is None:
+            continue
+        if arrangement.strict_simplex_point(signs, planes, num_states) is not None:
+            out[signs] = True
+        elif arrangement.weak_simplex_point(signs, planes, num_states) is not None:
+            out[signs] = False
+    return out
+
+
+def assert_closed_mode_matches_lp(planes, num_states):
+    cells = arrangement.enumerate_cells(planes, num_states)
+    assert {cell.signs: cell.interior for cell in cells} == lp_reference_cells(planes, num_states)
+    for cell in cells:
+        assert signs_at(planes, cell.point) == cell.signs and sum(cell.point) == 1
+        assert cell.interior == all(x > 0 for x in cell.point)
+        assert cell.interior or cell.boundary
+        supports = set()
+        for belief in cell.boundary:
+            # a boundary belief lies on the cell's closure, one per face
+            assert sum(belief) == 1 and min(belief) == 0
+            assert all(s * v >= 0 for s, v in zip(cell.signs, signs_at(planes, belief)))
+            supports.add(tuple(x > 0 for x in belief))
+        assert len(supports) == len(cell.boundary)
+    return cells
+
+
+def test_closed_simplex_cells_match_lp_classification():
+    rng = random.Random(8086)
+    for trial in range(12):
+        num_states = 2 + trial % 2  # chart dimensions one and two
+        planes = rand_planes(rng, rng.randint(1, 6), num_states, coef=3)
+        assert_closed_mode_matches_lp(planes, num_states)
+
+
+def test_closed_simplex_hand_built_cases():
+    # three lines concurrent at the corner x0 = 1: x1 = 0 bounds the simplex,
+    # x1 = x2 and x1 = 2 x2 cut it; four cells meet it only at that corner
+    corner = [
+        arrangement.make_hyperplane((F(0), F(1), F(0))),
+        arrangement.make_hyperplane((F(0), F(1), F(-1))),
+        arrangement.make_hyperplane((F(0), F(1), F(-2))),
+    ]
+    cells = assert_closed_mode_matches_lp(corner, 3)
+    assert sum(cell.interior for cell in cells) == 3
+    assert sum(not cell.interior for cell in cells) == 3
+    # x0 + x1 = 0 touches the simplex only at the vertex x2 = 1; on the hull
+    # -2 x0 - 2 x1 - x2 = 0 is x2 = 2, which misses the simplex
+    vertex = [arrangement.make_hyperplane((F(1), F(1), F(0)))]
+    cells = assert_closed_mode_matches_lp(vertex, 3)
+    assert {(cell.signs, cell.interior) for cell in cells} == {((-1,), False), ((1,), True)}
+    far = [arrangement.make_hyperplane((F(-2), F(-2), F(-1)))]
+    assert [cell.signs for cell in assert_closed_mode_matches_lp(far, 3)] == [(-1,)]
+    # one dimension: x1 = 0 at the endpoint, x0 = 3 x1 inside
+    cells = assert_closed_mode_matches_lp(
+        [arrangement.make_hyperplane((F(0), F(1))), arrangement.make_hyperplane((F(1), F(-3)))], 2
+    )
+    assert sum(not cell.interior for cell in cells) == 1
+
+
+def test_forged_lp_result_raises_certificate_error(monkeypatch):
+    planes = [arrangement.make_hyperplane((F(1), F(-1), F(0)))]
+    forged = lp.LPResult(status=lp.OPTIMAL, value=F(1), duals=[F(-5)] * 4)
+    monkeypatch.setattr(arrangement.lp, "solve", lambda model: forged)
+    with pytest.raises(CertificateError):
+        arrangement.strict_simplex_point((1,), planes, 3)
+    monkeypatch.setattr(arrangement.lp, "solve", lambda model: lp.LPResult(status=lp.UNBOUNDED))
+    with pytest.raises(CertificateError):
+        arrangement.strict_simplex_point((1,), planes, 3)

@@ -7,8 +7,14 @@ from itertools import combinations
 import pytest
 
 from combisig import best_response, jsonio, persuasion
-from combisig.errors import NonLinearReceiver, UnsupportedCombination, UnsupportedSense
+from combisig.errors import (
+    NonLinearReceiver,
+    TooLarge,
+    UnsupportedCombination,
+    UnsupportedSense,
+)
 from combisig.model import (
+    Graphic,
     Instance,
     Partition,
     PathGraph,
@@ -18,7 +24,9 @@ from combisig.model import (
 )
 from helpers import (
     brute_weak_optimal_actions,
+    nondegeneracy_by_permutations,
     rand_clean_instance,
+    rand_instance,
     sweep_weak_optimal_2state,
 )
 
@@ -125,6 +133,109 @@ def test_nondegeneracy_vacuous_for_tiny_instances():
     )
     report = best_response.check_nondegeneracy(inst)
     assert report.clean and report.method == "vacuous"
+
+
+def test_nondegeneracy_exact_beyond_seven_elements(monkeypatch):
+    """n = 8, D = 2: every two element pairs form a linear forest, so all
+    C(28, 2) families are audited and exactly the parallel pairs are found."""
+    first = [F(e + 1) for e in range(8)]
+    second = [F(2**e) for e in range(7)] + [F(65)]  # 6-7 parallels 0-1
+    inst = Instance(
+        state_names=("s0", "s1"),
+        prior=(F(1, 2), F(1, 2)),
+        element_names=tuple(f"e{i}" for i in range(8)),
+        sender=UtilitySpec.from_linear([[1] * 8, [1] * 8]),
+        receiver=UtilitySpec.from_linear([first, second]),
+        constraint=Uniform(3),
+    )
+    report = best_response.check_nondegeneracy(inst)
+    assert report.method == "exhaustive"
+    assert report.families_checked == 378
+
+    def diff(i, j):
+        return (first[i] - first[j], second[i] - second[j])
+
+    pairs = list(combinations(range(8), 2))
+    parallel = {
+        frozenset((p, q))
+        for p, q in combinations(pairs, 2)
+        if diff(*p)[0] * diff(*q)[1] == diff(*p)[1] * diff(*q)[0]
+    }
+    # 0-1 = 6-7 as vectors, hence also 0-6 = 1-7
+    assert parallel == {frozenset(((0, 1), (6, 7))), frozenset(((0, 6), (1, 7)))}
+    reported = set()
+    for perm, positions in report.violations:
+        assert len(positions) == 2
+        reported.add(frozenset(tuple(sorted(perm[i : i + 2])) for i in positions))
+    assert reported == parallel
+    assert not report.clean
+    monkeypatch.setattr(best_response, "AUDIT_FAMILY_CAP", 377)
+    with pytest.raises(TooLarge):
+        best_response.check_nondegeneracy(inst)
+
+
+def test_catalog_falls_back_past_the_audit_cap():
+    """21 elements, 3 states: too many actions to enumerate and too many
+    linear forests to audit, so the catalog skips the audit, reports the
+    perturbed caveat, and still serves check_persuasive's fallback."""
+    cols = [((3, 0, 1), (0, 3, 1), (1, 1, 2))[e % 3] for e in range(21)]
+    inst = Instance(
+        state_names=("s0", "s1", "s2"),
+        prior=(F(1, 2), F(1, 4), F(1, 4)),
+        element_names=tuple(f"e{i}" for i in range(21)),
+        sender=UtilitySpec.from_linear([[(7 * e + t) % 5 for e in range(21)] for t in range(3)]),
+        receiver=UtilitySpec.from_linear([[c[t] for c in cols] for t in range(3)]),
+        constraint=Uniform(2),
+    )
+    with pytest.raises(TooLarge):
+        persuasion.enumerate_actions(inst.constraint, inst.num_elements)
+    with pytest.raises(TooLarge):
+        best_response.check_nondegeneracy(inst)
+    catalog = best_response.enumerate_best_responses(inst)
+    assert catalog.perturbed and catalog.degeneracy.method == "skipped"
+    assert not catalog.degeneracy.clean and catalog.degeneracy.families_checked == 0
+    result = persuasion.solve_reduced(inst)
+    assert result.lp_stats["perturbed"]
+    report = persuasion.check_persuasive(inst, result.scheme)
+    assert report.method == "catalog" and report.persuasive
+
+
+def test_face_tie_break_keeps_boundary_best_response():
+    """e2 and e3 have identical receiver columns.  Inside the simplex e2 wins
+    their tie, but on the face x2 = 0 only e3 keeps its perturbation bump, so
+    (0, 1, 3, 4) is the perturbed best response there."""
+    rows = [[3, 2, 2, 2, 1], [3, 3, 2, 2, 2], [2, 2, 2, 2, 2]]
+    inst = Instance(
+        state_names=("s0", "s1", "s2"),
+        prior=(F(1, 3),) * 3,
+        element_names=tuple(f"e{i}" for i in range(5)),
+        sender=UtilitySpec.from_linear(rows),
+        receiver=UtilitySpec.from_linear(rows),
+        constraint=Graphic(5, ((0, 1), (0, 2), (0, 4), (2, 4), (3, 4))),
+    )
+    face = (F(1, 2), F(1, 2), F(0))
+    assert best_response.greedy_at_point(inst, face) == (0, 1, 3, 4)
+    assert best_response.greedy_at_point(inst, (F(1, 3),) * 3) != (0, 1, 3, 4)
+    catalog = best_response.enumerate_best_responses(inst)
+    assert catalog.perturbed
+    assert catalog.actions == ((0, 1, 2, 4), (0, 1, 3, 4), (0, 2, 3, 4))
+
+
+def test_nondegeneracy_matches_permutation_walk():
+    rng = random.Random(7070)
+    degenerate = 0
+    for trial in range(24):
+        n_states = 1 + trial % 3
+        n = rng.randint(2, 7 if n_states < 3 else 6)
+        inst = rand_instance(rng, n_states, n, "uniform", lo=0, hi=rng.choice((2, 9)))
+        report = best_response.check_nondegeneracy(inst)
+        clean, checked = nondegeneracy_by_permutations(inst)
+        assert (report.clean, report.families_checked) == (clean, checked), trial
+        assert report.method == ("exhaustive" if n - 1 >= n_states else "vacuous")
+        degenerate += not clean
+        for perm, positions in report.violations:
+            assert sorted(perm) == list(range(n)) and len(positions) == n_states
+    assert degenerate >= 3
 
 
 def test_guards():
