@@ -17,9 +17,9 @@ $COMBISIG validate instances/two_state_toy.json "$out/toy_scheme.json" --samples
 echo "== best-response catalog of the bundled three-state instance =="
 $COMBISIG enumerate instances/weather_pair.json
 
-echo "== relaxed-obedience solves: cutting-plane (exact) and ellipsoid (approx) =="
-$COMBISIG solve instances/weather_pair.json --mode cce --engine cutting-plane
-$COMBISIG solve instances/weather_pair.json --mode cce --engine ellipsoid
+echo "== relaxed-obedience solves: exact oracle (cutting planes) and half-greedy oracle (ellipsoid) =="
+$COMBISIG solve instances/weather_pair.json --mode cce
+$COMBISIG solve instances/weather_pair.json --mode cce --oracle half-greedy
 
 echo "== shortest-path minimization instance =="
 $COMBISIG solve instances/route_min.json --mode full

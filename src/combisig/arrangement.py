@@ -242,12 +242,10 @@ def _strict_point(cutting, context, signs) -> tuple[Fraction, ...] | None:
 def _weak_point(rows, dim: int) -> tuple[Fraction, ...] | None:
     """Point of the closed simplex with sign * f >= 0 for every (f, sign) row."""
     model = lp.LPModel(dim)
-    for k in range(dim):
-        model.set_lower(k, ZERO)
     model.add_row([ONE] * dim, lp.LE, ONE)
     for (a, b), s in rows:
         model.add_row([Fraction(s * v) for v in a], lp.GE, Fraction(-s * b))
-    res = lp.feasibility(model)
+    res = lp.solve(model)
     if res.status != lp.OPTIMAL:
         return None
     point = tuple(res.x)

@@ -48,7 +48,7 @@ AUDIT_FAMILY_CAP = 1_000_000
 @dataclass(frozen=True)
 class NondegeneracyReport:
     clean: bool
-    method: str  # "exhaustive" | "vacuous" | "skipped" (over the cap, not clean)
+    method: str  # "exhaustive" | "skipped" (over the cap, not clean)
     families_checked: int
     violations: tuple = ()  # (permutation, positions) witnesses
 
@@ -108,20 +108,22 @@ def receiver_hyperplanes(instance: Instance) -> list[arrangement.Hyperplane]:
     return planes
 
 
-def _det_nonzero(vectors: list[tuple[Fraction, ...]]) -> bool:
-    """Exact rank check: True iff the square family is linearly independent."""
+def _independent(vectors: list[tuple[Fraction, ...]]) -> bool:
+    """Exact rank check: True iff the family is linearly independent.
+
+    Row echelon elimination: each vector's first nonzero entry is cleared
+    from the vectors after it, and a vector reduced to zero is dependent.
+    """
     m = [list(v) for v in vectors]
-    size = len(m)
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if m[r][col] != 0), None)
-        if pivot is None:
+    for r, row in enumerate(m):
+        col = next((c for c, a in enumerate(row) if a != 0), None)
+        if col is None:
             return False
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = m[col][col]
-        for r in range(col + 1, size):
-            factor = m[r][col] / inv
+        inv = row[col]
+        for k in range(r + 1, len(m)):
+            factor = m[k][col] / inv
             if factor != 0:
-                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
+                m[k] = [a - factor * b for a, b in zip(m[k], row)]
     return True
 
 
@@ -198,33 +200,41 @@ def _forest_permutation(n: int, forest) -> tuple[tuple[int, ...], tuple[int, ...
 def check_nondegeneracy(instance: Instance) -> NondegeneracyReport:
     """Audit the consecutive-difference independence assumption.
 
-    For a permutation pi of the elements and a set S of |states| positions,
-    the difference vectors psi[pi[i]] - psi[pi[i+1]], i in S, must be
-    linearly independent.  The pair sets these families range over are
-    exactly the |states|-edge linear forests of the complete graph on the
-    elements (concatenating the paths and the remaining elements gives a
-    permutation), so the forests are enumerated directly and the audit is
-    exact for every n.  Each violation is reported as a permutation holding
-    the forest and the positions of its pairs.
+    For a permutation pi of the elements and a set S of d = min(|states|,
+    n - 1) positions, the difference vectors psi[pi[i]] - psi[pi[i+1]],
+    i in S, must be linearly independent.  The pair sets these families
+    range over are exactly the d-edge linear forests of the complete graph
+    on the elements (concatenating the paths and the remaining elements
+    gives a permutation), so the forests are enumerated directly and the
+    audit is exact for every n.  Each violation is reported as a
+    permutation holding the forest and the positions of its pairs.
+
+    When d = n - 1 every family is a Hamiltonian path, and the differences
+    along any of them span the direction space of the columns' affine hull:
+    one rank test decides every family (independent iff the columns are
+    affinely independent, so in particular no two are equal), and a failing
+    report holds that one path as its witness.
     """
     if instance.receiver.kind is not UtilityKind.LINEAR:
         raise NonLinearReceiver("non-degeneracy audit needs linear receiver utility")
     psi = _psi(instance)
     n = len(psi)
-    d = len(instance.state_names)
-    if n - 1 < d:
-        return NondegeneracyReport(True, "vacuous", 0)
-
+    d = min(len(instance.state_names), n - 1)
     diff = {
         (i, j): tuple(a - b for a, b in zip(psi[i], psi[j])) for i, j in combinations(range(n), 2)
     }
+    if d == n - 1:
+        path = tuple((k, k + 1) for k in range(d))
+        clean = _independent([diff[edge] for edge in path])
+        witness = () if clean else (_forest_permutation(n, path),)
+        return NondegeneracyReport(clean, "exhaustive", _count_linear_forests(n, d), witness)
     if _count_linear_forests(n, d) > AUDIT_FAMILY_CAP:
         raise TooLarge("non-degeneracy audit has more families than allowed", AUDIT_FAMILY_CAP)
     violations = []
     checked = 0
     for forest in _linear_forests(n, d):
         checked += 1
-        if not _det_nonzero([diff[edge] for edge in forest]):
+        if not _independent([diff[edge] for edge in forest]):
             violations.append(_forest_permutation(n, forest))
     return NondegeneracyReport(not violations, "exhaustive", checked, tuple(violations))
 

@@ -26,6 +26,7 @@ from typing import Callable
 
 from . import lp, matroid, paths
 from .errors import (
+    CertificateError,
     DegenerateBounds,
     IterationCap,
     NonLinearReceiver,
@@ -240,8 +241,10 @@ def brute_oracle(instance: Instance, max_actions: int | None = None) -> ApproxOr
 def half_greedy_submodular_oracle(instance: Instance) -> ApproxOracle:
     """Marginal-gain greedy: 1/2-approximation for monotone submodular
     sender value plus the linear receiver part over a matroid."""
-    if instance.sense is not Sense.MAX or not isinstance(instance.constraint, MATROID_KINDS):
-        raise UnsupportedCombination("half-greedy oracle needs a maximize/matroid instance")
+    if instance.sense is not Sense.MAX:
+        raise UnsupportedSense("half-greedy oracle handles the maximize sense only")
+    if not isinstance(instance.constraint, MATROID_KINDS):
+        raise UnsupportedCombination("half-greedy oracle needs a matroid constraint")
     if instance.receiver.kind is not UtilityKind.LINEAR:
         raise NonLinearReceiver("half-greedy oracle needs a linear receiver utility")
     n = instance.num_elements
@@ -375,7 +378,9 @@ def _restricted_dual(view: CCEInstanceView, pairs) -> lp.LPResult:
     maximize = inst.sense is Sense.MAX
     model = lp.LPModel(D + 1, lp.MIN if maximize else lp.MAX)
     model.set_objective([ONE] * D + [-view.C])
-    model.set_lower(D, ZERO)  # y >= 0; x stays free
+    # Every variable is >= 0, which costs nothing for x: an optimal x_t is
+    # the largest (for minimize, smallest) mu_t * (s + y*r) over the collected
+    # actions, and that is >= 0 because utilities are nonnegative and y >= 0.
     rel = lp.GE if maximize else lp.LE
     for t, S in pairs:
         coeffs = [ZERO] * (D + 1)
@@ -395,7 +400,6 @@ def _restricted_primal(view: CCEInstanceView, pairs) -> tuple[SignalingScheme, F
     obj = [ZERO] * len(columns)
     cce_row = [ZERO] * len(columns)
     for (t, S), k in index.items():
-        model.set_lower(k, ZERO)
         obj[k] = inst.prior[t] * inst.sender.value(t, S)
         cce_row[k] = inst.prior[t] * inst.receiver.value(t, S)
     model.set_objective(obj)
@@ -432,7 +436,8 @@ def solve_cce_exact(view: CCEInstanceView, cut_cap: int = DEFAULT_CUT_CAP) -> So
         rounds += 1
         res = _restricted_dual(view, pairs)
         pivots += res.pivots
-        assert res.status == lp.OPTIMAL, res.status
+        if res.status != lp.OPTIMAL:
+            raise CertificateError(f"restricted dual is bounded and feasible, yet ended {res.status}")
         point = DualPoint(tuple(res.x[: inst.num_states]), res.x[inst.num_states])
         rows, _ = separation(view, point)
         new = [rc for rc in rows if rc not in seen]
@@ -616,14 +621,11 @@ def solve_cce_approx(view: CCEInstanceView, iter_cap: int | None = None) -> Solv
     columns: set = {(t, view.prior_best) for t in range(inst.num_states)}
     decisive: set = set()
     iters_total = 0
-    trace = []
     for _ in range(total_rounds):
         run = _ellipsoid_run(view, v, iter_cap)
         iters_total += run.iterations
         columns.update(run.proposals)
-        feasible = run.feasible_point is not None
-        trace.append((str(v), "feasible" if feasible else "infeasible", run.iterations))
-        if feasible:
+        if run.feasible_point is not None:
             v_u = v
         else:
             v_l = v
@@ -641,7 +643,6 @@ def solve_cce_approx(view: CCEInstanceView, iter_cap: int | None = None) -> Solv
                 "rounds": total_rounds,
                 "ellipsoid_iters": iters_total,
                 "columns": 0,
-                "trace": tuple(trace),
             },
         )
 
@@ -657,7 +658,6 @@ def solve_cce_approx(view: CCEInstanceView, iter_cap: int | None = None) -> Solv
             "ellipsoid_iters": iters_total,
             "columns": len(primal_cols),
             "pivots": pivots,
-            "trace": tuple(trace),
         },
     )
 

@@ -27,7 +27,7 @@ from math import sqrt
 
 from . import best_response, cce, jsonio, persuasion, reductions
 from .errors import CombisigError, InstanceFormatError, ParameterError
-from .model import Instance, Posterior, Sense, expected_value, posterior, signal_mass
+from .model import Instance, posterior, signal_mass
 from .rationals import ZERO
 
 USAGE_EXIT = 1
@@ -66,12 +66,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument(
         "--mode", choices=("full", "reduced", "cce"), default="full"
     )
-    p_solve.add_argument("--alpha", default="1", help="oracle factor, p/q")
     p_solve.add_argument("--epsilon", default="1/10", help="tolerance, p/q")
     p_solve.add_argument("--oracle", choices=("exact", "half-greedy"), default="exact")
-    p_solve.add_argument(
-        "--engine", choices=("cutting-plane", "ellipsoid"), default="cutting-plane"
-    )
 
     p_enum = sub.add_parser("enumerate", parents=[common], help="best-response catalog")
     p_enum.add_argument("instance")
@@ -117,10 +113,6 @@ def _emit_report(report: dict, args) -> None:
     print(jsonio.dumps_canonical(report))
 
 
-def _fraction_str(v: Fraction) -> str | int:
-    return jsonio.format_rational(v)
-
-
 # ---------------------------------------------------------------------------
 # solve
 # ---------------------------------------------------------------------------
@@ -130,7 +122,6 @@ def cmd_solve(args) -> int:
     instance = _load_instance(args.instance)
     digest = jsonio.instance_digest(instance)
     _log(args, f"solving {args.instance} mode={args.mode}")
-    warnings: list[str] = []
     if args.mode == "full":
         result = persuasion.solve_full(instance, max_actions=args.max_actions)
     elif args.mode == "reduced":
@@ -142,12 +133,9 @@ def cmd_solve(args) -> int:
             epsilon=Fraction(args.epsilon),
             max_actions=args.max_actions,
         )
-        if Fraction(args.alpha) != view.alpha:
-            warnings.append(
-                f"--alpha {args.alpha} ignored: the {view.oracle.kind} oracle "
-                f"has factor {view.alpha}"
-            )
-        if args.engine == "cutting-plane":
+        # cutting planes are exact but need an exact oracle; the ellipsoid
+        # search takes any alpha
+        if view.alpha == 1:
             result = cce.solve_cce_exact(view)
         else:
             result = cce.solve_cce_approx(view)
@@ -157,13 +145,11 @@ def cmd_solve(args) -> int:
         "mode": args.mode,
         "instance": args.instance,
         "digest": digest,
-        "value": _fraction_str(result.sender_value),
+        "value": jsonio.format_rational(result.sender_value),
         "method": result.method,
         "catalog_size": result.catalog_size,
-        "effort": {
-            k: v for k, v in sorted(result.lp_stats.items()) if k != "trace"
-        },
-        "warnings": warnings,
+        "effort": dict(sorted(result.lp_stats.items())),
+        "warnings": [],
     }
     if args.out:
         jsonio.save_json(args.out, scheme_json)
@@ -190,7 +176,7 @@ def cmd_enumerate(args) -> int:
         "digest": digest,
         "actions": [list(a) for a in catalog.actions],
         "witnesses": [
-            [_fraction_str(x) for x in w] for w in catalog.witnesses
+            [jsonio.format_rational(x) for x in w] for w in catalog.witnesses
         ],
         "num_cells": catalog.num_cells,
         "perturbed": catalog.perturbed,
@@ -224,17 +210,6 @@ def _draw(rng: random.Random, pairs) -> int:
     return len(pairs) - 1
 
 
-def _tie_broken_response(instance: Instance, xi: Posterior):
-    actions = persuasion.enumerate_actions(instance.constraint, instance.num_elements)
-    maximize = instance.sense is Sense.MAX
-    r_vals = [(S, expected_value(instance.receiver, xi, S)) for S in actions]
-    best_r = max(v for _, v in r_vals) if maximize else min(v for _, v in r_vals)
-    ties = [S for S, v in r_vals if v == best_r]
-    s_vals = [(S, expected_value(instance.sender, xi, S)) for S in ties]
-    best_s = max(v for _, v in s_vals) if maximize else min(v for _, v in s_vals)
-    return min(S for S, v in s_vals if v == best_s)
-
-
 def cmd_validate(args) -> int:
     instance = _load_instance(args.instance)
     digest = jsonio.instance_digest(instance)
@@ -255,13 +230,12 @@ def cmd_validate(args) -> int:
 
     # The receiver best-responds to each recommendation's posterior with
     # sender-favoring ties; sample (state, recommendation) and score.
-    responses = {}
-    for action in scheme.support:
-        mass = signal_mass(instance, scheme, action)
-        if mass == 0:
-            continue
-        xi = posterior(instance, scheme, action)
-        responses[action] = _tie_broken_response(instance, xi)
+    actions = persuasion.enumerate_actions(instance.constraint, instance.num_elements)
+    responses = {
+        action: persuasion.tie_broken_response(instance, posterior(instance, scheme, action), actions)
+        for action in scheme.support
+        if signal_mass(instance, scheme, action) != 0
+    }
 
     rng = random.Random(args.seed)
     prior_pairs = [(t, instance.prior[t]) for t in range(instance.num_states)]
@@ -294,14 +268,14 @@ def cmd_validate(args) -> int:
         "digest": digest,
         "samples": n,
         "seed": args.seed,
-        "exact_value": _fraction_str(lp_value),
-        "empirical_mean": _fraction_str(mean),
+        "exact_value": jsonio.format_rational(lp_value),
+        "empirical_mean": jsonio.format_rational(mean),
         "standard_error": repr(se),
         "ci95": [repr(float(mean) - 1.96 * se), repr(float(mean) + 1.96 * se)],
         "within_4se": not disagree,
         "persuasive": report_exact.persuasive,
         "violations": [
-            [list(S), list(alt), _fraction_str(gap_)]
+            [list(S), list(alt), jsonio.format_rational(gap_)]
             for S, alt, gap_ in report_exact.violations[:10]
         ],
         "warnings": warnings,

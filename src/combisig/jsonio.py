@@ -28,25 +28,13 @@ from .model import (
     UtilityKind,
     UtilitySpec,
 )
+from .rationals import as_fraction
 
 
 def format_rational(v: Fraction) -> str | int:
     if v.denominator == 1:
         return int(v)
     return f"{v.numerator}/{v.denominator}"
-
-
-def parse_rational(raw) -> Fraction:
-    if isinstance(raw, bool):
-        raise InstanceFormatError(f"expected a rational, got {raw!r}")
-    if isinstance(raw, int):
-        return Fraction(raw)
-    if isinstance(raw, str):
-        try:
-            return Fraction(raw)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InstanceFormatError(f"bad rational literal {raw!r}") from exc
-    raise InstanceFormatError(f"expected int or 'p/q' string, got {type(raw).__name__}")
 
 
 def format_action(action: ActionSet) -> str:
@@ -83,12 +71,12 @@ def _utility_from_json(raw) -> UtilitySpec:
     kind = raw.get("kind")
     if kind == "linear":
         return UtilitySpec.from_linear(
-            [[parse_rational(v) for v in row] for row in raw["rows"]]
+            [[as_fraction(v) for v in row] for row in raw["rows"]]
         )
     if kind == "tabular":
         return UtilitySpec.from_tabular(
             [
-                {parse_action(a): parse_rational(v) for a, v in table.items()}
+                {parse_action(a): as_fraction(v) for a, v in table.items()}
                 for table in raw["tables"]
             ]
         )
@@ -165,7 +153,7 @@ def instance_from_json(raw: dict) -> Instance:
     try:
         return Instance(
             state_names=tuple(str(s) for s in raw["states"]),
-            prior=tuple(parse_rational(p) for p in raw["prior"]),
+            prior=tuple(as_fraction(p) for p in raw["prior"]),
             element_names=tuple(str(e) for e in raw["elements"]),
             sender=_utility_from_json(raw["sender"]),
             receiver=_utility_from_json(raw["receiver"]),
@@ -200,7 +188,7 @@ def scheme_from_json(raw: dict) -> tuple[SignalingScheme, str | None]:
     phi = {}
     for entry in raw["phi"]:
         key = (int(entry["state"]), tuple(sorted(int(e) for e in entry["action"])))
-        phi[key] = phi.get(key, Fraction(0)) + parse_rational(entry["prob"])
+        phi[key] = phi.get(key, Fraction(0)) + as_fraction(entry["prob"])
     scheme = SignalingScheme.from_phi(int(raw["num_states"]), phi)
     return scheme, raw.get("instance_digest")
 
@@ -221,10 +209,10 @@ def lineq_spec_from_json(raw: dict):
 
     try:
         return LineqMaSpec.make(
-            A=[[parse_rational(v) for v in row] for row in raw["A"]],
-            c=[parse_rational(v) for v in raw["c"]],
-            zeta=parse_rational(raw.get("zeta", 0)),
-            delta=parse_rational(raw.get("delta", 0)),
+            A=[[as_fraction(v) for v in row] for row in raw["A"]],
+            c=[as_fraction(v) for v in raw["c"]],
+            zeta=as_fraction(raw.get("zeta", 0)),
+            delta=as_fraction(raw.get("delta", 0)),
             known_solution=raw.get("known_solution"),
         )
     except KeyError as exc:
@@ -237,10 +225,10 @@ def public_spec_from_json(raw: dict):
     try:
         return PublicPersuasionSpec.make(
             state_names=raw["states"],
-            prior=[parse_rational(p) for p in raw["prior"]],
-            r0=[[parse_rational(v) for v in row] for row in raw["r0"]],
-            r1=[[parse_rational(v) for v in row] for row in raw["r1"]],
-            sender=[[parse_rational(v) for v in row] for row in raw["sender"]],
+            prior=[as_fraction(p) for p in raw["prior"]],
+            r0=[[as_fraction(v) for v in row] for row in raw["r0"]],
+            r1=[[as_fraction(v) for v in row] for row in raw["r1"]],
+            sender=[[as_fraction(v) for v in row] for row in raw["sender"]],
         )
     except KeyError as exc:
         raise InstanceFormatError(f"spec JSON missing field {exc}") from None

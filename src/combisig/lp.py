@@ -1,31 +1,29 @@
 """Exact linear programming over rationals.
 
-Dense two-phase primal simplex with Bland's rule throughout, so termination
-is guaranteed even on the heavily degenerate models the solvers build.  All
-arithmetic is fractions.Fraction; no floats ever enter the tableau.
+One form is solved: maximize or minimize c.x subject to rows a.x <= b,
+a.x >= b or a.x == b, with every variable x_j >= 0 (the objective may be
+left at zero to test feasibility).  The solver is a dense two-phase primal
+simplex with Bland's rule throughout, so termination is guaranteed even on
+the heavily degenerate models the solvers build.  All arithmetic is
+fractions.Fraction; no floats ever enter the tableau.
 
 Dual values are read off the final tableau (slack, surplus or artificial
-columns carry +/- the row prices) and the full optimality certificate --
-primal feasibility, dual feasibility and exact strong duality -- is
-re-verified against an untouched copy of the standard-form data on every
-solve unless ``verify=False``.
-
-Conventions for returned duals: for every optimal solve,
-``value == sum(duals[i] * rows[i].rhs)`` holds exactly whenever all variables
-have lower bound 0 and no upper bound (the common case here; variable shifts
-and bound rows otherwise contribute the usual extra terms, which the internal
-certificate check accounts for).  Sign pattern for a maximization: duals of
+columns carry +/- the row prices).  Every optimal solve is certified against
+the model's own rows before it returns: x >= 0 satisfies every row, the
+duals are feasible for the dual program, and ``value == sum(duals[i] *
+rows[i].rhs)`` holds exactly.  Sign pattern for a maximization: duals of
 ``<=`` rows are >= 0, of ``>=`` rows are <= 0, of ``==`` rows free; for a
-minimization the signs flip.
+minimization the signs flip.  A failed check raises ``CertificateError``;
+the checks are plain code, so ``python -O`` keeps them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
-from .errors import InstanceFormatError, IterationCap
+from .errors import CertificateError, InstanceFormatError, IterationCap
 from .rationals import ZERO, as_fraction
 
 MAX = "max"
@@ -40,6 +38,9 @@ OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
+_FLIPPED = {LE: GE, GE: LE, EQ: EQ}
+_HOLDS = {LE: operator.le, GE: operator.ge, EQ: operator.eq}
+
 
 @dataclass
 class LPRow:
@@ -49,18 +50,15 @@ class LPRow:
 
 
 class LPModel:
-    """A linear program in natural (row) form."""
+    """A linear program over nonnegative variables, in natural (row) form."""
 
-    def __init__(self, num_vars: int, sense: str = MAX, labels: Sequence | None = None):
+    def __init__(self, num_vars: int, sense: str = MAX):
         if sense not in (MAX, MIN):
             raise InstanceFormatError(f"unknown sense {sense!r}")
         self.num_vars = num_vars
         self.sense = sense
         self.objective: list[Fraction] = [ZERO] * num_vars
         self.rows: list[LPRow] = []
-        self.lower: list[Fraction | None] = [ZERO] * num_vars
-        self.upper: list[Fraction | None] = [None] * num_vars
-        self.labels = list(labels) if labels is not None else None
 
     def _dense(self, coeffs) -> list[Fraction]:
         dense = [ZERO] * self.num_vars
@@ -83,12 +81,6 @@ class LPModel:
         self.rows.append(LPRow(self._dense(coeffs), rel, as_fraction(rhs)))
         return len(self.rows) - 1
 
-    def set_lower(self, j: int, bound) -> None:
-        self.lower[j] = None if bound is None else as_fraction(bound)
-
-    def set_upper(self, j: int, bound) -> None:
-        self.upper[j] = None if bound is None else as_fraction(bound)
-
 
 @dataclass
 class LPResult:
@@ -96,7 +88,6 @@ class LPResult:
     value: Fraction | None = None
     x: list[Fraction] | None = None
     duals: list[Fraction] | None = None
-    bound_duals: dict[int, Fraction] = field(default_factory=dict)
     pivots: int = 0
 
 
@@ -210,75 +201,17 @@ class _Tableau:
         return z
 
 
-def solve(model: LPModel, pivot_cap: int = DEFAULT_PIVOT_CAP, verify: bool = True) -> LPResult:
+def solve(model: LPModel, pivot_cap: int = DEFAULT_PIVOT_CAP) -> LPResult:
     """Solve the model exactly; returns status optimal/infeasible/unbounded."""
     n = model.num_vars
     maximize = model.sense == MAX
-    work_obj = [c if maximize else -c for c in model.objective]
 
-    # Variable transforms into z >= 0 space.
-    recipes: list[tuple] = []
-    col = 0
-    for j in range(n):
-        lb = model.lower[j]
-        if lb is None:
-            recipes.append(("split", col, col + 1))
-            col += 2
-        else:
-            recipes.append(("shift", col, lb))
-            col += 1
-    n_std = col
-
-    def to_std_coeffs(coeffs: list[Fraction]) -> tuple[list[Fraction], Fraction]:
-        """Return z-space coefficients and the constant absorbed by shifts."""
-        out = [ZERO] * n_std
-        const = ZERO
-        for j, a in enumerate(coeffs):
-            if a == 0:
-                continue
-            recipe = recipes[j]
-            if recipe[0] == "split":
-                out[recipe[1]] = a
-                out[recipe[2]] = -a
-            else:
-                out[recipe[1]] = a
-                const += a * recipe[2]
-        return out, const
-
-    std_obj, offset = to_std_coeffs(work_obj)
-
-    a_rows: list[list[Fraction]] = []
-    rels: list[str] = []
-    rhs: list[Fraction] = []
-    origins: list[tuple] = []
-    flips: list[bool] = []
-
-    def push_row(coeffs, rel, b, origin):
-        if b < 0:
-            coeffs = [-v for v in coeffs]
-            b = -b
-            rel = {LE: GE, GE: LE, EQ: EQ}[rel]
-            flips.append(True)
-        else:
-            flips.append(False)
-        a_rows.append(coeffs)
-        rels.append(rel)
-        rhs.append(b)
-        origins.append(origin)
-
-    for i, row in enumerate(model.rows):
-        coeffs, const = to_std_coeffs(row.coeffs)
-        push_row(coeffs, row.rel, row.rhs - const, ("user", i))
-    for j in range(n):
-        ub = model.upper[j]
-        if ub is None:
-            continue
-        unit = [ZERO] * n
-        unit[j] = Fraction(1)
-        coeffs, const = to_std_coeffs(unit)
-        push_row(coeffs, LE, ub - const, ("bound", j))
-
-    tab = _Tableau(n_std, a_rows, rels, rhs, pivot_cap)
+    # Standard form: every right-hand side nonnegative, rows flipped to match.
+    flips = [row.rhs < 0 for row in model.rows]
+    a_rows = [[-v for v in row.coeffs] if flip else row.coeffs for row, flip in zip(model.rows, flips)]
+    rels = [_FLIPPED[row.rel] if flip else row.rel for row, flip in zip(model.rows, flips)]
+    rhs = [abs(row.rhs) for row in model.rows]
+    tab = _Tableau(n, a_rows, rels, rhs, pivot_cap)
 
     # Phase 1: drive artificials to zero.
     if tab.artificial:
@@ -287,7 +220,8 @@ def solve(model: LPModel, pivot_cap: int = DEFAULT_PIVOT_CAP, verify: bool = Tru
             costs1[c] = Fraction(-1)
         allowed = [j for j in range(tab.ncols) if j not in tab.artificial]
         status = tab._bland(costs1, allowed)
-        assert status == OPTIMAL, "phase-1 objective is bounded by construction"
+        if status != OPTIMAL:
+            raise CertificateError(f"phase-1 objective is bounded by construction, yet ended {status}")
         z = tab.solution()
         if any(z[c] != 0 for c in tab.artificial):
             return LPResult(status=INFEASIBLE, pivots=tab.pivots)
@@ -300,107 +234,55 @@ def solve(model: LPModel, pivot_cap: int = DEFAULT_PIVOT_CAP, verify: bool = Tru
                         break
 
     costs2 = [ZERO] * tab.ncols
-    for j, c in enumerate(std_obj):
-        costs2[j] = c
+    for j, c in enumerate(model.objective):
+        costs2[j] = c if maximize else -c
     allowed = [j for j in range(tab.ncols) if j not in tab.artificial]
     status = tab._bland(costs2, allowed)
     if status == UNBOUNDED:
         return LPResult(status=UNBOUNDED, pivots=tab.pivots)
 
-    z = tab.solution()
-    value_std = sum((costs2[j] * z[j] for j in range(tab.ncols) if z[j] != 0), ZERO)
+    x = tab.solution()[:n]
+    value = sum((c * v for c, v in zip(model.objective, x) if v != 0), ZERO)
 
-    x = [ZERO] * n
-    for j, recipe in enumerate(recipes):
-        if recipe[0] == "split":
-            x[j] = z[recipe[1]] - z[recipe[2]]
-        else:
-            x[j] = z[recipe[1]] + recipe[2]
-
-    # Row prices from the final reduced costs.
+    # Row prices from the final reduced costs, mapped back to the model's
+    # row orientation and sense.
     zrow = tab._reduced_costs(costs2)
-    y_norm: list[Fraction] = []
+    duals: list[Fraction] = []
     for i in range(tab.m):
         if tab.slack_col[i] is not None:
-            y_norm.append(-zrow[tab.slack_col[i]])
+            y = -zrow[tab.slack_col[i]]
         elif tab.surplus_col[i] is not None:
-            y_norm.append(zrow[tab.surplus_col[i]])
+            y = zrow[tab.surplus_col[i]]
         else:
-            y_norm.append(-zrow[tab.art_col[i]])
-
-    if verify:
-        _verify_certificate(tab, a_rows, rels, rhs, costs2, z, y_norm, zrow, value_std)
-
-    duals = [ZERO] * len(model.rows)
-    bound_duals: dict[int, Fraction] = {}
-    for i, origin in enumerate(origins):
-        y = -y_norm[i] if flips[i] else y_norm[i]
-        if not maximize:
+            y = -zrow[tab.art_col[i]]
+        if flips[i]:
             y = -y
-        if origin[0] == "user":
-            duals[origin[1]] = y
-        else:
-            bound_duals[origin[1]] = y
+        duals.append(y if maximize else -y)
 
-    value_work = value_std + offset
-    value = value_work if maximize else -value_work
-
-    if verify:
-        _verify_user_rows(model, x)
-
-    return LPResult(
-        status=OPTIMAL,
-        value=value,
-        x=x,
-        duals=duals,
-        bound_duals=bound_duals,
-        pivots=tab.pivots,
-    )
+    _certify(model, x, duals, value)
+    return LPResult(status=OPTIMAL, value=value, x=x, duals=duals, pivots=tab.pivots)
 
 
-def _verify_certificate(tab, a_rows, rels, rhs, costs, z, y, zrow, value_std) -> None:
-    """Exact optimality certificate in standard-form space."""
-    # Primal feasibility: every normalized row holds with its slack value.
-    for i in range(tab.m):
-        lhs = sum((a * z[j] for j, a in enumerate(a_rows[i]) if a != 0 and z[j] != 0), ZERO)
-        if tab.slack_col[i] is not None:
-            lhs += z[tab.slack_col[i]]
-        if tab.surplus_col[i] is not None:
-            lhs -= z[tab.surplus_col[i]]
-        assert lhs == rhs[i], "primal infeasibility in certified solution"
-    # Strong duality.
-    dual_value = sum((y[i] * rhs[i] for i in range(tab.m) if y[i] != 0), ZERO)
-    assert dual_value == value_std, "strong duality failed"
-    # Dual feasibility on structural columns (slack/surplus signs are implied
-    # by the zrow entries the prices were read from).
-    for j in range(tab.n_struct):
-        reduced = costs[j] - sum(
-            (y[i] * a_rows[i][j] for i in range(tab.m) if a_rows[i][j] != 0), ZERO
-        )
-        assert reduced <= 0, "dual infeasibility on a structural column"
-        assert z[j] == 0 or reduced == 0, "complementary slackness violated"
-
-
-def _verify_user_rows(model: LPModel, x: list[Fraction]) -> None:
-    for row in model.rows:
-        lhs = sum((a * x[j] for j, a in enumerate(row.coeffs) if a != 0), ZERO)
-        if row.rel == LE:
-            assert lhs <= row.rhs
-        elif row.rel == GE:
-            assert lhs >= row.rhs
-        else:
-            assert lhs == row.rhs
-    for j in range(model.num_vars):
-        if model.lower[j] is not None:
-            assert x[j] >= model.lower[j]
-        if model.upper[j] is not None:
-            assert x[j] <= model.upper[j]
-
-
-def feasibility(model: LPModel, pivot_cap: int = DEFAULT_PIVOT_CAP) -> LPResult:
-    """Phase-1 style feasibility check: ignores the objective entirely."""
-    probe = LPModel(model.num_vars, sense=MAX)
-    probe.rows = [LPRow(list(r.coeffs), r.rel, r.rhs) for r in model.rows]
-    probe.lower = list(model.lower)
-    probe.upper = list(model.upper)
-    return solve(probe, pivot_cap=pivot_cap)
+def _certify(model: LPModel, x: list[Fraction], duals: list[Fraction], value: Fraction) -> None:
+    """Exact optimality certificate: primal feasibility, dual feasibility and
+    strong duality, which together imply optimality by weak duality."""
+    sign = 1 if model.sense == MAX else -1
+    if any(v < 0 for v in x):
+        raise CertificateError("negative variable in certified solution")
+    reduced = list(model.objective)  # c_j - sum_i y_i a_ij
+    dual_value = ZERO
+    for row, y in zip(model.rows, duals):
+        lhs = sum((a * x[j] for j, a in enumerate(row.coeffs) if a != 0 and x[j] != 0), ZERO)
+        if not _HOLDS[row.rel](lhs, row.rhs):
+            raise CertificateError("primal infeasibility in certified solution")
+        if (row.rel == LE and sign * y < 0) or (row.rel == GE and sign * y > 0):
+            raise CertificateError("row price has the wrong sign")
+        if y != 0:
+            dual_value += y * row.rhs
+            for j, a in enumerate(row.coeffs):
+                if a != 0:
+                    reduced[j] -= y * a
+    if any(sign * r > 0 for r in reduced):
+        raise CertificateError("dual infeasibility on a column")
+    if dual_value != value:
+        raise CertificateError("strong duality failed")

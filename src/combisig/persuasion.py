@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import best_response, lp, matroid, paths
-from .errors import TooLarge, UnsupportedCombination
+from .errors import CertificateError, TooLarge, UnsupportedCombination
 from .model import (
     MATROID_KINDS,
     ActionSet,
@@ -52,6 +52,7 @@ __all__ = [
     "solve_reduced",
     "check_persuasive",
     "uninformative_scheme",
+    "tie_broken_response",
     "expected_sender_value",
     "shortest_path",
 ]
@@ -61,7 +62,7 @@ __all__ = [
 class SolveResult:
     scheme: SignalingScheme
     sender_value: Fraction
-    method: str  # "full-lp" | "reduced-lp" | "cce-exact" | "cce-approx"
+    method: str  # "full-lp" | "reduced-lp" | "cce-cutting-plane" | "cce-ellipsoid"
     catalog_size: int | None = None
     lp_stats: dict = field(default_factory=dict)
 
@@ -143,7 +144,7 @@ def _solve_scheme_lp(
             index[(t, S)] = len(labels)
             labels.append((t, S))
 
-    model = lp.LPModel(len(labels), sense=lp.MAX if maximize else lp.MIN, labels=labels)
+    model = lp.LPModel(len(labels), sense=lp.MAX if maximize else lp.MIN)
     model.set_objective(
         [
             instance.prior[t] * instance.sender.value(t, S)
@@ -159,7 +160,8 @@ def _solve_scheme_lp(
     rounds = 0
     while True:
         result = lp.solve(model)
-        assert result.status == lp.OPTIMAL
+        if result.status != lp.OPTIMAL:
+            raise CertificateError(f"scheme LP is bounded and feasible, yet ended {result.status}")
         pivots += result.pivots
         rounds += 1
         phi = {
@@ -191,7 +193,8 @@ def _solve_scheme_lp(
             model.add_row(coeffs, lp.GE if maximize else lp.LE, 0)
 
     recomputed = expected_sender_value(instance, scheme)
-    assert recomputed == value, "scheme value drifted from the LP optimum"
+    if recomputed != value:
+        raise CertificateError("scheme value drifted from the LP optimum")
     return SolveResult(
         scheme=scheme,
         sender_value=value,
@@ -284,11 +287,17 @@ def uninformative_scheme(
     if actions is None:
         actions = enumerate_actions(instance.constraint, instance.num_elements)
     prior = Posterior(xi=instance.prior)
-    maximize = instance.sense is Sense.MAX
-    r_vals = {S: expected_value(instance.receiver, prior, S) for S in actions}
-    best_r = max(r_vals.values()) if maximize else min(r_vals.values())
+    pick = tie_broken_response(instance, prior, actions)
+    return deterministic_scheme(instance.num_states, pick), expected_value(instance.sender, prior, pick)
+
+
+def tie_broken_response(instance: Instance, xi: Posterior, actions: list[ActionSet]) -> ActionSet:
+    """The receiver's best action at the belief among ``actions``, ties
+    resolved in the sender's favor, then by the lexicographically least."""
+    best = max if instance.sense is Sense.MAX else min
+    r_vals = {S: expected_value(instance.receiver, xi, S) for S in actions}
+    best_r = best(r_vals.values())
     ties = [S for S in actions if r_vals[S] == best_r]
-    s_vals = {S: expected_value(instance.sender, prior, S) for S in ties}
-    best_s = max(s_vals.values()) if maximize else min(s_vals.values())
-    pick = min(S for S in ties if s_vals[S] == best_s)
-    return deterministic_scheme(instance.num_states, pick), s_vals[pick]
+    s_vals = {S: expected_value(instance.sender, xi, S) for S in ties}
+    best_s = best(s_vals.values())
+    return min(S for S in ties if s_vals[S] == best_s)

@@ -224,7 +224,7 @@ def brute_weak_optimal_actions(instance: Instance) -> set[ActionSet]:
             model.add_row(
                 {t: r(t, S) - r(t, other) for t in range(D)}, lp.GE, 0
             )
-        if lp.feasibility(model).status == lp.OPTIMAL:
+        if lp.solve(model).status == lp.OPTIMAL:
             winners.add(S)
     return winners
 
@@ -245,7 +245,7 @@ def brute_cce_value(instance: Instance, actions: list[ActionSet] | None = None):
     C, _ = prior_best_value(instance)
     labels = [(t, S) for t in range(D) for S in actions]
     index = {lab: i for i, lab in enumerate(labels)}
-    model = lp.LPModel(len(labels), sense=lp.MAX if maximize else lp.MIN, labels=labels)
+    model = lp.LPModel(len(labels), sense=lp.MAX if maximize else lp.MIN)
     model.set_objective(
         [instance.prior[t] * instance.sender.value(t, S) for (t, S) in labels]
     )
@@ -316,19 +316,18 @@ def _rank(rows) -> int:
 
 def nondegeneracy_by_permutations(instance: Instance) -> tuple[bool, int]:
     """Reference audit by the definition: walk every permutation of the
-    elements, and test each distinct set of |states| consecutive pairs for
-    independent receiver difference vectors.  Returns (clean, families
-    checked).  It visits n! permutations, so keep n small.
+    elements, and test each distinct set of min(|states|, n - 1)
+    consecutive pairs for independent receiver difference vectors.  Returns
+    (clean, families checked).  It visits n! permutations, so keep n small.
     """
     D = instance.num_states
     n = instance.num_elements
+    d = min(D, n - 1)
     psi = [[instance.receiver.linear[t][e] for t in range(D)] for e in range(n)]
-    if n - 1 < D:
-        return True, 0
     seen: set[frozenset] = set()
     clean = True
     for perm in itertools.permutations(range(n)):
-        for positions in itertools.combinations(range(n - 1), D):
+        for positions in itertools.combinations(range(n - 1), d):
             family = frozenset(frozenset((perm[i], perm[i + 1])) for i in positions)
             if family in seen:
                 continue
@@ -336,6 +335,6 @@ def nondegeneracy_by_permutations(instance: Instance) -> tuple[bool, int]:
             vectors = [
                 [a - b for a, b in zip(psi[perm[i]], psi[perm[i + 1]])] for i in positions
             ]
-            if _rank(vectors) < D:
+            if _rank(vectors) < d:
                 clean = False
     return clean, len(seen)

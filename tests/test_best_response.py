@@ -107,7 +107,7 @@ def test_partition_reduced_family_matches_full_family(monkeypatch):
 
 
 def test_nondegeneracy_flags_duplicate_columns():
-    inst = Instance(
+    two_states = Instance(
         state_names=("s0", "s1"),
         prior=(F(1, 2), F(1, 2)),
         element_names=("a", "b", "c"),
@@ -115,11 +115,23 @@ def test_nondegeneracy_flags_duplicate_columns():
         receiver=UtilitySpec.from_linear([[4, 4, 1], [2, 2, 7]]),
         constraint=Uniform(2),
     )
-    report = best_response.check_nondegeneracy(inst)
-    assert not report.clean
-    assert report.violations
-    catalog = best_response.enumerate_best_responses(inst)
-    assert catalog.perturbed
+    # e0 = e2 = (1, 0, 1): with no more elements than states the audited
+    # families are the three Hamiltonian paths, all decided by one rank test
+    three_states = Instance(
+        state_names=("s0", "s1", "s2"),
+        prior=(F(1, 3), F(1, 3), F(1, 3)),
+        element_names=("a", "b", "c"),
+        sender=UtilitySpec.from_linear([[1, 2, 3], [1, 2, 3], [1, 2, 3]]),
+        receiver=UtilitySpec.from_linear([[1, 0, 1], [0, 2, 0], [1, 0, 1]]),
+        constraint=Uniform(1),
+    )
+    for inst in (two_states, three_states):
+        report = best_response.check_nondegeneracy(inst)
+        assert not report.clean
+        assert report.violations
+        catalog = best_response.enumerate_best_responses(inst)
+        assert catalog.perturbed
+    assert best_response.check_nondegeneracy(three_states).families_checked == 3
 
 
 def test_nondegeneracy_vacuous_for_tiny_instances():
@@ -131,8 +143,10 @@ def test_nondegeneracy_vacuous_for_tiny_instances():
         receiver=UtilitySpec.from_linear([[1], [2], [3]]),
         constraint=Uniform(1),
     )
+    # one element: the only family is the empty forest, trivially independent
     report = best_response.check_nondegeneracy(inst)
-    assert report.clean and report.method == "vacuous"
+    assert report.clean and report.method == "exhaustive"
+    assert report.families_checked == 1
 
 
 def test_nondegeneracy_exact_beyond_seven_elements(monkeypatch):
@@ -231,10 +245,10 @@ def test_nondegeneracy_matches_permutation_walk():
         report = best_response.check_nondegeneracy(inst)
         clean, checked = nondegeneracy_by_permutations(inst)
         assert (report.clean, report.families_checked) == (clean, checked), trial
-        assert report.method == ("exhaustive" if n - 1 >= n_states else "vacuous")
+        assert report.method == "exhaustive"
         degenerate += not clean
         for perm, positions in report.violations:
-            assert sorted(perm) == list(range(n)) and len(positions) == n_states
+            assert sorted(perm) == list(range(n)) and len(positions) == min(n_states, n - 1)
     assert degenerate >= 3
 
 

@@ -80,14 +80,6 @@ def test_validate_digest_mismatch_is_usage_error(capsys, tmp_path):
     assert "digest" in err
 
 
-def test_solve_cce_alpha_mismatch_warns(capsys):
-    report = report_of(
-        capsys, "solve", TOY, "--mode", "cce", "--alpha", "1/2", "--oracle", "exact"
-    )
-    assert report["warnings"] and "alpha" in report["warnings"][0]
-    assert report["mode"] == "cce"
-
-
 def test_solve_min_sense_path_instance(capsys):
     report = report_of(capsys, "solve", ROUTE, "--mode", "full")
     assert report["value"] == "1/8"
@@ -131,7 +123,7 @@ def test_solver_refusal_is_exit_two(capsys):
 
 
 def test_cce_approx_min_sense_is_exit_two(capsys):
-    code, _, err = run(capsys, "solve", ROUTE, "--mode", "cce", "--engine", "ellipsoid")
+    code, _, err = run(capsys, "solve", ROUTE, "--mode", "cce", "--oracle", "half-greedy")
     assert code == 2
     assert "UnsupportedSense" in err
 
@@ -142,11 +134,12 @@ def test_cce_approx_min_sense_is_exit_two(capsys):
 
 
 def test_reports_are_byte_identical(capsys):
-    argv = ("solve", TOY, "--mode", "cce", "--engine", "ellipsoid")
+    argv = ("solve", TOY, "--mode", "cce", "--oracle", "half-greedy")
     first = run(capsys, *argv)
     second = run(capsys, *argv)
     assert first[0] == second[0] == 0
     assert first[1] == second[1]
+    assert json.loads(first[1])["method"] == "cce-ellipsoid"  # alpha 1/2 routes there
 
 
 def test_validate_is_seed_deterministic(capsys, tmp_path):
@@ -206,11 +199,12 @@ def test_check_nondegeneracy_clean_and_degenerate(capsys, tmp_path):
     assert clean["families_checked"] >= 1
     assert clean["violations"] == []
 
-    # three elements across three states leave nothing to audit
-    vacuous = report_of(capsys, "check-nondegeneracy", WEATHER)
-    assert vacuous["clean"] is True
-    assert vacuous["method"] == "vacuous"
-    assert vacuous["families_checked"] == 0
+    # three elements across three states: each of the three Hamiltonian
+    # paths is one family of two differences
+    small = report_of(capsys, "check-nondegeneracy", WEATHER)
+    assert small["clean"] is True
+    assert small["method"] == "exhaustive"
+    assert small["families_checked"] == 3
 
     # a small linear system compiles to five states over six elements whose
     # two "keep" columns repeat the all-ones vector: detectably degenerate

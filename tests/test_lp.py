@@ -1,9 +1,15 @@
-"""Exact simplex: known optima, duals, degeneracy, and an independent
-Fourier-Motzkin feasibility oracle on random systems."""
+"""Exact simplex: known optima, duals, degeneracy, an independent
+Fourier-Motzkin feasibility oracle on random systems, and the certificate
+under ``python -O``."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -11,19 +17,14 @@ from combisig import lp
 from combisig.errors import IterationCap
 
 F = Fraction
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def solve_simple(obj, rows, sense=lp.MAX, lower=None, upper=None):
+def solve_simple(obj, rows, sense=lp.MAX):
     model = lp.LPModel(len(obj), sense=sense)
     model.set_objective([F(v) for v in obj])
     for coeffs, rel, rhs in rows:
         model.add_row({i: F(c) for i, c in enumerate(coeffs) if c != 0}, rel, F(rhs))
-    if lower:
-        for i, b in lower.items():
-            model.set_lower(i, F(b))
-    if upper:
-        for i, b in upper.items():
-            model.set_upper(i, F(b))
     return lp.solve(model)
 
 
@@ -55,17 +56,6 @@ def test_fractional_optimum():
     # duals: y = (2/5, 1/5); value == y.b
     assert res.duals is not None
     assert sum(d * b for d, b in zip(res.duals, [F(3), F(4)])) == res.value
-
-
-def test_free_and_negative_bounds():
-    # variable with lower bound -2; maximize -x
-    res = solve_simple([-1], [([1], lp.LE, 5)], lower={0: -2})
-    assert res.value == 2 and res.x[0] == -2
-
-
-def test_upper_bounds():
-    res = solve_simple([1, 1], [([1, 1], lp.LE, 10)], upper={0: 2, 1: 3})
-    assert res.value == 5 and res.x == [2, 3]
 
 
 def test_beale_degenerate_cycling_instance():
@@ -183,11 +173,10 @@ def test_feasibility_matches_fourier_motzkin():
             ([F(-1) if j == i else F(0) for j in range(num_vars)], lp.LE, F(0))
             for i in range(num_vars)
         ]
-        model = lp.LPModel(num_vars)
-        model.set_objective([F(0)] * num_vars)
+        model = lp.LPModel(num_vars)  # no objective: a feasibility test
         for coeffs, rel, rhs in rows:
             model.add_row(dict(enumerate(coeffs)), rel, rhs)
-        verdict = lp.feasibility(model).status == lp.OPTIMAL
+        verdict = lp.solve(model).status == lp.OPTIMAL
         assert verdict == fm_feasible(fm_rows, num_vars), f"trial {trial}"
         agree += 1
     assert agree == 25
@@ -203,10 +192,54 @@ def test_strong_duality_random():
             coeffs = {i: F(rng.randint(-4, 4)) for i in range(num_vars)}
             model.add_row(coeffs, rng.choice([lp.LE, lp.GE]), F(rng.randint(0, 8)))
         for i in range(num_vars):
-            model.set_upper(i, F(rng.randint(1, 6)))
-        res = lp.solve(model)  # verify=True checks duality internally
+            model.add_row({i: 1}, lp.LE, F(rng.randint(1, 6)))
+        res = lp.solve(model)  # the certificate is checked inside every solve
         if res.status == lp.OPTIMAL:
             recomputed = sum(
                 c * v for c, v in zip(model.objective, res.x)
             )
             assert recomputed == res.value
+            assert sum(d * row.rhs for d, row in zip(res.duals, model.rows)) == res.value
+
+
+def test_certificate_survives_python_O():
+    """Under ``python -O`` a forged simplex solution still raises
+    CertificateError, both from lp.solve and from a solver built on it."""
+    script = textwrap.dedent(
+        """
+        import sys
+        from fractions import Fraction
+        from combisig import jsonio, lp, persuasion
+        from combisig.errors import CertificateError
+
+        assert False, "assert statements must be stripped"  # -O removes this line
+        genuine = lp._Tableau.solution
+
+        def forged(self):
+            z = genuine(self)
+            z[0] += 1
+            return z
+
+        lp._Tableau.solution = forged
+        model = lp.LPModel(2)
+        model.set_objective([1, 1])
+        model.add_row([1, 1], lp.LE, 1)
+        toy = jsonio.instance_from_json(jsonio.load_json(sys.argv[1]))
+        for solve in (lambda: lp.solve(model), lambda: persuasion.solve_full(toy)):
+            try:
+                solve()
+            except CertificateError as exc:
+                print("caught", exc)
+            else:
+                print("missed")
+        """
+    )
+    toy = Path(__file__).resolve().parents[1] / "instances" / "two_state_toy.json"
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script, str(toy)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert len(lines) == 2 and all(line.startswith("caught") for line in lines), done.stdout
