@@ -22,10 +22,13 @@ import json
 import random
 import sys
 import time
+from bisect import bisect_right
 from fractions import Fraction
-from math import sqrt
+from math import ceil, sqrt
 
-from . import best_response, cce, jsonio, persuasion, reductions
+# cce, best_response and reductions are imported by the subcommands that
+# run them, so a child process compiles only what it uses
+from . import jsonio, persuasion
 from .errors import CombisigError, InstanceFormatError, ParameterError
 from .model import Instance, posterior, signal_mass
 from .rationals import ZERO
@@ -51,17 +54,18 @@ def _fail_usage(message: str) -> "SystemExit":
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="combisig", description=__doc__.splitlines()[0])
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", help="write the primary artifact to this path")
-    common.add_argument("--seed", type=int, default=0, help="RNG seed (Monte Carlo)")
-    common.add_argument(
-        "--max-actions", type=int, default=None, help="cap on enumerated actions"
-    )
     common.add_argument(
         "--json-logs", action="store_true", help="emit progress lines on stderr"
     )
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", help="write the primary artifact to this path")
+    cap = argparse.ArgumentParser(add_help=False)
+    cap.add_argument(
+        "--max-actions", type=int, default=None, help="cap on enumerated actions"
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_solve = sub.add_parser("solve", parents=[common], help="solve an instance")
+    p_solve = sub.add_parser("solve", parents=[common, out, cap], help="solve an instance")
     p_solve.add_argument("instance", help="instance JSON path")
     p_solve.add_argument(
         "--mode", choices=("full", "reduced", "cce"), default="full"
@@ -69,15 +73,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--epsilon", default="1/10", help="tolerance, p/q")
     p_solve.add_argument("--oracle", choices=("exact", "half-greedy"), default="exact")
 
-    p_enum = sub.add_parser("enumerate", parents=[common], help="best-response catalog")
+    p_enum = sub.add_parser("enumerate", parents=[common, out], help="best-response catalog")
     p_enum.add_argument("instance")
 
-    p_val = sub.add_parser("validate", parents=[common], help="check a scheme")
+    p_val = sub.add_parser("validate", parents=[common, cap], help="check a scheme")
     p_val.add_argument("instance")
     p_val.add_argument("scheme")
+    p_val.add_argument("--seed", type=int, default=0, help="RNG seed (Monte Carlo)")
     p_val.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
 
-    p_gen = sub.add_parser("gen", parents=[common], help="generate an instance")
+    p_gen = sub.add_parser("gen", parents=[common, out], help="generate an instance")
     p_gen.add_argument("spec", help="system / public-persuasion spec JSON path")
     p_gen.add_argument(
         "--from", dest="source", choices=("lineq", "public"), required=True
@@ -127,6 +132,8 @@ def cmd_solve(args) -> int:
     elif args.mode == "reduced":
         result = persuasion.solve_reduced(instance)
     else:
+        from . import cce
+
         view = cce.make_view(
             instance,
             oracle=args.oracle,
@@ -166,6 +173,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    from . import best_response
+
     instance = _load_instance(args.instance)
     digest = jsonio.instance_digest(instance)
     _log(args, f"enumerating best responses for {args.instance}")
@@ -199,18 +208,24 @@ def cmd_enumerate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _draw(rng: random.Random, pairs) -> int:
-    """Index into ``pairs`` (item, Fraction weight) by exact cumulative draw."""
-    r = Fraction(rng.getrandbits(53), 1 << 53)
+def _cut_points(weights) -> list[int]:
+    """``ceil(acc_k * 2^53)`` for the cumulative weights ``acc_k``.
+
+    A 53-bit draw ``bits`` has ``bits / 2^53 < acc_k`` exactly when
+    ``bits < cut_k``, so ``bisect_right(cuts, bits)`` is the index an exact
+    ``Fraction`` walk over the cumulative weights picks.
+    """
+    cuts = []
     acc = ZERO
-    for idx, (_, w) in enumerate(pairs):
+    for w in weights:
         acc += w
-        if r < acc:
-            return idx
-    return len(pairs) - 1
+        cuts.append(ceil(acc * (1 << 53)))
+    return cuts
 
 
 def cmd_validate(args) -> int:
+    if args.samples < 1:
+        raise _fail_usage("--samples must be at least 1")
     instance = _load_instance(args.instance)
     digest = jsonio.instance_digest(instance)
     try:
@@ -225,33 +240,44 @@ def cmd_validate(args) -> int:
         raise _fail_usage("scheme was computed for a different instance (digest mismatch)")
 
     _log(args, f"validating {args.scheme} with {args.samples} samples")
-    report_exact = persuasion.check_persuasive(instance, scheme)
+    pool = persuasion.deviation_pool(instance, args.max_actions)
+    alternatives, method = pool
+    if method == "catalog":
+        warnings.append(
+            "too many actions to enumerate: receiver ties were broken "
+            "within the best-response catalog"
+        )
+    report_exact = persuasion.check_persuasive(instance, scheme, pool=pool)
     lp_value = persuasion.expected_sender_value(instance, scheme)
 
     # The receiver best-responds to each recommendation's posterior with
-    # sender-favoring ties; sample (state, recommendation) and score.
-    actions = persuasion.enumerate_actions(instance.constraint, instance.num_elements)
+    # sender-favoring ties; sample (state, recommendation) pairs, then score
+    # each pair once, weighted by its count.
     responses = {
-        action: persuasion.tie_broken_response(instance, posterior(instance, scheme, action), actions)
+        action: persuasion.tie_broken_response(instance, posterior(instance, scheme, action), alternatives)
         for action in scheme.support
         if signal_mass(instance, scheme, action) != 0
     }
 
     rng = random.Random(args.seed)
-    prior_pairs = [(t, instance.prior[t]) for t in range(instance.num_states)]
-    per_state = {
-        t: [(a, p) for (tt, a), p in sorted(scheme.phi.items()) if tt == t and p > 0]
+    per_state = [
+        [(a, p) for (tt, a), p in sorted(scheme.phi.items()) if tt == t and p > 0]
         for t in range(instance.num_states)
-    }
-    total = ZERO
-    total_sq = ZERO
+    ]
+    state_cuts = _cut_points(instance.prior)
+    action_cuts = [_cut_points(p for _, p in recs) for recs in per_state]
+    counts: dict[tuple[int, int], int] = {}
     n = args.samples
     for _ in range(n):
-        t = prior_pairs[_draw(rng, prior_pairs)][0]
-        action = per_state[t][_draw(rng, per_state[t])][0]
-        value = instance.sender.value(t, responses[action])
-        total += value
-        total_sq += value * value
+        t = min(bisect_right(state_cuts, rng.getrandbits(53)), len(state_cuts) - 1)
+        cuts = action_cuts[t]
+        k = min(bisect_right(cuts, rng.getrandbits(53)), len(cuts) - 1)
+        counts[t, k] = counts.get((t, k), 0) + 1
+    total = total_sq = ZERO
+    for (t, k), count in counts.items():
+        value = instance.sender.value(t, responses[per_state[t][k][0]])
+        total += count * value
+        total_sq += count * value * value
     mean = total / n
     var = total_sq / n - mean * mean
     se = sqrt(max(float(var), 0.0) / n)
@@ -290,6 +316,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    from . import reductions
+
     try:
         raw = jsonio.load_json(args.spec)
     except FileNotFoundError:
@@ -341,6 +369,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_check_nondegeneracy(args) -> int:
+    from . import best_response
+
     instance = _load_instance(args.instance)
     _log(args, f"auditing utility families for {args.instance}")
     report = best_response.check_nondegeneracy(instance)

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import best_response, lp, matroid, paths
+from . import lp, matroid, paths
 from .errors import CertificateError, TooLarge, UnsupportedCombination
 from .model import (
     MATROID_KINDS,
@@ -51,6 +51,7 @@ __all__ = [
     "solve_full",
     "solve_reduced",
     "check_persuasive",
+    "deviation_pool",
     "uninformative_scheme",
     "tie_broken_response",
     "expected_sender_value",
@@ -225,35 +226,50 @@ def solve_reduced(instance: Instance) -> SolveResult:
     the value can fall below ``solve_full``; ``lp_stats["perturbed"]``
     records when that caveat applies.
     """
-    catalog = best_response.enumerate_best_responses(instance)
+    from .best_response import enumerate_best_responses
+
+    catalog = enumerate_best_responses(instance)
     actions = list(catalog.actions)
     result = _solve_scheme_lp(instance, actions, actions, "reduced-lp", len(actions))
     result.lp_stats["perturbed"] = catalog.perturbed
     return result
 
 
-def check_persuasive(
-    instance: Instance, scheme: SignalingScheme, max_actions: int | None = None
-) -> PersuasivenessReport:
-    """Exact persuasiveness audit of a scheme: no tolerance, weak inequalities.
+def deviation_pool(
+    instance: Instance, max_actions: int | None = None
+) -> tuple[list[ActionSet], str]:
+    """The receiver's alternatives and how they were found.
 
-    Scans every alternative from the full enumeration; if that is too large
-    and the instance supports it, falls back to the best-response catalog
-    (recorded in ``method``).
+    Every feasible action (``"enumerated"``); if that is too large and the
+    instance is a linear max-sense matroid one, the best-response catalog
+    (``"catalog"``), which holds a best response at every belief.
     """
     try:
-        pool = enumerate_actions(instance.constraint, instance.num_elements, max_actions)
-        method = "enumerated"
+        return enumerate_actions(instance.constraint, instance.num_elements, max_actions), "enumerated"
     except TooLarge:
-        if (
+        if not (
             isinstance(instance.constraint, MATROID_KINDS)
             and instance.receiver.kind is UtilityKind.LINEAR
             and instance.sense is Sense.MAX
         ):
-            pool = list(best_response.enumerate_best_responses(instance).actions)
-            method = "catalog"
-        else:
             raise
+    from .best_response import enumerate_best_responses
+
+    return list(enumerate_best_responses(instance).actions), "catalog"
+
+
+def check_persuasive(
+    instance: Instance,
+    scheme: SignalingScheme,
+    max_actions: int | None = None,
+    pool: tuple[list[ActionSet], str] | None = None,
+) -> PersuasivenessReport:
+    """Exact persuasiveness audit of a scheme: no tolerance, weak inequalities.
+
+    Scans every alternative in ``pool``, by default ``deviation_pool``'s
+    (the catalog fallback is recorded in ``method``).
+    """
+    alternatives, method = pool if pool is not None else deviation_pool(instance, max_actions)
     maximize = instance.sense is Sense.MAX
     violations = []
     for S in scheme.support:
@@ -261,7 +277,7 @@ def check_persuasive(
             continue
         xi = posterior(instance, scheme, S)
         own = expected_value(instance.receiver, xi, S)
-        for alt in pool:
+        for alt in alternatives:
             other = expected_value(instance.receiver, xi, alt)
             gap = other - own if maximize else own - other
             if gap > 0:

@@ -10,8 +10,10 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from math import sqrt
 
 from combisig import lp, matroid
+from combisig.jsonio import format_rational
 from combisig.model import (
     ActionSet,
     Graphic,
@@ -20,10 +22,13 @@ from combisig.model import (
     Partition,
     PathGraph,
     Sense,
+    SignalingScheme,
     Uniform,
     UtilitySpec,
+    posterior,
+    signal_mass,
 )
-from combisig.persuasion import enumerate_actions
+from combisig.persuasion import enumerate_actions, expected_sender_value, tie_broken_response
 
 F = Fraction
 ZERO = F(0)
@@ -338,3 +343,75 @@ def nondegeneracy_by_permutations(instance: Instance) -> tuple[bool, int]:
             if _rank(vectors) < d:
                 clean = False
     return clean, len(seen)
+
+
+# ---------------------------------------------------------------------------
+# Monte Carlo reference for `combisig validate`
+# ---------------------------------------------------------------------------
+
+
+def _fraction_draw(rng: random.Random, pairs) -> int:
+    """Index into ``pairs`` (item, Fraction weight) by exact cumulative draw."""
+    r = F(rng.getrandbits(53), 1 << 53)
+    acc = ZERO
+    for idx, (_, w) in enumerate(pairs):
+        acc += w
+        if r < acc:
+            return idx
+    return len(pairs) - 1
+
+
+def validate_sampling_reference(
+    instance: Instance, scheme: SignalingScheme, samples: int, seed: int
+) -> dict:
+    """The sampling fields of a ``validate`` report, computed the direct way:
+    one ``Fraction`` comparison walk per draw and running sums of the sender
+    value of every sample, in draw order."""
+    actions = enumerate_actions(instance.constraint, instance.num_elements)
+    responses = {
+        action: tie_broken_response(instance, posterior(instance, scheme, action), actions)
+        for action in scheme.support
+        if signal_mass(instance, scheme, action) != 0
+    }
+    rng = random.Random(seed)
+    prior_pairs = [(t, instance.prior[t]) for t in range(instance.num_states)]
+    per_state = {
+        t: [(a, p) for (tt, a), p in sorted(scheme.phi.items()) if tt == t and p > 0]
+        for t in range(instance.num_states)
+    }
+    total = ZERO
+    total_sq = ZERO
+    for _ in range(samples):
+        t = prior_pairs[_fraction_draw(rng, prior_pairs)][0]
+        action = per_state[t][_fraction_draw(rng, per_state[t])][0]
+        value = instance.sender.value(t, responses[action])
+        total += value
+        total_sq += value * value
+    mean = total / samples
+    var = total_sq / samples - mean * mean
+    se = sqrt(max(float(var), 0.0) / samples)
+    exact = expected_sender_value(instance, scheme)
+    gap = abs(float(mean - exact))
+    disagree = gap > 4 * se if se > 0 else mean != exact
+    return {
+        "empirical_mean": format_rational(mean),
+        "standard_error": repr(se),
+        "ci95": [repr(float(mean) - 1.96 * se), repr(float(mean) + 1.96 * se)],
+        "within_4se": not disagree,
+    }
+
+
+def wide_uniform_instance() -> Instance:
+    """21 elements, 3 states, ``Uniform(2)``: more actions than
+    ``persuasion.MATROID_ENUM_LIMIT`` allows to enumerate and more linear
+    forests than the audit cap, with receiver columns repeating every third
+    element."""
+    cols = [((3, 0, 1), (0, 3, 1), (1, 1, 2))[e % 3] for e in range(21)]
+    return Instance(
+        state_names=("s0", "s1", "s2"),
+        prior=(F(1, 2), F(1, 4), F(1, 4)),
+        element_names=tuple(f"e{i}" for i in range(21)),
+        sender=UtilitySpec.from_linear([[(7 * e + t) % 5 for e in range(21)] for t in range(3)]),
+        receiver=UtilitySpec.from_linear([[c[t] for c in cols] for t in range(3)]),
+        constraint=Uniform(2),
+    )

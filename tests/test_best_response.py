@@ -28,6 +28,7 @@ from helpers import (
     rand_clean_instance,
     rand_instance,
     sweep_weak_optimal_2state,
+    wide_uniform_instance,
 )
 
 F = Fraction
@@ -192,15 +193,7 @@ def test_catalog_falls_back_past_the_audit_cap():
     """21 elements, 3 states: too many actions to enumerate and too many
     linear forests to audit, so the catalog skips the audit, reports the
     perturbed caveat, and still serves check_persuasive's fallback."""
-    cols = [((3, 0, 1), (0, 3, 1), (1, 1, 2))[e % 3] for e in range(21)]
-    inst = Instance(
-        state_names=("s0", "s1", "s2"),
-        prior=(F(1, 2), F(1, 4), F(1, 4)),
-        element_names=tuple(f"e{i}" for i in range(21)),
-        sender=UtilitySpec.from_linear([[(7 * e + t) % 5 for e in range(21)] for t in range(3)]),
-        receiver=UtilitySpec.from_linear([[c[t] for c in cols] for t in range(3)]),
-        constraint=Uniform(2),
-    )
+    inst = wide_uniform_instance()
     with pytest.raises(TooLarge):
         persuasion.enumerate_actions(inst.constraint, inst.num_elements)
     with pytest.raises(TooLarge):

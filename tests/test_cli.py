@@ -2,11 +2,17 @@
 and the instance/scheme JSON round trip."""
 
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from combisig import cli, jsonio
+from combisig import cli, jsonio, persuasion
+from combisig.model import SignalingScheme
+from helpers import validate_sampling_reference, wide_uniform_instance
 
 INSTANCES = Path(__file__).resolve().parents[1] / "instances"
 TOY = str(INSTANCES / "two_state_toy.json")
@@ -80,6 +86,78 @@ def test_validate_digest_mismatch_is_usage_error(capsys, tmp_path):
     assert "digest" in err
 
 
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_validate_rejects_fewer_than_one_sample(capsys, tmp_path, samples):
+    scheme_path = str(tmp_path / "scheme.json")
+    report_of(capsys, "solve", TOY, "--out", scheme_path)
+    code, out, err = run(capsys, "validate", TOY, scheme_path, "--samples", samples)
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["error: --samples must be at least 1"]
+
+
+def test_validate_falls_back_to_the_catalog_past_the_enumeration_cap(capsys, tmp_path):
+    inst = wide_uniform_instance()
+    digest = jsonio.instance_digest(inst)
+    inst_path = str(tmp_path / "wide.json")
+    scheme_path = str(tmp_path / "wide.scheme.json")
+    jsonio.save_json(inst_path, jsonio.instance_to_json(inst))
+    scheme = persuasion.solve_reduced(inst).scheme
+    jsonio.save_json(scheme_path, jsonio.scheme_to_json(scheme, digest))
+    report = report_of(capsys, "validate", inst_path, scheme_path, "--samples", "50")
+    exact = persuasion.check_persuasive(inst, scheme)
+    assert exact.method == "catalog"
+    assert report["persuasive"] is exact.persuasive
+    assert any("best-response catalog" in w for w in report["warnings"])
+
+
+def test_validate_honours_max_actions(capsys, tmp_path):
+    scheme_path = str(tmp_path / "scheme.json")
+    report_of(capsys, "solve", ROUTE, "--out", scheme_path)
+    code, _, err = run(capsys, "validate", ROUTE, scheme_path, "--max-actions", "1")
+    assert code == 2
+    assert "TooLarge" in err
+
+
+def _weather_scheme(phi):
+    A, B, C = (0, 1), (0, 2), (1, 2)
+    named = {(t, {"A": A, "B": B, "C": C}[a]): Fraction(p) for (t, a), p in phi.items()}
+    return SignalingScheme.from_phi(3, named)
+
+
+SAMPLER_SCHEMES = {
+    # the optimal scheme of weather_pair
+    "optimal": {(0, "A"): "1/4", (0, "B"): "3/4", (1, "A"): 1, (2, "B"): 1},
+    # state 0 recommends all three actions
+    "three-way": {
+        (0, "A"): "1/2", (0, "B"): "1/3", (0, "C"): "1/6",
+        (1, "A"): 1, (2, "B"): "1/2", (2, "C"): "1/2",
+    },
+    # no recommendation is obeyed, so the exact value is far off
+    "disobeyed": {(0, "C"): 1, (1, "B"): 1, (2, "A"): "1/2", (2, "C"): "1/2"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLER_SCHEMES))
+@pytest.mark.parametrize("seed", [0, 7, 123])
+@pytest.mark.parametrize("samples", [1, 7, 10_000])
+def test_validate_sampling_matches_fraction_reference(capsys, tmp_path, name, seed, samples):
+    inst = jsonio.instance_from_json(jsonio.load_json(WEATHER))
+    scheme = _weather_scheme(SAMPLER_SCHEMES[name])
+    scheme_path = str(tmp_path / "scheme.json")
+    jsonio.save_json(scheme_path, jsonio.scheme_to_json(scheme, WEATHER_DIGEST))
+    report = report_of(
+        capsys, "validate", WEATHER, scheme_path,
+        "--samples", str(samples), "--seed", str(seed),
+    )
+    expected = validate_sampling_reference(inst, scheme, samples, seed)
+    assert {key: report[key] for key in expected} == expected
+    if name == "disobeyed":
+        assert report["persuasive"] is False
+    if name == "disobeyed" and samples == 10_000:
+        assert report["within_4se"] is False
+        assert any("4 standard errors" in w for w in report["warnings"])
+
+
 def test_solve_min_sense_path_instance(capsys):
     report = report_of(capsys, "solve", ROUTE, "--mode", "full")
     assert report["value"] == "1/8"
@@ -108,6 +186,22 @@ def test_bad_flag_is_usage_error(capsys):
     code, _, err = run(capsys, "solve", TOY, "--mode", "bogus")
     assert code == 1
     assert "invalid choice" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("validate", TOY, "scheme.json", "--out", "x"),
+        ("check-nondegeneracy", TOY, "--out", "x"),
+        ("solve", TOY, "--seed", "3"),
+        ("enumerate", TOY, "--max-actions", "5"),
+        ("gen", LINEQ, "--from", "lineq", "--target", "path", "--max-actions", "5"),
+    ],
+)
+def test_flags_a_subcommand_ignores_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert "unrecognized arguments" in err
 
 
 def test_missing_subcommand_is_usage_error(capsys):
@@ -264,3 +358,58 @@ def test_gen_inline_instance_when_no_out(capsys):
     report = report_of(capsys, "gen", PUBLIC, "--from", "public", "--target", "partition")
     inst = jsonio.instance_from_json(report["instance"])
     assert jsonio.instance_digest(inst) == report["digest"]
+
+
+# ---------------------------------------------------------------------------
+# import surface
+# ---------------------------------------------------------------------------
+
+PUBLIC_NAMES = {
+    "ActionSet", "ApproxOracle", "BestResponseCatalog", "CCEInstanceView",
+    "CertificateError", "CombisigError", "DegenerateBounds", "DualPoint",
+    "Graphic", "Instance", "InstanceFormatError", "IterationCap", "LineqMaSpec",
+    "MissingSolution", "NondegeneracyReport", "NoPath", "OracleContractViolation",
+    "OracleMatroid", "ParameterError", "Partition", "PathGraph",
+    "PersuasivenessReport", "Posterior", "PriorDegenerate", "PublicPersuasionSpec",
+    "Sense", "SignalingScheme", "SolveResult", "TooLarge", "Uniform",
+    "UnsupportedCombination", "UnsupportedSense", "UtilityKind", "UtilitySpec",
+    "check_nondegeneracy", "check_persuasive", "completeness_scheme",
+    "compute_v_bounds", "enumerate_actions", "enumerate_best_responses",
+    "expected_sender_value", "gen_graphic_from_lineq", "gen_partition_from_public",
+    "gen_path_from_lineq", "gen_uniform_from_lineq", "greedy_at_point", "make_view",
+    "prior_best_value", "receiver_hyperplanes", "separation", "solve_cce_approx",
+    "solve_cce_exact", "solve_full", "solve_reduced", "uninformative_scheme",
+}
+
+IMPORT_PROBE = """
+import json, sys
+import combisig.cli
+heavy = ["combisig." + m for m in ("cce", "arrangement", "best_response", "reductions")]
+cli_loads = [m for m in heavy if m in sys.modules]
+from combisig import Instance, Uniform, UtilitySpec, solve_full, check_persuasive
+import combisig
+names = sorted(combisig.__all__)
+star = {}
+exec("from combisig import *", star)
+try:
+    combisig.no_such_name
+    unknown = "no error"
+except AttributeError:
+    unknown = "AttributeError"
+print(json.dumps({"cli_loads": cli_loads, "names": names,
+                  "star": sorted(set(star) - {"__builtins__"}), "unknown": unknown}))
+"""
+
+
+def test_import_surface():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    probe = json.loads(out)
+    assert probe["cli_loads"] == []
+    assert len(PUBLIC_NAMES) == 55
+    assert set(probe["names"]) == PUBLIC_NAMES
+    assert set(probe["star"]) == PUBLIC_NAMES
+    assert probe["unknown"] == "AttributeError"
