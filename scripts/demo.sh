@@ -21,8 +21,9 @@ echo "== relaxed-obedience solves: exact oracle (cutting planes) and half-greedy
 $COMBISIG solve instances/weather_pair.json --mode cce
 $COMBISIG solve instances/weather_pair.json --mode cce --oracle half-greedy
 
-echo "== shortest-path minimization instance =="
-$COMBISIG solve instances/route_min.json --mode full
+echo "== shortest-path minimization instance, solved then validated =="
+$COMBISIG solve instances/route_min.json --mode full --out "$out/route_scheme.json"
+$COMBISIG validate instances/route_min.json "$out/route_scheme.json" --seed 1
 
 echo "== compile a linear system into three constraint families =="
 for target in uniform graphic path; do

@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import isqrt
 from typing import Callable
 
-from . import lp, matroid, paths
+from . import lp, matroid
 from .errors import (
     CertificateError,
     DegenerateBounds,
@@ -39,12 +39,12 @@ from .model import (
     MATROID_KINDS,
     ActionSet,
     Instance,
-    PathGraph,
+    Posterior,
     Sense,
     SignalingScheme,
     UtilityKind,
 )
-from .persuasion import SolveResult, enumerate_actions, uninformative_scheme
+from .persuasion import SolveResult, best_deviation, enumerate_actions, uninformative_scheme
 from .rationals import ONE, ZERO, as_fraction
 
 DEFAULT_CUT_CAP = 10_000
@@ -59,7 +59,7 @@ class ApproxOracle:
     max/min over independent sets of s_state(S) + y * r_state(S); the
     receiver part y*r must never be approximated."""
 
-    kind: str  # "exact-linear-greedy" | "exact-shortest-path" | "brute" | "half-greedy" | "custom"
+    kind: str  # "exact-linear" | "brute" | "half-greedy" | "custom"
     alpha: Fraction
     fn: Callable[[int, Fraction], ActionSet]
 
@@ -86,32 +86,7 @@ class CCEInstanceView:
 
 def prior_best_value(instance: Instance) -> tuple[Fraction, ActionSet]:
     """Receiver's best expected value (and action) under the prior alone."""
-    if instance.receiver.kind is not UtilityKind.LINEAR:
-        # Small tabular instances: scan the full action pool.
-        acts = enumerate_actions(instance.constraint, instance.num_elements)
-
-        def expval(S: ActionSet) -> Fraction:
-            return sum(
-                (
-                    instance.prior[t] * instance.receiver.value(t, S)
-                    for t in range(instance.num_states)
-                ),
-                ZERO,
-            )
-
-        pick = max if instance.sense is Sense.MAX else min
-        best = pick(acts, key=expval)
-        return expval(best), best
-    weights = [
-        sum(
-            (instance.prior[t] * instance.receiver.singleton(t, e) for t in range(instance.num_states)),
-            ZERO,
-        )
-        for e in range(instance.num_elements)
-    ]
-    action = matroid.max_weight_action(instance.constraint, weights, instance.sense)
-    value = sum((weights[e] for e in action), ZERO)
-    return value, action
+    return best_deviation(instance, Posterior(xi=instance.prior))
 
 
 def _utility_values(util, num_states: int, n: int) -> list[Fraction]:
@@ -189,38 +164,21 @@ def compute_v_bounds(instance: Instance) -> tuple[Fraction, Fraction]:
     return v_min, v_max
 
 
-def exact_linear_greedy_oracle(instance: Instance) -> ApproxOracle:
+def exact_linear_oracle(instance: Instance) -> ApproxOracle:
+    """Exact oracle for linear utilities: one ``matroid.max_weight_action``
+    call on the weights ``s + y * r`` (greedy on a matroid, Dijkstra on a
+    path)."""
     if instance.sender.kind is not UtilityKind.LINEAR or instance.receiver.kind is not UtilityKind.LINEAR:
-        raise UnsupportedCombination("greedy oracle needs linear sender and receiver utilities")
-    if not isinstance(instance.constraint, MATROID_KINDS):
-        raise UnsupportedCombination("greedy oracle needs a matroid constraint")
-    if instance.sense is not Sense.MAX:
-        raise UnsupportedSense("greedy oracle maximizes; use the shortest-path oracle")
+        raise UnsupportedCombination("the exact linear oracle needs linear sender and receiver utilities")
 
     def fn(state: int, y: Fraction) -> ActionSet:
         weights = [
             instance.sender.singleton(state, e) + y * instance.receiver.singleton(state, e)
             for e in range(instance.num_elements)
         ]
-        return matroid.max_weight_action(instance.constraint, weights, Sense.MAX)
+        return matroid.max_weight_action(instance.constraint, weights, instance.sense)
 
-    return ApproxOracle("exact-linear-greedy", ONE, fn)
-
-
-def exact_shortest_path_oracle(instance: Instance) -> ApproxOracle:
-    if not isinstance(instance.constraint, PathGraph) or instance.sense is not Sense.MIN:
-        raise UnsupportedCombination("shortest-path oracle needs the minimize/path setting")
-    if instance.sender.kind is not UtilityKind.LINEAR or instance.receiver.kind is not UtilityKind.LINEAR:
-        raise UnsupportedCombination("shortest-path oracle needs linear utilities")
-
-    def fn(state: int, y: Fraction) -> ActionSet:
-        weights = [
-            instance.sender.singleton(state, e) + y * instance.receiver.singleton(state, e)
-            for e in range(instance.num_elements)
-        ]
-        return paths.shortest_path(instance.constraint, weights)
-
-    return ApproxOracle("exact-shortest-path", ONE, fn)
+    return ApproxOracle("exact-linear", ONE, fn)
 
 
 def brute_oracle(instance: Instance, max_actions: int | None = None) -> ApproxOracle:
@@ -288,13 +246,11 @@ def make_view(
     """Bundle an instance with its oracle, bracket, and search tolerance."""
     if isinstance(oracle, str):
         if oracle == "exact":
-            if isinstance(instance.constraint, PathGraph):
-                oracle = exact_shortest_path_oracle(instance)
-            elif (
+            if (
                 instance.sender.kind is UtilityKind.LINEAR
                 and instance.receiver.kind is UtilityKind.LINEAR
             ):
-                oracle = exact_linear_greedy_oracle(instance)
+                oracle = exact_linear_oracle(instance)
             else:
                 oracle = brute_oracle(instance, max_actions)
         elif oracle == "half-greedy":

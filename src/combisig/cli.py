@@ -59,14 +59,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", help="write the primary artifact to this path")
-    cap = argparse.ArgumentParser(add_help=False)
-    cap.add_argument(
-        "--max-actions", type=int, default=None, help="cap on enumerated actions"
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_solve = sub.add_parser("solve", parents=[common, out, cap], help="solve an instance")
+    p_solve = sub.add_parser("solve", parents=[common, out], help="solve an instance")
     p_solve.add_argument("instance", help="instance JSON path")
+    p_solve.add_argument(
+        "--max-actions", type=int, default=None, help="cap on enumerated actions"
+    )
     p_solve.add_argument(
         "--mode", choices=("full", "reduced", "cce"), default="full"
     )
@@ -76,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum = sub.add_parser("enumerate", parents=[common, out], help="best-response catalog")
     p_enum.add_argument("instance")
 
-    p_val = sub.add_parser("validate", parents=[common, cap], help="check a scheme")
+    p_val = sub.add_parser("validate", parents=[common], help="check a scheme")
     p_val.add_argument("instance")
     p_val.add_argument("scheme")
     p_val.add_argument("--seed", type=int, default=0, help="RNG seed (Monte Carlo)")
@@ -137,7 +136,7 @@ def cmd_solve(args) -> int:
         view = cce.make_view(
             instance,
             oracle=args.oracle,
-            epsilon=Fraction(args.epsilon),
+            epsilon=args.epsilon,
             max_actions=args.max_actions,
         )
         # cutting planes are exact but need an exact oracle; the ellipsoid
@@ -240,21 +239,14 @@ def cmd_validate(args) -> int:
         raise _fail_usage("scheme was computed for a different instance (digest mismatch)")
 
     _log(args, f"validating {args.scheme} with {args.samples} samples")
-    pool = persuasion.deviation_pool(instance, args.max_actions)
-    alternatives, method = pool
-    if method == "catalog":
-        warnings.append(
-            "too many actions to enumerate: receiver ties were broken "
-            "within the best-response catalog"
-        )
-    report_exact = persuasion.check_persuasive(instance, scheme, pool=pool)
+    report_exact = persuasion.check_persuasive(instance, scheme)
     lp_value = persuasion.expected_sender_value(instance, scheme)
 
     # The receiver best-responds to each recommendation's posterior with
     # sender-favoring ties; sample (state, recommendation) pairs, then score
     # each pair once, weighted by its count.
     responses = {
-        action: persuasion.tie_broken_response(instance, posterior(instance, scheme, action), alternatives)
+        action: persuasion.tie_broken_response(instance, posterior(instance, scheme, action))
         for action in scheme.support
         if signal_mass(instance, scheme, action) != 0
     }

@@ -185,12 +185,17 @@ def scheme_to_json(scheme: SignalingScheme, digest: str | None = None) -> dict:
 
 
 def scheme_from_json(raw: dict) -> tuple[SignalingScheme, str | None]:
-    phi = {}
-    for entry in raw["phi"]:
-        key = (int(entry["state"]), tuple(sorted(int(e) for e in entry["action"])))
-        phi[key] = phi.get(key, Fraction(0)) + as_fraction(entry["prob"])
-    scheme = SignalingScheme.from_phi(int(raw["num_states"]), phi)
-    return scheme, raw.get("instance_digest")
+    try:
+        phi = {}
+        for entry in raw["phi"]:
+            key = (int(entry["state"]), tuple(sorted(int(e) for e in entry["action"])))
+            phi[key] = phi.get(key, Fraction(0)) + as_fraction(entry["prob"])
+        scheme = SignalingScheme.from_phi(int(raw["num_states"]), phi)
+        return scheme, raw.get("instance_digest")
+    except KeyError as exc:
+        raise InstanceFormatError(f"scheme JSON missing field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise InstanceFormatError(f"malformed scheme JSON: {exc}") from None
 
 
 def load_json(path: str) -> dict:

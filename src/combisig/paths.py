@@ -81,7 +81,7 @@ def enumerate_paths(spec: PathGraph, cap: int = DEFAULT_PATH_CAP) -> list[Action
 
 def is_path_action(spec: PathGraph, action: ActionSet) -> bool:
     """True iff the edge set is exactly a simple source-sink path."""
-    if not action:
+    if not action or action[0] < 0 or action[-1] >= len(spec.edges):
         return False
     by_tail: dict[int, list[int]] = {}
     for e in action:

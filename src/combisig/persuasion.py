@@ -16,17 +16,23 @@ equal to - the full LP optimum.
 
 The reduced solver runs the same machinery over the best-response catalog
 only, with deviations restricted to catalog members.
+
+``tie_broken_response`` (the receiver's response with ties broken for the
+sender) and ``best_deviation`` answer a linear instance with one greedy or
+shortest-path call, so auditing a scheme and building the uninformative
+one enumerate no action.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
+from math import lcm
 
 from . import lp, matroid, paths
-from .errors import CertificateError, TooLarge, UnsupportedCombination
+from .errors import CertificateError, InstanceFormatError, TooLarge
 from .model import (
-    MATROID_KINDS,
     ActionSet,
     Instance,
     PathGraph,
@@ -51,7 +57,7 @@ __all__ = [
     "solve_full",
     "solve_reduced",
     "check_persuasive",
-    "deviation_pool",
+    "best_deviation",
     "uninformative_scheme",
     "tie_broken_response",
     "expected_sender_value",
@@ -71,8 +77,7 @@ class SolveResult:
 @dataclass(frozen=True)
 class PersuasivenessReport:
     persuasive: bool
-    violations: tuple  # (recommended, better_alternative, gap) triples
-    method: str  # "enumerated" | "catalog"
+    violations: tuple  # (recommended, best deviation, gap), one per disobeyed signal
 
 
 def enumerate_actions(constraint, n: int, max_actions: int | None = None) -> list[ActionSet]:
@@ -102,31 +107,51 @@ def enumerate_actions(constraint, n: int, max_actions: int | None = None) -> lis
     return out
 
 
-def _receiver_weights(instance: Instance, xi: tuple[Fraction, ...]) -> list[Fraction]:
-    rows = instance.receiver.linear
+def _element_weights(utility, xi: tuple[Fraction, ...]) -> list[Fraction]:
+    """Each element's expected value at the belief (linear utilities)."""
+    rows = utility.linear
     return [
-        sum((xi[t] * rows[t][e] for t in range(instance.num_states)), ZERO)
-        for e in range(instance.num_elements)
+        sum((xi[t] * rows[t][e] for t in range(len(xi))), ZERO)
+        for e in range(len(rows[0]))
     ]
 
 
-def _best_deviation(
-    instance: Instance, xi: Posterior, pool: list[ActionSet] | None
+def best_deviation(
+    instance: Instance, xi: Posterior, pool: list[ActionSet] | None = None
 ) -> tuple[Fraction, ActionSet]:
-    """Receiver's favorite action at the belief, over ``pool`` or all actions."""
-    if pool is not None:
-        values = [(expected_value(instance.receiver, xi, S), S) for S in pool]
-        if instance.sense is Sense.MAX:
-            best = max(v for v, _ in values)
-        else:
-            best = min(v for v, _ in values)
-        action = min(S for v, S in values if v == best)
-        return best, action
-    if instance.receiver.kind is UtilityKind.LINEAR:
-        weights = _receiver_weights(instance, xi.xi)
+    """The receiver's best value at the belief and an action attaining it,
+    over ``pool`` or every feasible action: one greedy or shortest-path call
+    for a linear receiver, else a scan that breaks ties to the
+    lexicographically least action."""
+    if pool is None and instance.receiver.kind is UtilityKind.LINEAR:
+        weights = _element_weights(instance.receiver, xi.xi)
         action = matroid.max_weight_action(instance.constraint, weights, instance.sense)
         return expected_value(instance.receiver, xi, action), action
-    raise UnsupportedCombination("tabular receiver needs an explicit action pool")
+    if pool is None:
+        pool = enumerate_actions(instance.constraint, instance.num_elements)
+    sign = -1 if instance.sense is Sense.MAX else 1
+    values = {S: expected_value(instance.receiver, xi, S) for S in pool}
+    action = min(pool, key=lambda S: (sign * values[S], S))
+    return values[action], action
+
+
+def _violations(
+    instance: Instance, scheme: SignalingScheme, pool: list[ActionSet] | None
+) -> list[tuple[ActionSet, ActionSet, Fraction]]:
+    """(recommended, best deviation, gap) for every signal the receiver
+    would rather not obey; one ``best_deviation`` call per signal."""
+    maximize = instance.sense is Sense.MAX
+    out = []
+    for S in scheme.support:
+        if signal_mass(instance, scheme, S) == 0:
+            continue
+        xi = posterior(instance, scheme, S)
+        own = expected_value(instance.receiver, xi, S)
+        best, alt = best_deviation(instance, xi, pool)
+        gap = best - own if maximize else own - best
+        if gap > 0:
+            out.append((S, alt, gap))
+    return out
 
 
 def _solve_scheme_lp(
@@ -172,16 +197,11 @@ def _solve_scheme_lp(
             if result.x[index[(t, S)]] != 0
         }
         scheme = SignalingScheme.from_phi(num_states, phi)
-        new_pairs = []
-        for S in scheme.support:
-            if signal_mass(instance, scheme, S) == 0:
-                continue
-            xi = posterior(instance, scheme, S)
-            own = expected_value(instance.receiver, xi, S)
-            best, alt = _best_deviation(instance, xi, deviation_pool)
-            beaten = best > own if maximize else best < own
-            if beaten and (S, alt) not in added:
-                new_pairs.append((S, alt))
+        new_pairs = [
+            (S, alt)
+            for S, alt, _ in _violations(instance, scheme, deviation_pool)
+            if (S, alt) not in added
+        ]
         if not new_pairs:
             value = result.value
             break
@@ -235,56 +255,37 @@ def solve_reduced(instance: Instance) -> SolveResult:
     return result
 
 
-def deviation_pool(
-    instance: Instance, max_actions: int | None = None
-) -> tuple[list[ActionSet], str]:
-    """The receiver's alternatives and how they were found.
-
-    Every feasible action (``"enumerated"``); if that is too large and the
-    instance is a linear max-sense matroid one, the best-response catalog
-    (``"catalog"``), which holds a best response at every belief.
-    """
-    try:
-        return enumerate_actions(instance.constraint, instance.num_elements, max_actions), "enumerated"
-    except TooLarge:
-        if not (
-            isinstance(instance.constraint, MATROID_KINDS)
-            and instance.receiver.kind is UtilityKind.LINEAR
-            and instance.sense is Sense.MAX
-        ):
-            raise
-    from .best_response import enumerate_best_responses
-
-    return list(enumerate_best_responses(instance).actions), "catalog"
+def _check_scheme(instance: Instance, scheme: SignalingScheme) -> None:
+    """The scheme has the instance's states and recommends only feasible actions."""
+    if scheme.num_states != instance.num_states:
+        raise InstanceFormatError(
+            f"scheme has {scheme.num_states} states, the instance {instance.num_states}"
+        )
+    if isinstance(instance.constraint, PathGraph):
+        feasible = partial(paths.is_path_action, instance.constraint)
+        what = "a source-sink path"
+    else:
+        feasible = matroid.oracle_for(instance.constraint, instance.num_elements).is_independent
+        what = "independent"
+    for S in scheme.support:
+        if not feasible(S):
+            raise InstanceFormatError(f"recommended action {list(S)} is not {what}")
 
 
-def check_persuasive(
-    instance: Instance,
-    scheme: SignalingScheme,
-    max_actions: int | None = None,
-    pool: tuple[list[ActionSet], str] | None = None,
-) -> PersuasivenessReport:
+def check_persuasive(instance: Instance, scheme: SignalingScheme) -> PersuasivenessReport:
     """Exact persuasiveness audit of a scheme: no tolerance, weak inequalities.
 
-    Scans every alternative in ``pool``, by default ``deviation_pool``'s
-    (the catalog fallback is recorded in ``method``).
+    Each signal is decided by its best deviation: one greedy or
+    shortest-path call for a linear receiver, a scan of every feasible
+    action for a tabular one.  A scheme for another number of states, or
+    one recommending an infeasible action, raises InstanceFormatError.
     """
-    alternatives, method = pool if pool is not None else deviation_pool(instance, max_actions)
-    maximize = instance.sense is Sense.MAX
-    violations = []
-    for S in scheme.support:
-        if signal_mass(instance, scheme, S) == 0:
-            continue
-        xi = posterior(instance, scheme, S)
-        own = expected_value(instance.receiver, xi, S)
-        for alt in alternatives:
-            other = expected_value(instance.receiver, xi, alt)
-            gap = other - own if maximize else own - other
-            if gap > 0:
-                violations.append((S, alt, gap))
-    return PersuasivenessReport(
-        persuasive=not violations, violations=tuple(violations), method=method
-    )
+    _check_scheme(instance, scheme)
+    pool = None
+    if instance.receiver.kind is not UtilityKind.LINEAR:
+        pool = enumerate_actions(instance.constraint, instance.num_elements)
+    violations = tuple(_violations(instance, scheme, pool))
+    return PersuasivenessReport(persuasive=not violations, violations=violations)
 
 
 def expected_sender_value(instance: Instance, scheme: SignalingScheme) -> Fraction:
@@ -295,25 +296,48 @@ def expected_sender_value(instance: Instance, scheme: SignalingScheme) -> Fracti
     return total
 
 
-def uninformative_scheme(
-    instance: Instance, actions: list[ActionSet] | None = None
-) -> tuple[SignalingScheme, Fraction]:
-    """Always-recommend-one-action scheme: receiver best response to the prior,
-    ties resolved in the sender's favor (then lexicographically)."""
-    if actions is None:
-        actions = enumerate_actions(instance.constraint, instance.num_elements)
+def uninformative_scheme(instance: Instance) -> tuple[SignalingScheme, Fraction]:
+    """Always-recommend-one-action scheme: the receiver's best response to the
+    prior, ties resolved in the sender's favor (``tie_broken_response``)."""
     prior = Posterior(xi=instance.prior)
-    pick = tie_broken_response(instance, prior, actions)
+    pick = tie_broken_response(instance, prior)
     return deterministic_scheme(instance.num_states, pick), expected_value(instance.sender, prior, pick)
 
 
-def tie_broken_response(instance: Instance, xi: Posterior, actions: list[ActionSet]) -> ActionSet:
-    """The receiver's best action at the belief among ``actions``, ties
-    resolved in the sender's favor, then by the lexicographically least."""
-    best = max if instance.sense is Sense.MAX else min
-    r_vals = {S: expected_value(instance.receiver, xi, S) for S in actions}
-    best_r = best(r_vals.values())
-    ties = [S for S in actions if r_vals[S] == best_r]
-    s_vals = {S: expected_value(instance.sender, xi, S) for S in ties}
-    best_s = best(s_vals.values())
-    return min(S for S in ties if s_vals[S] == best_s)
+def tie_broken_response(instance: Instance, xi: Posterior) -> ActionSet:
+    """The receiver's best action at the belief, ties resolved in the
+    sender's favor.
+
+    Linear utilities: one ``matroid.max_weight_action`` call (greedy on a
+    matroid, Dijkstra on a path) on the weights ``w_e = r_e + delta * s_e``.
+    Here ``r_e`` and ``s_e`` are element e's expected receiver and sender
+    values at the belief, ``L`` is the lcm of the denominators of the
+    ``r_e``, and ``delta = 1 / (L * (1 + sum_e s_e))``.  The order this puts
+    on actions is exact.  Every receiver value ``R(A)`` is a multiple of
+    ``1/L``, so two of them are equal or at least ``1/L`` apart.  Sender
+    values lie in ``[0, sum_e s_e]``, so ``delta * |S(A) - S(B)|`` is below
+    ``1/L``.  Hence ``w(A) - w(B)`` has the sign of ``R(A) - R(B)`` when
+    those differ, and the sign of ``S(A) - S(B)`` when they tie: maximizing
+    (max sense) or minimizing (min sense) ``w`` picks a receiver-optimal
+    action and, among those, the sender's favorite.  Actions tied in both
+    values go to the optimizer's order (element index in greedy, the edge
+    sequence in Dijkstra).
+
+    Tabular utilities: a scan of every feasible action, ties broken in the
+    sender's favor, then by the lexicographically least action.
+    """
+    if instance.receiver.kind is UtilityKind.LINEAR and instance.sender.kind is UtilityKind.LINEAR:
+        r = _element_weights(instance.receiver, xi.xi)
+        s = _element_weights(instance.sender, xi.xi)
+        delta = 1 / (lcm(*(w.denominator for w in r)) * (1 + sum(s, ZERO)))
+        weights = [r_e + delta * s_e for r_e, s_e in zip(r, s)]
+        return matroid.max_weight_action(instance.constraint, weights, instance.sense)
+    sign = -1 if instance.sense is Sense.MAX else 1
+    return min(
+        enumerate_actions(instance.constraint, instance.num_elements),
+        key=lambda S: (
+            sign * expected_value(instance.receiver, xi, S),
+            sign * expected_value(instance.sender, xi, S),
+            S,
+        ),
+    )

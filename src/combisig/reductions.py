@@ -36,9 +36,8 @@ from .model import (
     SignalingScheme,
     Uniform,
     UtilitySpec,
-    expected_value,
 )
-from .persuasion import enumerate_actions
+from .persuasion import tie_broken_response
 from .rationals import ONE, ZERO, as_fraction
 
 
@@ -349,18 +348,6 @@ TARGETS = {
 }
 
 
-def _best_response_at(instance: Instance, xi: Posterior) -> ActionSet:
-    """Brute-force best response with sender-favoring ties (desk scale)."""
-    actions = enumerate_actions(instance.constraint, instance.num_elements)
-    maximize = instance.sense is Sense.MAX
-    r_vals = {S: expected_value(instance.receiver, xi, S) for S in actions}
-    best_r = max(r_vals.values()) if maximize else min(r_vals.values())
-    ties = [S for S in actions if r_vals[S] == best_r]
-    s_vals = {S: expected_value(instance.sender, xi, S) for S in ties}
-    best_s = max(s_vals.values()) if maximize else min(s_vals.values())
-    return min(S for S in ties if s_vals[S] == best_s)
-
-
 def signal_fractions(spec: LineqMaSpec) -> tuple[Fraction, ...]:
     """Per state, the mass the completeness scheme routes to its lead signal."""
     if spec.known_solution is None:
@@ -400,7 +387,7 @@ def completeness_scheme(spec: LineqMaSpec, target: str = "uniform") -> Signaling
         xi = Posterior(
             xi=tuple(instance.prior[t] * masses[t] / total for t in range(D))
         )
-        action = _best_response_at(instance, xi)
+        action = tie_broken_response(instance, xi)
         for t in range(D):
             if masses[t] != 0:
                 key = (t, action)

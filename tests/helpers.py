@@ -25,10 +25,11 @@ from combisig.model import (
     SignalingScheme,
     Uniform,
     UtilitySpec,
+    expected_value,
     posterior,
     signal_mass,
 )
-from combisig.persuasion import enumerate_actions, expected_sender_value, tie_broken_response
+from combisig.persuasion import enumerate_actions, expected_sender_value
 
 F = Fraction
 ZERO = F(0)
@@ -123,6 +124,38 @@ def rand_instance(
         receiver=rand_utility(rng, n_states, n, lo, hi),
         constraint=constraint,
         sense=sense,
+    )
+
+
+def grid_path_graph(rows: int, cols: int) -> PathGraph:
+    """A rows x cols grid DAG, edges right and down, from the top-left to the
+    bottom-right vertex: 2·rows·cols - rows - cols edges and
+    C(rows + cols - 2, rows - 1) source-sink paths."""
+    edges = []
+    for i in range(rows):
+        for j in range(cols):
+            v = i * cols + j
+            if j + 1 < cols:
+                edges.append((v, v + 1))
+            if i + 1 < rows:
+                edges.append((v, v + cols))
+    return PathGraph(num_vertices=rows * cols, edges=tuple(edges), source=0, sink=rows * cols - 1)
+
+
+def grid_path_instance(
+    rng: random.Random, rows: int, cols: int, n_states: int, lo: int = 1, hi: int = 9
+) -> Instance:
+    """Min-sense instance on ``grid_path_graph`` with random linear costs."""
+    constraint = grid_path_graph(rows, cols)
+    n = len(constraint.edges)
+    return Instance(
+        state_names=tuple(f"s{t}" for t in range(n_states)),
+        prior=rand_prior(rng, n_states),
+        element_names=tuple(f"e{i}" for i in range(n)),
+        sender=rand_utility(rng, n_states, n, lo, hi),
+        receiver=rand_utility(rng, n_states, n, lo, hi),
+        constraint=constraint,
+        sense=Sense.MIN,
     )
 
 
@@ -345,6 +378,19 @@ def nondegeneracy_by_permutations(instance: Instance) -> tuple[bool, int]:
     return clean, len(seen)
 
 
+def scan_tie_broken_response(instance: Instance, belief, actions: list[ActionSet]) -> ActionSet:
+    """Reference sender-preferred best response by scanning ``actions``: the
+    receiver's best value at the belief, then the sender's, then the
+    lexicographically least action."""
+    best = max if instance.sense is Sense.MAX else min
+    r_vals = {S: expected_value(instance.receiver, belief, S) for S in actions}
+    best_r = best(r_vals.values())
+    ties = [S for S in actions if r_vals[S] == best_r]
+    s_vals = {S: expected_value(instance.sender, belief, S) for S in ties}
+    best_s = best(s_vals.values())
+    return min(S for S in ties if s_vals[S] == best_s)
+
+
 # ---------------------------------------------------------------------------
 # Monte Carlo reference for `combisig validate`
 # ---------------------------------------------------------------------------
@@ -362,14 +408,20 @@ def _fraction_draw(rng: random.Random, pairs) -> int:
 
 
 def validate_sampling_reference(
-    instance: Instance, scheme: SignalingScheme, samples: int, seed: int
+    instance: Instance,
+    scheme: SignalingScheme,
+    samples: int,
+    seed: int,
+    actions: list[ActionSet] | None = None,
 ) -> dict:
     """The sampling fields of a ``validate`` report, computed the direct way:
-    one ``Fraction`` comparison walk per draw and running sums of the sender
-    value of every sample, in draw order."""
-    actions = enumerate_actions(instance.constraint, instance.num_elements)
+    the receiver's responses by scanning ``actions`` (by default every
+    feasible action), one ``Fraction`` comparison walk per draw and running
+    sums of the sender value of every sample, in draw order."""
+    if actions is None:
+        actions = enumerate_actions(instance.constraint, instance.num_elements)
     responses = {
-        action: tie_broken_response(instance, posterior(instance, scheme, action), actions)
+        action: scan_tie_broken_response(instance, posterior(instance, scheme, action), actions)
         for action in scheme.support
         if signal_mass(instance, scheme, action) != 0
     }

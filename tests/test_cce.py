@@ -1,5 +1,6 @@
 """Relaxed-obedience solvers against an independently built direct LP."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -58,6 +59,13 @@ def test_exact_matches_brute_lp_min_paths():
         result = cce.solve_cce_exact(view)
         assert result.sender_value == brute_cce_value(inst), f"trial {trial}"
         assert cce.cce_row_value(inst, result.scheme) <= view.C
+        # the same sender costs as a table take the brute-force oracle
+        paths = persuasion.enumerate_actions(inst.constraint, inst.num_elements)
+        tables = [{S: inst.sender.value(t, S) for S in [(), *paths]} for t in range(2)]
+        tabular = dataclasses.replace(inst, sender=UtilitySpec.from_tabular(tables))
+        view = cce.make_view(tabular)
+        assert view.oracle.kind == "brute"
+        assert cce.solve_cce_exact(view).sender_value == result.sender_value
 
 
 def test_sandwich_relaxation_dominates_persuasion():
@@ -111,9 +119,10 @@ def test_separation_flags_infeasible_point():
 
 def test_exact_oracle_agrees_with_brute():
     rng = random.Random(515)
-    for _ in range(8):
-        inst = rand_instance(rng, 2, 5, "uniform")
-        fast = cce.exact_linear_greedy_oracle(inst)
+    for trial in range(12):
+        sense = (Sense.MAX, Sense.MIN)[trial % 2]
+        inst = rand_instance(rng, 2, 5, "uniform", sense=sense)
+        fast = cce.exact_linear_oracle(inst)
         brute = cce.brute_oracle(inst)
         s, r = inst.sender.value, inst.receiver.value
         for _ in range(6):

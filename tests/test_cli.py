@@ -3,16 +3,19 @@ and the instance/scheme JSON round trip."""
 
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import combinations
+from math import comb
 from pathlib import Path
 
 import pytest
 
 from combisig import cli, jsonio, persuasion
 from combisig.model import SignalingScheme
-from helpers import validate_sampling_reference, wide_uniform_instance
+from helpers import grid_path_instance, validate_sampling_reference, wide_uniform_instance
 
 INSTANCES = Path(__file__).resolve().parents[1] / "instances"
 TOY = str(INSTANCES / "two_state_toy.json")
@@ -95,7 +98,7 @@ def test_validate_rejects_fewer_than_one_sample(capsys, tmp_path, samples):
     assert err.splitlines() == ["error: --samples must be at least 1"]
 
 
-def test_validate_falls_back_to_the_catalog_past_the_enumeration_cap(capsys, tmp_path):
+def test_validate_needs_no_catalog_past_the_enumeration_cap(capsys, tmp_path):
     inst = wide_uniform_instance()
     digest = jsonio.instance_digest(inst)
     inst_path = str(tmp_path / "wide.json")
@@ -104,18 +107,62 @@ def test_validate_falls_back_to_the_catalog_past_the_enumeration_cap(capsys, tmp
     scheme = persuasion.solve_reduced(inst).scheme
     jsonio.save_json(scheme_path, jsonio.scheme_to_json(scheme, digest))
     report = report_of(capsys, "validate", inst_path, scheme_path, "--samples", "50")
-    exact = persuasion.check_persuasive(inst, scheme)
-    assert exact.method == "catalog"
-    assert report["persuasive"] is exact.persuasive
-    assert any("best-response catalog" in w for w in report["warnings"])
+    assert report["persuasive"] is True
+    assert not any("catalog" in w for w in report["warnings"])
+    # Uniform(2) on 21 elements: the scan reference can list its 232 actions.
+    # The perturbed catalog's scheme recommends actions that tie, for the
+    # receiver, with actions the sender likes better, so the sampled mean
+    # (ties go to the sender) may exceed the exact value of obeying.
+    actions = [S for k in range(3) for S in combinations(range(21), k)]
+    expected = validate_sampling_reference(inst, scheme, 50, 0, actions)
+    assert {key: report[key] for key in expected} == expected
 
 
-def test_validate_honours_max_actions(capsys, tmp_path):
-    scheme_path = str(tmp_path / "scheme.json")
-    report_of(capsys, "solve", ROUTE, "--out", scheme_path)
-    code, _, err = run(capsys, "validate", ROUTE, scheme_path, "--max-actions", "1")
-    assert code == 2
-    assert "TooLarge" in err
+def test_validate_answers_a_path_instance_past_the_enumeration_cap(capsys, tmp_path, monkeypatch):
+    """A 12 x 12 grid has 264 edges and C(22, 11) = 705,432 source-sink
+    paths, past the path enumeration cap: no action may be enumerated."""
+    from combisig import paths
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("paths enumerated")
+
+    monkeypatch.setattr(paths, "enumerate_paths", refuse)
+    inst = grid_path_instance(random.Random(12), 12, 12, 2)
+    assert inst.num_elements == 264 and comb(22, 11) > paths.DEFAULT_PATH_CAP
+    digest = jsonio.instance_digest(inst)
+    inst_path = str(tmp_path / "grid.json")
+    scheme_path = str(tmp_path / "grid.scheme.json")
+    jsonio.save_json(inst_path, jsonio.instance_to_json(inst))
+    scheme, _ = persuasion.uninformative_scheme(inst)
+    jsonio.save_json(scheme_path, jsonio.scheme_to_json(scheme, digest))
+    report = report_of(capsys, "validate", inst_path, scheme_path, "--samples", "100")
+    assert report["persuasive"] is True and report["violations"] == []
+
+
+INFEASIBLE = [
+    # weather_pair is Uniform(2): three elements are not independent
+    (WEATHER, {"num_states": 3, "phi": [{"state": t, "action": [0, 1, 2], "prob": 1} for t in range(3)]}),
+    # route_min: edges 0 and 3 do not join up into a source-sink path
+    (ROUTE, {"num_states": 2, "phi": [{"state": t, "action": [0, 3], "prob": 1} for t in range(2)]}),
+    # weather_pair has three states
+    (WEATHER, {"num_states": 2, "phi": [{"state": t, "action": [0, 1], "prob": 1} for t in range(2)]}),
+    (WEATHER, {"num_states": 3}),
+    (WEATHER, {"num_states": 3, "phi": [{"state": 0, "action": [0, 1]}]}),
+    (WEATHER, [1, 2, 3]),
+]
+
+
+@pytest.mark.parametrize(
+    "instance,raw",
+    INFEASIBLE,
+    ids=["not-independent", "not-a-path", "wrong-state-count", "no-phi", "no-prob", "not-an-object"],
+)
+def test_validate_rejects_malformed_or_infeasible_schemes(capsys, tmp_path, instance, raw):
+    scheme_path = tmp_path / "scheme.json"
+    scheme_path.write_text(json.dumps(raw))
+    code, out, err = run(capsys, "validate", instance, str(scheme_path))
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 def _weather_scheme(phi):
@@ -196,12 +243,20 @@ def test_bad_flag_is_usage_error(capsys):
         ("solve", TOY, "--seed", "3"),
         ("enumerate", TOY, "--max-actions", "5"),
         ("gen", LINEQ, "--from", "lineq", "--target", "path", "--max-actions", "5"),
+        ("validate", ROUTE, "scheme.json", "--max-actions", "1"),
     ],
 )
 def test_flags_a_subcommand_ignores_are_usage_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize("epsilon", ["abc", "1/0"])
+def test_malformed_epsilon_is_usage_error(capsys, epsilon):
+    code, out, err = run(capsys, "solve", TOY, "--mode", "cce", "--epsilon", epsilon)
+    assert code == 1 and out == ""
+    assert err.splitlines() == [f"error: bad rational literal {epsilon!r}"]
 
 
 def test_missing_subcommand_is_usage_error(capsys):

@@ -76,3 +76,6 @@ def test_is_path_action():
     assert paths.is_path_action(spec, (1, 3))
     assert not paths.is_path_action(spec, (0, 3))
     assert not paths.is_path_action(spec, (0,))
+    # -2 would index edge 2 from the end and complete the path 0 -> 1 -> 3
+    assert not paths.is_path_action(spec, (-2, 0))
+    assert not paths.is_path_action(spec, (0, 4))

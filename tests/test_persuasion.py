@@ -6,17 +6,23 @@ from fractions import Fraction
 import pytest
 
 from combisig import jsonio, persuasion
-from combisig.errors import TooLarge
+from combisig.errors import InstanceFormatError, TooLarge
 from combisig.model import (
     Instance,
     Posterior,
     Sense,
+    SignalingScheme,
     Uniform,
     UtilitySpec,
     deterministic_scheme,
     expected_value,
 )
-from helpers import rand_clean_instance, rand_instance
+from helpers import (
+    grid_path_instance,
+    rand_clean_instance,
+    rand_instance,
+    scan_tie_broken_response,
+)
 
 F = Fraction
 
@@ -163,3 +169,95 @@ def test_min_random_paths_persuasive_and_below_uninformative():
         assert persuasion.check_persuasive(inst, result.scheme).persuasive
         _, base = persuasion.uninformative_scheme(inst)
         assert result.sender_value <= base
+
+
+def _beliefs(rng: random.Random, num_states: int, prior, count: int):
+    """The prior, the uniform belief, every simplex vertex (where ties are
+    most common) and ``count`` random rational beliefs."""
+    D = num_states
+    points = [prior, tuple(F(1, D) for _ in range(D))]
+    points += [tuple(F(int(t == k)) for t in range(D)) for k in range(D)]
+    for _ in range(count):
+        w = [rng.randint(0, 3) for _ in range(D)]
+        w[rng.randrange(D)] += 1
+        points.append(tuple(F(x, sum(w)) for x in w))
+    return [Posterior(p) for p in points]
+
+
+def _degenerate_corpus(kind: str, count: int):
+    """Utilities 0-3, so receiver and sender ties are everywhere."""
+    rng = random.Random(f"tie-break/{kind}")
+    for _ in range(count):
+        D = rng.randint(1, 3)
+        if kind == "grid":
+            yield rng, grid_path_instance(rng, rng.randint(2, 4), rng.randint(2, 4), D, lo=0, hi=3)
+        elif kind == "layered":
+            yield rng, rand_instance(rng, D, rng.randint(2, 6), sense=Sense.MIN, lo=0, hi=3)
+        else:
+            yield rng, rand_instance(rng, D, rng.randint(2, 6), kind, lo=0, hi=3)
+
+
+@pytest.mark.parametrize("kind", ["uniform", "partition", "graphic", "layered", "grid"])
+def test_oracle_matches_the_scan_on_degenerate_instances(kind):
+    """The one-call oracle gives the scan's (receiver, sender) values at
+    every belief; only the choice among actions tied in both may differ."""
+    for rng, inst in _degenerate_corpus(kind, 40):
+        actions = persuasion.enumerate_actions(inst.constraint, inst.num_elements)
+        for xi in _beliefs(rng, inst.num_states, inst.prior, 4):
+            got = persuasion.tie_broken_response(inst, xi)
+            want = scan_tie_broken_response(inst, xi, actions)
+            assert got in actions
+            assert expected_value(inst.receiver, xi, got) == expected_value(inst.receiver, xi, want)
+            assert expected_value(inst.sender, xi, got) == expected_value(inst.sender, xi, want)
+
+
+def test_linear_instances_never_enumerate_actions(monkeypatch):
+    insts = [
+        jsonio.instance_from_json(jsonio.load_json(f"instances/{name}.json"))
+        for name in ("two_state_toy", "weather_pair", "route_min")
+    ]
+    schemes = [persuasion.solve_full(inst).scheme for inst in insts]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerate_actions called for a linear instance")
+
+    monkeypatch.setattr(persuasion, "enumerate_actions", refuse)
+    for inst, scheme in zip(insts, schemes):
+        assert persuasion.check_persuasive(inst, scheme).persuasive
+        uninformative, _ = persuasion.uninformative_scheme(inst)
+        assert persuasion.check_persuasive(inst, uninformative).persuasive
+
+
+def test_check_persuasive_names_one_best_deviation_per_signal():
+    """Every recommendation of the weather instance disobeyed: each signal
+    gets one violation, naming the receiver's best action at its posterior."""
+    inst = jsonio.instance_from_json(jsonio.load_json("instances/weather_pair.json"))
+    A, B, C = (0, 1), (0, 2), (1, 2)
+    scheme = SignalingScheme.from_phi(
+        3, {(0, C): F(1), (1, B): F(1), (2, A): F(1, 2), (2, C): F(1, 2)}
+    )
+    report = persuasion.check_persuasive(inst, scheme)
+    assert not report.persuasive
+    actions = persuasion.enumerate_actions(inst.constraint, inst.num_elements)
+    assert [(S, alt) for S, alt, _ in report.violations] == [(A, B), (B, C), (C, B)]
+    for S, alt, gap in report.violations:
+        xi = persuasion.posterior(inst, scheme, S)
+        best = max(expected_value(inst.receiver, xi, T) for T in actions)
+        assert expected_value(inst.receiver, xi, alt) == best
+        assert gap == best - expected_value(inst.receiver, xi, S) > 0
+
+
+@pytest.mark.parametrize(
+    "name,action,message",
+    [
+        ("weather_pair", (0, 1, 2), "not independent"),
+        ("weather_pair", (0, 7), "not within the ground set"),
+        ("route_min", (0, 7), "not a source-sink path"),
+        ("route_min", (0, 3), "not a source-sink path"),
+        ("route_min", (), "not a source-sink path"),
+    ],
+)
+def test_check_persuasive_rejects_infeasible_recommendations(name, action, message):
+    inst = jsonio.instance_from_json(jsonio.load_json(f"instances/{name}.json"))
+    with pytest.raises(InstanceFormatError, match=message):
+        persuasion.check_persuasive(inst, deterministic_scheme(inst.num_states, action))

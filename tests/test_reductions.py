@@ -211,6 +211,19 @@ def test_completeness_scheme_value_bound(target):
     assert value >= F(spec.n_var - 1, spec.n_var)
 
 
+@pytest.mark.parametrize("target", ["uniform", "graphic", "path"])
+def test_completeness_scheme_enumerates_no_action(monkeypatch, target):
+    """Each signal's recommendation comes from one oracle call, not a scan."""
+    spec = demo_spec()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerate_actions called")
+
+    monkeypatch.setattr(persuasion, "enumerate_actions", refuse)
+    scheme = reductions.completeness_scheme(spec, target=target)
+    assert check_persuasive(reductions.TARGETS[target](spec), scheme).persuasive
+
+
 def test_completeness_scheme_path_cost_bound():
     spec = demo_spec()
     scheme = reductions.completeness_scheme(spec, target="path")
