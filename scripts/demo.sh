@@ -17,7 +17,7 @@ $COMBISIG validate instances/two_state_toy.json "$out/toy_scheme.json" --samples
 echo "== best-response catalog of the bundled three-state instance =="
 $COMBISIG enumerate instances/weather_pair.json
 
-echo "== relaxed-obedience solves: exact oracle (cutting planes) and half-greedy oracle (ellipsoid) =="
+echo "== relaxed-obedience solves: exact oracle (column generation) and half-greedy oracle (ellipsoid) =="
 $COMBISIG solve instances/weather_pair.json --mode cce
 $COMBISIG solve instances/weather_pair.json --mode cce --oracle half-greedy
 

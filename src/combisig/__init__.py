@@ -23,7 +23,7 @@ _EXPORTS = {
     for module, names in {
         "best_response": "BestResponseCatalog NondegeneracyReport check_nondegeneracy "
         "enumerate_best_responses greedy_at_point receiver_hyperplanes",
-        "cce": "ApproxOracle CCEInstanceView DualPoint compute_v_bounds make_view "
+        "cce": "ApproxOracle CCEInstanceView compute_v_bounds make_view "
         "prior_best_value separation solve_cce_approx solve_cce_exact",
         "errors": "CertificateError CombisigError DegenerateBounds InstanceFormatError "
         "IterationCap MissingSolution NoPath OracleContractViolation ParameterError "

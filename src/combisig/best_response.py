@@ -263,26 +263,23 @@ def _lex_weights(
 def greedy_at_point(
     instance: Instance,
     point: tuple[Fraction, ...],
-    drop_negative: bool = False,
     tie_break: tuple[Fraction, ...] | None = None,
 ) -> ActionSet:
     """Greedy independent set for the expected weights at a belief.
 
-    By default returns the order-determined greedy base (every independent
-    element is taken, regardless of weight sign); with ``drop_negative``
-    elements whose perturbed weight compares below zero are skipped, which
-    is the receiver's actual best response at the point.  Exact ties are
-    broken by the perturbation bumps at ``tie_break`` (default: the point).
+    Returns the order-determined greedy base: every element that keeps the
+    set independent is taken, regardless of weight sign.  At a belief in
+    the open simplex this is the receiver's perturbed best response:
+    receiver utilities are nonnegative and every bump is positive, so no
+    weight compares below zero.  Exact ties are broken by the perturbation
+    bumps at ``tie_break`` (default: the point).
     """
     psi = _psi(instance)
     oracle = matroid.oracle_for(instance.constraint, len(psi))
     weights = _lex_weights(psi, point, point if tie_break is None else tie_break)
-    zero = (ZERO,) * (len(psi) + 1)
     order = sorted(range(len(psi)), key=lambda e: weights[e], reverse=True)
     chosen: list[int] = []
     for e in order:
-        if drop_negative and weights[e] < zero:
-            continue
         if oracle.is_independent(tuple(sorted(chosen + [e]))):
             chosen.append(e)
     return tuple(sorted(chosen))
@@ -293,8 +290,8 @@ def enumerate_best_responses(instance: Instance) -> BestResponseCatalog:
 
     Cells are kept when their closure touches the closed simplex.  Cells
     meeting the open simplex come with a strictly interior witness and
-    contribute both the greedy base and the receiver's exact best response
-    there; cells that only touch the simplex boundary contribute the greedy
+    contribute the greedy base there, which is the receiver's exact best
+    response; cells that only touch the simplex boundary contribute the greedy
     base for their weight order, which is a best response at the touching
     beliefs (the strict order refines the tie pattern that holds where the
     closure meets the simplex).  Restricting to open-simplex cells alone
@@ -323,8 +320,6 @@ def enumerate_best_responses(instance: Instance) -> BestResponseCatalog:
     for cell in cells:
         kind = interior if cell.interior else touching
         kind.setdefault(greedy_at_point(instance, cell.point), cell.point)
-        if cell.interior:
-            kind.setdefault(greedy_at_point(instance, cell.point, drop_negative=True), cell.point)
         for belief in cell.boundary:
             kind.setdefault(greedy_at_point(instance, cell.point, tie_break=belief), cell.point)
 

@@ -8,8 +8,11 @@ requiring the receiver's expected value to beat C.
 
 Two solver paths:
 
-* ``solve_cce_exact`` — cutting planes on the dual with an exact
-  best-response oracle; terminates with the exact optimum.
+* ``solve_cce_exact`` — column generation on that LP with an exact
+  best-response oracle.  Each round solves the LP over the columns found so
+  far and prices every state's columns at once with the round's certified
+  duals (one oracle sweep); it stops, with the exact optimum, when no
+  column prices out.  Seen from the dual this is a cutting-plane loop.
 * ``solve_cce_approx`` — binary search over the dual value combined with
   the ellipsoid method driven by an alpha-approximate oracle; returns a
   scheme worth at least (alpha - epsilon) times the optimum.  This is the
@@ -47,7 +50,7 @@ from .model import (
 from .persuasion import SolveResult, best_deviation, enumerate_actions, uninformative_scheme
 from .rationals import ONE, ZERO, as_fraction
 
-DEFAULT_CUT_CAP = 10_000
+ROUND_CAP = 10_000  # column-generation rounds in solve_cce_exact
 DEFAULT_EPSILON = Fraction(1, 10)
 CENTER_DENOM_BITS = 128  # ellipsoid centers/matrix rounded to this denominator size
 MATRIX_INFLATION = Fraction(1, 1 << 10)  # keeps rounded ellipsoids containing
@@ -62,12 +65,6 @@ class ApproxOracle:
     kind: str  # "exact-linear" | "brute" | "half-greedy" | "custom"
     alpha: Fraction
     fn: Callable[[int, Fraction], ActionSet]
-
-
-@dataclass(frozen=True)
-class DualPoint:
-    x: tuple[Fraction, ...]
-    y: Fraction
 
 
 @dataclass(frozen=True)
@@ -303,112 +300,95 @@ def _audit_oracle(view: CCEInstanceView, state: int, y: Fraction, got: ActionSet
             )
 
 
-def separation(view: CCEInstanceView, point: DualPoint):
-    """One oracle sweep: the violated rows at a dual point, if any.
+def separation(view: CCEInstanceView, x, y: Fraction):
+    """One oracle sweep: the dual rows violated at the point (x, y), if any.
 
-    Returns (rows, proposals): ``rows`` lists violated (state, action)
-    pairs — empty means (x/alpha, y/alpha) is feasible for the full dual —
-    and ``proposals`` every oracle-returned pair (these become primal
-    columns whether or not they cut).
+    Row (t, S) of the dual reads ``x_t >= mu_t * (s_t(S) + y * r_t(S))``
+    (``<=`` for minimize); for the primal it is the reduced-cost test of
+    column (t, S).  Returns (rows, proposals): ``rows`` lists violated
+    (state, action) pairs — empty means (x/alpha, y/alpha) is feasible for
+    the full dual — and ``proposals`` every oracle-returned pair (the
+    ellipsoid keeps these as primal columns whether or not they cut).
     """
     inst = view.instance
     mu = inst.prior
     rows: list[tuple[int, ActionSet]] = []
     proposals: list[tuple[int, ActionSet]] = []
     for t in range(inst.num_states):
-        S = view.oracle.fn(t, point.y)
+        S = view.oracle.fn(t, y)
         if view.audit:
-            _audit_oracle(view, t, point.y, S)
+            _audit_oracle(view, t, y, S)
         proposals.append((t, S))
-        lhs = mu[t] * (inst.sender.value(t, S) + point.y * inst.receiver.value(t, S))
-        violated = point.x[t] < lhs if inst.sense is Sense.MAX else point.x[t] > lhs
+        lhs = mu[t] * (inst.sender.value(t, S) + y * inst.receiver.value(t, S))
+        violated = x[t] < lhs if inst.sense is Sense.MAX else x[t] > lhs
         if violated:
             rows.append((t, S))
     return rows, proposals
 
 
-def _restricted_dual(view: CCEInstanceView, pairs) -> lp.LPResult:
-    """min -C*y + sum x over the collected rows (mirrored for minimize)."""
+def _restricted_primal(view: CCEInstanceView, pairs: set) -> tuple[SignalingScheme, lp.LPResult]:
+    """The relaxed-obedience LP over the given (state, action) columns; they
+    hold every state's prior-best column, which alone make it feasible.
+
+    Row 0 is aggregate obedience and row 1 + t the state-t mass; the
+    certified ``duals`` follow that order."""
     inst = view.instance
     D = inst.num_states
-    maximize = inst.sense is Sense.MAX
-    model = lp.LPModel(D + 1, lp.MIN if maximize else lp.MAX)
-    model.set_objective([ONE] * D + [-view.C])
-    # Every variable is >= 0, which costs nothing for x: an optimal x_t is
-    # the largest (for minimize, smallest) mu_t * (s + y*r) over the collected
-    # actions, and that is >= 0 because utilities are nonnegative and y >= 0.
-    rel = lp.GE if maximize else lp.LE
-    for t, S in pairs:
-        coeffs = [ZERO] * (D + 1)
-        coeffs[t] = ONE
-        coeffs[D] = -inst.prior[t] * inst.receiver.value(t, S)
-        model.add_row(coeffs, rel, inst.prior[t] * inst.sender.value(t, S))
-    return lp.solve(model)
-
-
-def _restricted_primal(view: CCEInstanceView, pairs) -> tuple[SignalingScheme, Fraction, int]:
-    inst = view.instance
-    D = inst.num_states
-    columns = sorted(set(pairs) | {(t, view.prior_best) for t in range(D)})
-    index = {col: k for k, col in enumerate(columns)}
+    columns = sorted(pairs)
     maximize = inst.sense is Sense.MAX
     model = lp.LPModel(len(columns), lp.MAX if maximize else lp.MIN)
-    obj = [ZERO] * len(columns)
-    cce_row = [ZERO] * len(columns)
-    for (t, S), k in index.items():
-        obj[k] = inst.prior[t] * inst.sender.value(t, S)
-        cce_row[k] = inst.prior[t] * inst.receiver.value(t, S)
-    model.set_objective(obj)
-    model.add_row(cce_row, lp.GE if maximize else lp.LE, view.C)
-    for t in range(D):
-        row = [ZERO] * len(columns)
-        for (tt, S), k in index.items():
-            if tt == t:
-                row[k] = ONE
-        model.add_row(row, lp.EQ, ONE)
+    model.set_objective([inst.prior[t] * inst.sender.value(t, S) for t, S in columns])
+    model.add_row(
+        [inst.prior[t] * inst.receiver.value(t, S) for t, S in columns],
+        lp.GE if maximize else lp.LE,
+        view.C,
+    )
+    for state in range(D):
+        model.add_row([ONE if t == state else ZERO for t, _ in columns], lp.EQ, ONE)
     res = lp.solve(model)
-    if res.status != lp.OPTIMAL:  # cannot happen: prior-best columns are feasible
-        raise IterationCap(f"restricted primal unexpectedly {res.status}")
-    phi: dict[tuple[int, ActionSet], Fraction] = {}
-    for (t, S), k in index.items():
-        if res.x[k] != 0:
-            phi[(t, S)] = phi.get((t, S), ZERO) + res.x[k]
-    scheme = SignalingScheme.from_phi(D, phi)
-    return scheme, res.value, res.pivots
+    if res.status != lp.OPTIMAL:
+        raise CertificateError(f"restricted LP holds the prior-best columns, yet ended {res.status}")
+    phi = {col: v for col, v in zip(columns, res.x) if v != 0}
+    return SignalingScheme.from_phi(D, phi), res
 
 
-def solve_cce_exact(view: CCEInstanceView, cut_cap: int = DEFAULT_CUT_CAP) -> SolveResult:
-    """Exact optimum via cutting planes on the dual (needs alpha = 1)."""
+def solve_cce_exact(view: CCEInstanceView) -> SolveResult:
+    """Exact optimum by column generation (needs alpha = 1).
+
+    Round k solves the LP over the columns found so far and reads its
+    certified duals: y = -duals[0] >= 0 prices the obedience row and
+    x_t = duals[1 + t] state t's mass row.  One ``separation`` sweep then
+    returns, per state, a column maximizing (minimizing) the reduced cost,
+    and the violated ones join the LP.  With none violated, (x, y) is
+    feasible for the full dual with the restricted LP's value, so that LP is
+    optimal for the full one and is the answer.  Every collected column
+    already prices out at certified duals, so a violated one means the
+    certificate or the oracle is wrong.
+    """
     if view.alpha != 1:
         raise ParameterError("exact path needs an exact (alpha = 1) oracle")
-    inst = view.instance
-    pairs: list[tuple[int, ActionSet]] = [(t, view.prior_best) for t in range(inst.num_states)]
-    seen = set(pairs)
+    columns = {(t, view.prior_best) for t in range(view.instance.num_states)}
     pivots = 0
     rounds = 0
     while True:
-        if rounds >= cut_cap:
-            raise IterationCap(f"cutting-plane loop exceeded {cut_cap} rounds")
+        if rounds >= ROUND_CAP:
+            raise IterationCap(f"column generation exceeded {ROUND_CAP} rounds")
         rounds += 1
-        res = _restricted_dual(view, pairs)
+        scheme, res = _restricted_primal(view, columns)
         pivots += res.pivots
-        if res.status != lp.OPTIMAL:
-            raise CertificateError(f"restricted dual is bounded and feasible, yet ended {res.status}")
-        point = DualPoint(tuple(res.x[: inst.num_states]), res.x[inst.num_states])
-        rows, _ = separation(view, point)
-        new = [rc for rc in rows if rc not in seen]
-        if not new:
+        rows, _ = separation(view, res.duals[1:], -res.duals[0])
+        if not rows:
             break
-        for rc in new:
-            seen.add(rc)
-            pairs.append(rc)
-    scheme, value, p2 = _restricted_primal(view, pairs)
+        stale = columns.intersection(rows)
+        if stale:
+            raise CertificateError(f"columns {sorted(stale)} price out at the certified duals of an LP that holds them")
+        columns.update(rows)
     return SolveResult(
         scheme=scheme,
-        sender_value=value,
+        sender_value=res.value,
         method="cce-cutting-plane",
-        catalog_size=len(pairs),
-        lp_stats={"cut_rounds": rounds, "columns": len(pairs), "pivots": pivots + p2},
+        catalog_size=len(columns),
+        lp_stats={"cut_rounds": rounds, "columns": len(columns), "pivots": pivots},
     )
 
 
@@ -431,17 +411,18 @@ def _round_fraction(v: Fraction, bits: int = CENTER_DENOM_BITS) -> Fraction:
 
 @dataclass
 class _EllipsoidRun:
-    feasible_point: DualPoint | None
+    feasible: bool
     proposals: set
     iterations: int
 
 
-def _ellipsoid_run(view: CCEInstanceView, v: Fraction, iter_cap: int) -> _EllipsoidRun:
+def _ellipsoid_run(view: CCEInstanceView, v: Fraction) -> _EllipsoidRun:
     """Search {dual rows, y >= 0, objective <= v} inside the parameter box.
 
     Returns the first center passing every test (approximately feasible),
     or exhausts the volume budget (infeasible).  All cuts are exact; only
-    the shape matrix and centers are rounded.
+    the shape matrix and centers are rounded.  More than 400 * N^2 *
+    (binary-search rounds + 64) iterations raise ``IterationCap``.
     """
     inst = view.instance
     D = inst.num_states
@@ -461,6 +442,7 @@ def _ellipsoid_run(view: CCEInstanceView, v: Fraction, iter_cap: int) -> _Ellips
     eps_prime = view.epsilon * view.v_min
     threshold = (eps_prime / (4 * N * (1 + view.v_max))) ** N
     threshold_sq = threshold * threshold
+    iter_cap = 400 * N * N * (_ceil_log2(view.v_max / eps_prime) + 65)
 
     proposals: set = set()
     sense_max = inst.sense is Sense.MAX
@@ -488,7 +470,7 @@ def _ellipsoid_run(view: CCEInstanceView, v: Fraction, iter_cap: int) -> _Ellips
         else:
             if objective < v:
                 return [-ONE] * D + [view.C]
-        rows, prop = separation(view, DualPoint(tuple(x), y))
+        rows, prop = separation(view, x, y)
         proposals.update(prop)
         if rows:
             t, S = rows[0]
@@ -514,17 +496,17 @@ def _ellipsoid_run(view: CCEInstanceView, v: Fraction, iter_cap: int) -> _Ellips
         center = [_round_fraction(c) for c in center]
         cut = find_cut(center)
         if cut is None:
-            return _EllipsoidRun(DualPoint(tuple(center[:D]), center[D]), proposals, iterations)
+            return _EllipsoidRun(True, proposals, iterations)
 
         # det(P) below threshold^2 certifies the remaining volume is gone.
         # det only shrinks, so an every-8th-iteration check is safe.
         if iterations % 8 == 0 and _det(P) <= threshold_sq:
-            return _EllipsoidRun(None, proposals, iterations)
+            return _EllipsoidRun(False, proposals, iterations)
 
         pa = [sum((P[i][j] * cut[j] for j in range(N)), ZERO) for i in range(N)]
         apa = sum((cut[i] * pa[i] for i in range(N)), ZERO)
         if apa <= 0:
-            return _EllipsoidRun(None, proposals, iterations)
+            return _EllipsoidRun(False, proposals, iterations)
         s = _fraction_sqrt_up(apa)
         step = Fraction(1, N + 1)
         center = [c - step * (p / s) for c, p in zip(center, pa)]
@@ -559,7 +541,7 @@ def _det(m) -> Fraction:
     return det
 
 
-def solve_cce_approx(view: CCEInstanceView, iter_cap: int | None = None) -> SolveResult:
+def solve_cce_approx(view: CCEInstanceView) -> SolveResult:
     """Binary search + ellipsoid; value at least (alpha - epsilon) * optimum."""
     inst = view.instance
     if inst.sense is not Sense.MAX:
@@ -568,24 +550,19 @@ def solve_cce_approx(view: CCEInstanceView, iter_cap: int | None = None) -> Solv
     if eps_prime <= 0:
         raise ParameterError("epsilon * v_min must be positive")
     total_rounds = _ceil_log2(view.v_max / eps_prime) + 1
-    if iter_cap is None:
-        N = inst.num_states + 1
-        iter_cap = 400 * N * N * (total_rounds + 64)
 
     v_l, v_u = ZERO, view.v_max
     v = (v_l + v_u) / 2
     columns: set = {(t, view.prior_best) for t in range(inst.num_states)}
-    decisive: set = set()
     iters_total = 0
     for _ in range(total_rounds):
-        run = _ellipsoid_run(view, v, iter_cap)
+        run = _ellipsoid_run(view, v)
         iters_total += run.iterations
         columns.update(run.proposals)
-        if run.feasible_point is not None:
+        if run.feasible:
             v_u = v
         else:
             v_l = v
-            decisive = set(run.proposals)
         v = (v_l + v_u) / 2
 
     if v_l == 0:
@@ -602,18 +579,17 @@ def solve_cce_approx(view: CCEInstanceView, iter_cap: int | None = None) -> Solv
             },
         )
 
-    primal_cols = decisive | columns
-    scheme, value, pivots = _restricted_primal(view, primal_cols)
+    scheme, res = _restricted_primal(view, columns)
     return SolveResult(
         scheme=scheme,
-        sender_value=value,
+        sender_value=res.value,
         method="cce-ellipsoid",
-        catalog_size=len(primal_cols),
+        catalog_size=len(columns),
         lp_stats={
             "rounds": total_rounds,
             "ellipsoid_iters": iters_total,
-            "columns": len(primal_cols),
-            "pivots": pivots,
+            "columns": len(columns),
+            "pivots": res.pivots,
         },
     )
 

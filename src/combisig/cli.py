@@ -139,7 +139,7 @@ def cmd_solve(args) -> int:
             epsilon=args.epsilon,
             max_actions=args.max_actions,
         )
-        # cutting planes are exact but need an exact oracle; the ellipsoid
+        # column generation is exact but needs an exact oracle; the ellipsoid
         # search takes any alpha
         if view.alpha == 1:
             result = cce.solve_cce_exact(view)

@@ -31,6 +31,14 @@ from .model import (
 from .rationals import as_fraction
 
 
+def _json_int(v) -> int:
+    """A JSON integer, as is: floats and strings are refused rather than
+    truncated or parsed, and so are booleans, which Python counts as ints."""
+    if type(v) is not int:
+        raise InstanceFormatError(f"expected an integer, got {v!r}")
+    return v
+
+
 def format_rational(v: Fraction) -> str | int:
     if v.denominator == 1:
         return int(v)
@@ -68,7 +76,7 @@ def _utility_to_json(util: UtilitySpec):
 
 
 def _utility_from_json(raw) -> UtilitySpec:
-    kind = raw.get("kind")
+    kind = raw["kind"]
     if kind == "linear":
         return UtilitySpec.from_linear(
             [[as_fraction(v) for v in row] for row in raw["rows"]]
@@ -112,25 +120,25 @@ def _constraint_to_json(constraint):
 
 
 def _constraint_from_json(raw):
-    kind = raw.get("kind")
+    kind = raw["kind"]
     if kind == "uniform":
-        return Uniform(k=int(raw["k"]))
+        return Uniform(k=_json_int(raw["k"]))
     if kind == "partition":
         return Partition(
-            blocks=tuple(tuple(int(e) for e in block) for block in raw["blocks"]),
-            caps=tuple(int(c) for c in raw["caps"]),
+            blocks=tuple(tuple(_json_int(e) for e in block) for block in raw["blocks"]),
+            caps=tuple(_json_int(c) for c in raw["caps"]),
         )
     if kind == "graphic":
         return Graphic(
-            num_vertices=int(raw["num_vertices"]),
-            edges=tuple((int(u), int(v)) for u, v in raw["edges"]),
+            num_vertices=_json_int(raw["num_vertices"]),
+            edges=tuple((_json_int(u), _json_int(v)) for u, v in raw["edges"]),
         )
     if kind == "path":
         return PathGraph(
-            num_vertices=int(raw["num_vertices"]),
-            edges=tuple((int(u), int(v)) for u, v in raw["edges"]),
-            source=int(raw["source"]),
-            sink=int(raw["sink"]),
+            num_vertices=_json_int(raw["num_vertices"]),
+            edges=tuple((_json_int(u), _json_int(v)) for u, v in raw["edges"]),
+            source=_json_int(raw["source"]),
+            sink=_json_int(raw["sink"]),
         )
     if kind == "oracle":
         return OracleMatroid(oracle_id=str(raw["oracle_id"]))
@@ -162,6 +170,8 @@ def instance_from_json(raw: dict) -> Instance:
         )
     except KeyError as exc:
         raise InstanceFormatError(f"instance JSON missing field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise InstanceFormatError(f"malformed instance JSON: {exc}") from None
 
 
 def dumps_canonical(obj: Any) -> str:
@@ -188,9 +198,9 @@ def scheme_from_json(raw: dict) -> tuple[SignalingScheme, str | None]:
     try:
         phi = {}
         for entry in raw["phi"]:
-            key = (int(entry["state"]), tuple(sorted(int(e) for e in entry["action"])))
+            key = (_json_int(entry["state"]), tuple(sorted(_json_int(e) for e in entry["action"])))
             phi[key] = phi.get(key, Fraction(0)) + as_fraction(entry["prob"])
-        scheme = SignalingScheme.from_phi(int(raw["num_states"]), phi)
+        scheme = SignalingScheme.from_phi(_json_int(raw["num_states"]), phi)
         return scheme, raw.get("instance_digest")
     except KeyError as exc:
         raise InstanceFormatError(f"scheme JSON missing field {exc}") from None
@@ -222,6 +232,8 @@ def lineq_spec_from_json(raw: dict):
         )
     except KeyError as exc:
         raise InstanceFormatError(f"system JSON missing field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise InstanceFormatError(f"malformed system JSON: {exc}") from None
 
 
 def public_spec_from_json(raw: dict):
@@ -237,3 +249,5 @@ def public_spec_from_json(raw: dict):
         )
     except KeyError as exc:
         raise InstanceFormatError(f"spec JSON missing field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise InstanceFormatError(f"malformed spec JSON: {exc}") from None

@@ -118,8 +118,9 @@ def greedy_max_weight(oracle: MatroidOracle, weights: Sequence) -> ActionSet:
 
     Scans elements in strictly descending weight order (ties broken by
     ascending index) and keeps an element iff independence is preserved and
-    its weight is >= 0.  Weights may be Fractions or any totally ordered
-    additive values (the symbolic perturbation type also flows through here).
+    its weight is >= 0.  Weights are numbers (Fractions, ints); the
+    lexicographic tuples of ``best_response`` cannot be compared with 0 and
+    go through ``best_response.greedy_at_point`` instead.
     """
     if len(weights) != oracle.n:
         raise InstanceFormatError("one weight per ground-set element required")

@@ -278,7 +278,7 @@ def test_greedy_at_point_matches_brute_best_response():
     for _ in range(10):
         inst = rand_clean_instance(rng, 3, 5, "uniform")
         point = (F(1, 5), F(2, 5), F(2, 5))
-        greedy = best_response.greedy_at_point(inst, point, drop_negative=True)
+        greedy = best_response.greedy_at_point(inst, point)
         actions = persuasion.enumerate_actions(inst.constraint, inst.num_elements)
         r = inst.receiver.value
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from combisig import cce, jsonio, persuasion
+from combisig import cce, jsonio, lp, persuasion
 from combisig.errors import (
     DegenerateBounds,
     OracleContractViolation,
@@ -16,6 +16,7 @@ from combisig.errors import (
 from combisig.model import (
     ActionSet,
     Instance,
+    PathGraph,
     Posterior,
     Sense,
     Uniform,
@@ -68,6 +69,75 @@ def test_exact_matches_brute_lp_min_paths():
         assert cce.solve_cce_exact(view).sender_value == result.sender_value
 
 
+def test_exact_solves_one_lp_per_round(monkeypatch):
+    """Column generation reads its duals off the round's own LP: no other
+    LP is solved, the final one included."""
+    calls = []
+    genuine = lp.solve
+
+    def counting(model, *args):
+        calls.append(model)
+        return genuine(model, *args)
+
+    monkeypatch.setattr(lp, "solve", counting)
+    rng = random.Random(909)
+    for trial in range(8):
+        sense = (Sense.MAX, Sense.MIN)[trial % 2]
+        inst = rand_instance(rng, rng.choice([2, 3]), 5, "partition", sense=sense)
+        view = cce.make_view(inst)
+        calls.clear()
+        result = cce.solve_cce_exact(view)
+        assert len(calls) == result.lp_stats["cut_rounds"], f"trial {trial}"
+        assert len(calls[-1].objective) == result.lp_stats["columns"]
+
+
+def _hand_built(prior, sender, receiver, constraint, sense=Sense.MAX) -> Instance:
+    return Instance(
+        state_names=tuple(f"s{t}" for t in range(len(prior))),
+        prior=tuple(F(p) for p in prior),
+        element_names=tuple(f"e{i}" for i in range(len(sender[0]))),
+        sender=UtilitySpec.from_linear(sender),
+        receiver=UtilitySpec.from_linear(receiver),
+        constraint=constraint,
+        sense=sense,
+    )
+
+
+DIAMOND = PathGraph(num_vertices=4, edges=((0, 1), (0, 2), (1, 3), (2, 3)), source=0, sink=3)
+# Each restricted LP here has several optimal dual points: the first one
+# holds only prior-best columns, which meet the obedience row with equality,
+# so every y >= 0 prices it optimally; repeated columns, an indifferent
+# receiver and an all-zero state keep later rounds degenerate too.
+DUAL_DEGENERATE = {
+    "repeated-columns": _hand_built(
+        ("1/2", "1/2"), [[1, 1, 0], [0, 2, 2]], [[2, 2, 1], [1, 1, 3]], Uniform(1)
+    ),
+    "indifferent-receiver": _hand_built(("1/3", "2/3"), [[0, 3], [2, 0]], [[1, 1], [1, 1]], Uniform(1)),
+    "all-zero-state": _hand_built(
+        ("1/4", "3/4"), [[3, 1, 1], [1, 0, 0]], [[0, 0, 0], [1, 2, 3]], Uniform(2)
+    ),
+    "tied-three-states": _hand_built(
+        ("1/3", "1/3", "1/3"), [[2, 0, 1], [0, 2, 1], [1, 1, 1]], [[1, 1, 0], [1, 1, 0], [0, 0, 2]], Uniform(1)
+    ),
+    "tied-routes-min": _hand_built(
+        ("1/2", "1/2"), [[1, 2, 1, 2], [2, 1, 2, 1]], [[1, 1, 1, 1], [1, 1, 2, 1]], DIAMOND, Sense.MIN
+    ),
+    "indifferent-receiver-min": _hand_built(
+        ("2/5", "3/5"), [[3, 0, 3, 0], [0, 2, 0, 2]], [[1, 1, 1, 1], [1, 1, 1, 1]], DIAMOND, Sense.MIN
+    ),
+}
+
+
+@pytest.mark.parametrize("inst", DUAL_DEGENERATE.values(), ids=DUAL_DEGENERATE.keys())
+def test_exact_on_dual_degenerate_instances(inst):
+    view = cce.make_view(inst, audit=True)
+    result = cce.solve_cce_exact(view)
+    assert result.sender_value == brute_cce_value(inst)
+    assert persuasion.expected_sender_value(inst, result.scheme) == result.sender_value
+    row = cce.cce_row_value(inst, result.scheme)
+    assert row >= view.C if inst.sense is Sense.MAX else row <= view.C
+
+
 def test_sandwich_relaxation_dominates_persuasion():
     rng = random.Random(303)
     for _ in range(10):
@@ -112,8 +182,7 @@ def test_separation_flags_infeasible_point():
     inst = rand_instance(random.Random(9), 2, 4, "uniform")
     view = cce.make_view(inst)
     # the all-zero dual point violates every (state, action) row with s > 0
-    point = cce.DualPoint(x=(F(0), F(0)), y=F(0))
-    rows, proposals = cce.separation(view, point)
+    rows, proposals = cce.separation(view, (F(0), F(0)), F(0))
     assert rows and proposals
 
 

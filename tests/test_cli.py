@@ -149,13 +149,17 @@ INFEASIBLE = [
     (WEATHER, {"num_states": 3}),
     (WEATHER, {"num_states": 3, "phi": [{"state": 0, "action": [0, 1]}]}),
     (WEATHER, [1, 2, 3]),
+    # indices must be JSON integers: int() would read this as recommending (1,) in state 0
+    (TOY, {"num_states": 2.7, "phi": [{"state": 0.9, "action": [1.5], "prob": 1},
+                                      {"state": 1, "action": [1], "prob": 1}]}),
 ]
 
 
 @pytest.mark.parametrize(
     "instance,raw",
     INFEASIBLE,
-    ids=["not-independent", "not-a-path", "wrong-state-count", "no-phi", "no-prob", "not-an-object"],
+    ids=["not-independent", "not-a-path", "wrong-state-count", "no-phi", "no-prob", "not-an-object",
+         "float-indices"],
 )
 def test_validate_rejects_malformed_or_infeasible_schemes(capsys, tmp_path, instance, raw):
     scheme_path = tmp_path / "scheme.json"
@@ -163,6 +167,40 @@ def test_validate_rejects_malformed_or_infeasible_schemes(capsys, tmp_path, inst
     code, out, err = run(capsys, "validate", instance, str(scheme_path))
     assert code == 1 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def _toy_with(**fields):
+    raw = json.loads(Path(TOY).read_text())
+    raw.update(fields)
+    return raw
+
+
+GEN_LINEQ = ("gen", "--from", "lineq", "--target", "uniform")
+GEN_PUBLIC = ("gen", "--from", "public", "--target", "partition")
+MALFORMED_INPUTS = {
+    "instance-not-an-object": (("solve",), []),
+    "unknown-sense": (("solve",), _toy_with(sense="sideways")),
+    "row-is-a-number": (("solve",), _toy_with(receiver={"kind": "linear", "rows": [3, [3, 6]]})),
+    "constraint-not-an-object": (("solve",), _toy_with(constraint=5)),
+    "three-element-edge": (
+        ("solve",),
+        _toy_with(constraint={"kind": "graphic", "num_vertices": 3, "edges": [[0, 1, 2], [1, 2]]}),
+    ),
+    # int() read these as Uniform(2) and Uniform(1)
+    "float-k": (("solve",), _toy_with(constraint={"kind": "uniform", "k": 2.9})),
+    "bool-k": (("solve",), _toy_with(constraint={"kind": "uniform", "k": True})),
+    "lineq-A-is-a-number": (GEN_LINEQ, {"A": 5, "c": ["1"]}),
+    "public-r0-is-a-number": (GEN_PUBLIC, dict(json.loads(Path(PUBLIC).read_text()), r0=5)),
+}
+
+
+@pytest.mark.parametrize("command,raw", MALFORMED_INPUTS.values(), ids=MALFORMED_INPUTS.keys())
+def test_malformed_input_files_are_usage_errors(capsys, tmp_path, command, raw):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(raw))
+    code, out, err = run(capsys, command[0], str(path), *command[1:])
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
 
 
 def _weather_scheme(phi):
@@ -421,7 +459,7 @@ def test_gen_inline_instance_when_no_out(capsys):
 
 PUBLIC_NAMES = {
     "ActionSet", "ApproxOracle", "BestResponseCatalog", "CCEInstanceView",
-    "CertificateError", "CombisigError", "DegenerateBounds", "DualPoint",
+    "CertificateError", "CombisigError", "DegenerateBounds",
     "Graphic", "Instance", "InstanceFormatError", "IterationCap", "LineqMaSpec",
     "MissingSolution", "NondegeneracyReport", "NoPath", "OracleContractViolation",
     "OracleMatroid", "ParameterError", "Partition", "PathGraph",
@@ -464,7 +502,22 @@ def test_import_surface():
     ).stdout
     probe = json.loads(out)
     assert probe["cli_loads"] == []
-    assert len(PUBLIC_NAMES) == 55
+    assert len(PUBLIC_NAMES) == 54
     assert set(probe["names"]) == PUBLIC_NAMES
     assert set(probe["star"]) == PUBLIC_NAMES
     assert probe["unknown"] == "AttributeError"
+
+
+# ---------------------------------------------------------------------------
+# demo script
+# ---------------------------------------------------------------------------
+
+
+def test_demo_script_runs():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), COMBISIG=f"{sys.executable} -m combisig.cli")
+    done = subprocess.run(
+        ["sh", str(root / "scripts" / "demo.sh")], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "demo complete"

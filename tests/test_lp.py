@@ -204,12 +204,13 @@ def test_strong_duality_random():
 
 def test_certificate_survives_python_O():
     """Under ``python -O`` a forged simplex solution still raises
-    CertificateError, both from lp.solve and from a solver built on it."""
+    CertificateError, both from lp.solve and from a solver built on it, and
+    so do forged row prices under column generation, which reads them."""
     script = textwrap.dedent(
         """
         import sys
         from fractions import Fraction
-        from combisig import jsonio, lp, persuasion
+        from combisig import cce, jsonio, lp, persuasion
         from combisig.errors import CertificateError
 
         assert False, "assert statements must be stripped"  # -O removes this line
@@ -225,13 +226,32 @@ def test_certificate_survives_python_O():
         model.set_objective([1, 1])
         model.add_row([1, 1], lp.LE, 1)
         toy = jsonio.instance_from_json(jsonio.load_json(sys.argv[1]))
-        for solve in (lambda: lp.solve(model), lambda: persuasion.solve_full(toy)):
+
+        def attempt(solve):
             try:
                 solve()
             except CertificateError as exc:
                 print("caught", exc)
             else:
                 print("missed")
+
+        attempt(lambda: lp.solve(model))
+        attempt(lambda: persuasion.solve_full(toy))
+        lp._Tableau.solution = genuine
+        genuine_costs = lp._Tableau._reduced_costs
+
+        def forged_costs(self, costs):
+            # Artificial columns never enter a basis, so this moves only the
+            # prices of == rows: every state's mass price in the relaxed LP
+            # rises by one, no column prices out, and the loop would stop
+            # after one round on a wrong optimum.
+            zrow = genuine_costs(self, costs)
+            for c in self.artificial:
+                zrow[c] -= 1
+            return zrow
+
+        lp._Tableau._reduced_costs = forged_costs
+        attempt(lambda: cce.solve_cce_exact(cce.make_view(toy)))
         """
     )
     toy = Path(__file__).resolve().parents[1] / "instances" / "two_state_toy.json"
@@ -242,4 +262,4 @@ def test_certificate_survives_python_O():
     )
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
-    assert len(lines) == 2 and all(line.startswith("caught") for line in lines), done.stdout
+    assert len(lines) == 3 and all(line.startswith("caught") for line in lines), done.stdout
