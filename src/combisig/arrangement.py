@@ -42,14 +42,13 @@ DEFAULT_CELL_CAP = 100_000
 
 @dataclass(frozen=True)
 class Hyperplane:
-    """The set {x in aff : normal . x == 0}, tagged with an opaque label."""
+    """The set {x in aff : normal . x == 0}."""
 
     normal: tuple[Fraction, ...]
-    label: object = None
 
 
-def make_hyperplane(normal, label=None) -> Hyperplane:
-    return Hyperplane(tuple(as_fraction(v) for v in normal), label)
+def make_hyperplane(normal) -> Hyperplane:
+    return Hyperplane(tuple(as_fraction(v) for v in normal))
 
 
 def side(plane: Hyperplane, point) -> int:
@@ -273,9 +272,7 @@ def _generic_point(dim: int, cutting, context) -> tuple[Fraction, ...]:
         q += 1
 
 
-def enumerate_cells(
-    hyperplanes, num_states: int, max_cells: int = DEFAULT_CELL_CAP
-) -> list[Cell]:
+def enumerate_cells(hyperplanes, num_states: int) -> list[Cell]:
     """All full-dimensional sign cells of the planes that reach the simplex.
 
     The cells meeting the open probability simplex come with a strictly
@@ -317,27 +314,27 @@ def enumerate_cells(
         return [_make_cell(recipes, (), _generic_point(dim, (), simplex), True, {})]
 
     if dim <= 2:
-        found = _walk(cutting, simplex, max_cells)
+        found = _walk(cutting, simplex)
     else:
-        found = _flood(cutting, simplex, max_cells)
+        found = _flood(cutting, simplex)
     return [_make_cell(recipes, key, *entry) for key, entry in sorted(found.items())]
 
 
-def _store(found: dict, key, y, inside: bool, max_cells: int) -> list:
+def _store(found: dict, key, y, inside: bool) -> list:
     """Record a probe y of cell ``key``: the first witness is kept, and
     replaced once by a witness inside the open simplex.  Returns the cell's
     entry [witness, witness is inside, {support: boundary point}]."""
     known = found.get(key)
     if known is None:
-        if len(found) >= max_cells:
-            raise TooLarge("arrangement has more cells than allowed", max_cells)
+        if len(found) >= DEFAULT_CELL_CAP:
+            raise TooLarge("arrangement has more cells than allowed", DEFAULT_CELL_CAP)
         known = found[key] = [y, inside, {}]
     elif inside and not known[1]:
         known[0], known[1] = y, True
     return known
 
 
-def _walk(cutting, simplex, max_cells: int) -> dict:
+def _walk(cutting, simplex) -> dict:
     """Cells probed around the vertices in the closed simplex (chart dim <= 2).
 
     Returns sign key -> [witness, witness lies in the open simplex, boundary
@@ -351,7 +348,7 @@ def _walk(cutting, simplex, max_cells: int) -> dict:
         y = _step_point(vertex, direction, funcs)
         inside = all(_evaluate(f, y) > 0 for f in simplex)
         key = tuple(_sign(_evaluate(f, y)) for f in cutting)
-        entry = _store(found, key, y, inside, max_cells)
+        entry = _store(found, key, y, inside)
         support = tuple(_evaluate(f, vertex) > 0 for f in simplex)
         if not all(support):
             entry[2].setdefault(support, vertex)
@@ -391,7 +388,7 @@ def _walk(cutting, simplex, max_cells: int) -> dict:
     return found
 
 
-def _flood(cutting, simplex, max_cells: int) -> dict:
+def _flood(cutting, simplex) -> dict:
     """Cells by single-sign flips from a generic seed, each flip certified by
     a strict-feasibility LP (chart dim >= 3).
 
@@ -414,8 +411,8 @@ def _flood(cutting, simplex, max_cells: int) -> dict:
             probed.add(flipped)
             y = _strict_point(cutting, box, flipped)  # rechecks the signs
             if y is not None:
-                if len(cells) >= max_cells:
-                    raise TooLarge("arrangement has more cells than allowed", max_cells)
+                if len(cells) >= DEFAULT_CELL_CAP:
+                    raise TooLarge("arrangement has more cells than allowed", DEFAULT_CELL_CAP)
                 cells[flipped] = y
                 queue.append(flipped)
     return _classify_box_cells(cutting, simplex, cells)

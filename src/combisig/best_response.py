@@ -9,10 +9,11 @@ best response at some belief.
 
 Degenerate utility data (collinear difference vectors) is audited by
 ``check_nondegeneracy``; when violations are found the catalog is built
-under a symbolic lexicographic perturbation: element i's weight carries an
-extra eps^(i+1) bump on state i mod D, realized as lexicographically
-compared coefficient tuples so no numeric eps is ever picked.  Inside the
-open simplex the bump terms are strictly positive, so the perturbed
+under a symbolic perturbation: element i's weight carries an extra
+eps^(i+1) bump on state i mod D.  No numeric eps is ever picked: the
+perturbed order of two elements is the order of their exact weights, then
+of the signs of their bumps (``greedy_at_point``).
+Inside the open simplex every bump is strictly positive, so the perturbed
 comparison reduces to the exact weights with ties broken by ascending
 element index, and pairs of identical elements (whose perturbed comparison
 never vanishes on the interior) simply drop out of the hyperplane family.
@@ -104,7 +105,7 @@ def receiver_hyperplanes(instance: Instance) -> list[arrangement.Hyperplane]:
     for i, j in _pair_iter(instance):
         normal = tuple(a - b for a, b in zip(psi[i], psi[j]))
         if any(v != 0 for v in normal):
-            planes.append(arrangement.Hyperplane(normal, (i, j)))
+            planes.append(arrangement.Hyperplane(normal))
     return planes
 
 
@@ -239,33 +240,12 @@ def check_nondegeneracy(instance: Instance) -> NondegeneracyReport:
     return NondegeneracyReport(not violations, "exhaustive", checked, tuple(violations))
 
 
-def _lex_weights(
-    psi: list[tuple[Fraction, ...]], point: tuple[Fraction, ...], tie_break: tuple[Fraction, ...]
-) -> list[tuple]:
-    """Perturbed expected weights at a belief as lexicographic tuples.
-
-    Index t of the tuple carries the eps^t coefficient: the exact expected
-    weight at ``point`` for t=0, and element i's bump tie_break[i mod D] at
-    t=i+1.  At an interior belief every bump is positive, so distinct
-    elements never compare equal.
-    """
-    n = len(psi)
-    num_states = len(point)
-    weights = []
-    for e in range(n):
-        base = sum((point[t] * psi[e][t] for t in range(num_states)), ZERO)
-        tiers = [ZERO] * n
-        tiers[e] = tie_break[e % num_states]
-        weights.append((base, *tiers))
-    return weights
-
-
 def greedy_at_point(
     instance: Instance,
     point: tuple[Fraction, ...],
     tie_break: tuple[Fraction, ...] | None = None,
 ) -> ActionSet:
-    """Greedy independent set for the expected weights at a belief.
+    """Greedy independent set for the perturbed expected weights at a belief.
 
     Returns the order-determined greedy base: every element that keeps the
     set independent is taken, regardless of weight sign.  At a belief in
@@ -273,16 +253,25 @@ def greedy_at_point(
     receiver utilities are nonnegative and every bump is positive, so no
     weight compares below zero.  Exact ties are broken by the perturbation
     bumps at ``tie_break`` (default: the point).
+
+    Element e carries the bump ``tie_break[e mod D] * eps^(e+1)``.  Between
+    two elements e < f of equal expected weight, eps^(e+1) outweighs
+    eps^(f+1), so e's bump decides unless it is zero, and then f's does.
+    With s_e the sign of e's bump, the descending order of the key
+    (weight, s_e, -s_e * e) is that perturbed order; elements tied in all
+    three (equal weight, both bumps zero) keep ascending index.
     """
     psi = _psi(instance)
-    oracle = matroid.oracle_for(instance.constraint, len(psi))
-    weights = _lex_weights(psi, point, point if tie_break is None else tie_break)
-    order = sorted(range(len(psi)), key=lambda e: weights[e], reverse=True)
-    chosen: list[int] = []
-    for e in order:
-        if oracle.is_independent(tuple(sorted(chosen + [e]))):
-            chosen.append(e)
-    return tuple(sorted(chosen))
+    tie_break = point if tie_break is None else tie_break
+    num_states = len(point)
+
+    def key(e: int) -> tuple:
+        bump = tie_break[e % num_states]
+        sign = (bump > 0) - (bump < 0)
+        return sum((point[t] * psi[e][t] for t in range(num_states)), ZERO), sign, -sign * e
+
+    order = sorted(range(len(psi)), key=key, reverse=True)
+    return matroid.greedy(matroid.oracle_for(instance.constraint, len(psi)), order)
 
 
 def enumerate_best_responses(instance: Instance) -> BestResponseCatalog:

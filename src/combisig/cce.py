@@ -47,7 +47,7 @@ from .model import (
     SignalingScheme,
     UtilityKind,
 )
-from .persuasion import SolveResult, best_deviation, enumerate_actions, uninformative_scheme
+from .persuasion import SolveResult, best_action, best_deviation, enumerate_actions, uninformative_scheme
 from .rationals import ONE, ZERO, as_fraction
 
 ROUND_CAP = 10_000  # column-generation rounds in solve_cce_exact
@@ -62,7 +62,7 @@ class ApproxOracle:
     max/min over independent sets of s_state(S) + y * r_state(S); the
     receiver part y*r must never be approximated."""
 
-    kind: str  # "exact-linear" | "brute" | "half-greedy" | "custom"
+    kind: str  # "exact" | "half-greedy" | "custom"
     alpha: Fraction
     fn: Callable[[int, Fraction], ActionSet]
 
@@ -161,36 +161,21 @@ def compute_v_bounds(instance: Instance) -> tuple[Fraction, Fraction]:
     return v_min, v_max
 
 
-def exact_linear_oracle(instance: Instance) -> ApproxOracle:
-    """Exact oracle for linear utilities: one ``matroid.max_weight_action``
-    call on the weights ``s + y * r`` (greedy on a matroid, Dijkstra on a
-    path)."""
-    if instance.sender.kind is not UtilityKind.LINEAR or instance.receiver.kind is not UtilityKind.LINEAR:
-        raise UnsupportedCombination("the exact linear oracle needs linear sender and receiver utilities")
+def exact_oracle(instance: Instance, max_actions: int | None = None) -> ApproxOracle:
+    """Exact oracle: ``persuasion.best_action`` at state t's point belief
+    with a = y and b = 1.  Linear utilities take one greedy or Dijkstra
+    call; otherwise every feasible action is enumerated here, once, and
+    each call scans them, ties going to the lexicographically least."""
+    pool = None
+    if UtilityKind.TABULAR in (instance.sender.kind, instance.receiver.kind):
+        pool = enumerate_actions(instance.constraint, instance.num_elements, max_actions)
+    D = instance.num_states
+    points = [Posterior(tuple(ONE if s == t else ZERO for s in range(D))) for t in range(D)]
 
     def fn(state: int, y: Fraction) -> ActionSet:
-        weights = [
-            instance.sender.singleton(state, e) + y * instance.receiver.singleton(state, e)
-            for e in range(instance.num_elements)
-        ]
-        return matroid.max_weight_action(instance.constraint, weights, instance.sense)
+        return best_action(instance, points[state], y, ONE, pool)
 
-    return ApproxOracle("exact-linear", ONE, fn)
-
-
-def brute_oracle(instance: Instance, max_actions: int | None = None) -> ApproxOracle:
-    """Exact oracle by full enumeration; only for small instances."""
-    acts = enumerate_actions(instance.constraint, instance.num_elements, max_actions)
-    best_of = max if instance.sense is Sense.MAX else min
-
-    def fn(state: int, y: Fraction) -> ActionSet:
-        def score(S: ActionSet) -> Fraction:
-            return instance.sender.value(state, S) + y * instance.receiver.value(state, S)
-
-        target = best_of(score(S) for S in acts)
-        return next(S for S in acts if score(S) == target)
-
-    return ApproxOracle("brute", ONE, fn)
+    return ApproxOracle("exact", ONE, fn)
 
 
 def half_greedy_submodular_oracle(instance: Instance) -> ApproxOracle:
@@ -243,13 +228,7 @@ def make_view(
     """Bundle an instance with its oracle, bracket, and search tolerance."""
     if isinstance(oracle, str):
         if oracle == "exact":
-            if (
-                instance.sender.kind is UtilityKind.LINEAR
-                and instance.receiver.kind is UtilityKind.LINEAR
-            ):
-                oracle = exact_linear_oracle(instance)
-            else:
-                oracle = brute_oracle(instance, max_actions)
+            oracle = exact_oracle(instance, max_actions)
         elif oracle == "half-greedy":
             oracle = half_greedy_submodular_oracle(instance)
         else:

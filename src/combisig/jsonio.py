@@ -54,10 +54,13 @@ def parse_action(raw: str) -> ActionSet:
         raise InstanceFormatError(f"action keys must be strings, got {raw!r}")
     if raw == "":
         return ()
-    try:
-        return tuple(sorted(int(part) for part in raw.split(",")))
-    except ValueError as exc:
-        raise InstanceFormatError(f"bad action key {raw!r}") from exc
+    parts = raw.split(",")
+    if not all(part.isascii() and part.isdigit() for part in parts):
+        raise InstanceFormatError(f"bad action key {raw!r}: not comma-separated decimal integers")
+    action = tuple(sorted(int(part) for part in parts))
+    if len(set(action)) != len(action):
+        raise InstanceFormatError(f"bad action key {raw!r}: repeated element")
+    return action
 
 
 def _utility_to_json(util: UtilitySpec):

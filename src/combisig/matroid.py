@@ -43,10 +43,9 @@ def registered_oracle(oracle_id: str) -> IndependenceFn:
 class MatroidOracle:
     """Independence oracle over ground set {0, ..., n-1}."""
 
-    def __init__(self, n: int, fn: IndependenceFn, kind: str):
+    def __init__(self, n: int, fn: IndependenceFn):
         self.n = n
         self._fn = fn
-        self.kind = kind
 
     def is_independent(self, subset: Iterable[int]) -> bool:
         action = make_action(subset)
@@ -103,37 +102,40 @@ def _graphic_fn(spec: Graphic) -> IndependenceFn:
 def oracle_for(constraint: Constraint, n: int) -> MatroidOracle:
     """Build the independence oracle for a matroid-kind constraint."""
     if isinstance(constraint, Uniform):
-        return MatroidOracle(n, _uniform_fn(constraint.k), "uniform")
+        return MatroidOracle(n, _uniform_fn(constraint.k))
     if isinstance(constraint, Partition):
-        return MatroidOracle(n, _partition_fn(constraint), "partition")
+        return MatroidOracle(n, _partition_fn(constraint))
     if isinstance(constraint, Graphic):
-        return MatroidOracle(n, _graphic_fn(constraint), "graphic")
+        return MatroidOracle(n, _graphic_fn(constraint))
     if isinstance(constraint, OracleMatroid):
-        return MatroidOracle(n, registered_oracle(constraint.oracle_id), "oracle")
+        return MatroidOracle(n, registered_oracle(constraint.oracle_id))
     raise UnsupportedSense(f"{type(constraint).__name__} is not a matroid constraint")
+
+
+def greedy(oracle: MatroidOracle, order: Iterable[int]) -> ActionSet:
+    """Scan elements in ``order`` and keep each one that leaves the chosen
+    set independent.  With the order by descending weight this is Edmonds'
+    greedy algorithm: an independent set of maximum weight among the
+    elements scanned."""
+    chosen: list[int] = []
+    for e in order:
+        if oracle.is_independent(chosen + [e]):
+            chosen.append(e)
+    return make_action(chosen)
 
 
 def greedy_max_weight(oracle: MatroidOracle, weights: Sequence) -> ActionSet:
     """Exact maximum-weight independent set for additive weights.
 
-    Scans elements in strictly descending weight order (ties broken by
-    ascending index) and keeps an element iff independence is preserved and
-    its weight is >= 0.  Weights are numbers (Fractions, ints); the
-    lexicographic tuples of ``best_response`` cannot be compared with 0 and
-    go through ``best_response.greedy_at_point`` instead.
+    Scans the elements of weight >= 0 in descending weight order, ties
+    broken by ascending index, through ``greedy``.  Weights are numbers
+    (Fractions, ints).
     """
     if len(weights) != oracle.n:
         raise InstanceFormatError("one weight per ground-set element required")
     # sorted() is stable, so reverse-sorting keeps ascending index among ties.
     order = sorted(range(oracle.n), key=lambda e: weights[e], reverse=True)
-    chosen: list[int] = []
-    for e in order:
-        if weights[e] < 0:
-            break
-        candidate = chosen + [e]
-        if oracle.is_independent(candidate):
-            chosen.append(e)
-    return make_action(chosen)
+    return greedy(oracle, (e for e in order if weights[e] >= 0))
 
 
 def max_weight_action(constraint: Constraint, weights: Sequence, sense=None) -> ActionSet:

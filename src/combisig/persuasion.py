@@ -14,13 +14,13 @@ shortest path / table scan); violated pair rows are added until none
 remain, at which point the relaxed optimum is feasible for - and therefore
 equal to - the full LP optimum.
 
-The reduced solver runs the same machinery over the best-response catalog
-only, with deviations restricted to catalog members.
+The reduced solver recommends only best-response catalog members;
+deviations still range over every feasible action.
 
-``tie_broken_response`` (the receiver's response with ties broken for the
-sender) and ``best_deviation`` answer a linear instance with one greedy or
-shortest-path call, so auditing a scheme and building the uninformative
-one enumerate no action.
+Every best-action question (``best_deviation``, ``tie_broken_response`` and
+the exact oracle of ``cce``) goes through ``best_action``: one greedy or
+shortest-path call for linear utilities, so a linear instance's scheme is
+audited with no action enumerated, else one scan of the feasible actions.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from .model import (
     posterior,
 )
 from .paths import shortest_path  # re-exported: the min-sense receiver move
-from .rationals import ZERO
+from .rationals import ONE, ZERO
 
 MATROID_ENUM_LIMIT = 20
 
@@ -57,6 +57,7 @@ __all__ = [
     "solve_full",
     "solve_reduced",
     "check_persuasive",
+    "best_action",
     "best_deviation",
     "uninformative_scheme",
     "tie_broken_response",
@@ -107,32 +108,51 @@ def enumerate_actions(constraint, n: int, max_actions: int | None = None) -> lis
     return out
 
 
-def _element_weights(utility, xi: tuple[Fraction, ...]) -> list[Fraction]:
-    """Each element's expected value at the belief (linear utilities)."""
-    rows = utility.linear
-    return [
-        sum((xi[t] * rows[t][e] for t in range(len(xi))), ZERO)
-        for e in range(len(rows[0]))
-    ]
+def _atoms(utility, xi: tuple[Fraction, ...]) -> list[Fraction]:
+    """Values that every action's expected value at the belief is a sum of:
+    each element's expected value (linear), or each table entry times its
+    state's probability (tabular)."""
+    if utility.kind is UtilityKind.LINEAR:
+        rows = utility.linear
+        return [
+            sum((xi[t] * rows[t][e] for t in range(len(xi))), ZERO)
+            for e in range(len(rows[0]))
+        ]
+    return [p * v for p, table in zip(xi, utility.tabular) for v in table.values()]
+
+
+def best_action(
+    instance: Instance, xi: Posterior, a: Fraction, b: Fraction, pool: list[ActionSet] | None = None
+) -> ActionSet:
+    """A feasible action maximizing (min sense: minimizing) ``a * R + b * S``,
+    R and S the receiver's and sender's expected values at the belief.
+
+    With no ``pool`` and linear utilities wherever the coefficient is
+    nonzero: one ``matroid.max_weight_action`` call (greedy, or Dijkstra on
+    a path) on the weights ``a * r_e + b * s_e``, ties in its order.  Else
+    a scan of ``pool`` (default: every feasible action), ties going to the
+    lexicographically least action.
+    """
+    terms = [(c, u) for c, u in ((a, instance.receiver), (b, instance.sender)) if c != 0]
+    if pool is None and all(u.kind is UtilityKind.LINEAR for _, u in terms):
+        rows = [(c * p, u.linear[t]) for c, u in terms for t, p in enumerate(xi.xi) if p != 0]
+        weights = [
+            sum((f * row[e] for f, row in rows), ZERO) for e in range(instance.num_elements)
+        ]
+        return matroid.max_weight_action(instance.constraint, weights, instance.sense)
+    if pool is None:
+        pool = enumerate_actions(instance.constraint, instance.num_elements)
+    sign = -1 if instance.sense is Sense.MAX else 1
+    return min(pool, key=lambda S: (sign * sum((c * expected_value(u, xi, S) for c, u in terms), ZERO), S))
 
 
 def best_deviation(
     instance: Instance, xi: Posterior, pool: list[ActionSet] | None = None
 ) -> tuple[Fraction, ActionSet]:
-    """The receiver's best value at the belief and an action attaining it,
-    over ``pool`` or every feasible action: one greedy or shortest-path call
-    for a linear receiver, else a scan that breaks ties to the
-    lexicographically least action."""
-    if pool is None and instance.receiver.kind is UtilityKind.LINEAR:
-        weights = _element_weights(instance.receiver, xi.xi)
-        action = matroid.max_weight_action(instance.constraint, weights, instance.sense)
-        return expected_value(instance.receiver, xi, action), action
-    if pool is None:
-        pool = enumerate_actions(instance.constraint, instance.num_elements)
-    sign = -1 if instance.sense is Sense.MAX else 1
-    values = {S: expected_value(instance.receiver, xi, S) for S in pool}
-    action = min(pool, key=lambda S: (sign * values[S], S))
-    return values[action], action
+    """The receiver's best value at the belief and an action attaining it:
+    ``best_action`` with a = 1, b = 0."""
+    action = best_action(instance, xi, ONE, ZERO, pool)
+    return expected_value(instance.receiver, xi, action), action
 
 
 def _violations(
@@ -155,12 +175,12 @@ def _violations(
 
 
 def _solve_scheme_lp(
-    instance: Instance,
-    actions: list[ActionSet],
-    deviation_pool: list[ActionSet] | None,
-    method: str,
-    catalog_size: int | None,
+    instance: Instance, actions: list[ActionSet], method: str, catalog_size: int | None
 ) -> SolveResult:
+    """The scheme LP recommending ``actions``, with persuasiveness rows added
+    lazily.  Only ``solve_full``, whose ``actions`` are every feasible
+    action, passes a tabular receiver, so they serve as its deviation pool."""
+    pool = None if instance.receiver.kind is UtilityKind.LINEAR else actions
     num_states = instance.num_states
     maximize = instance.sense is Sense.MAX
     index = {}
@@ -199,7 +219,7 @@ def _solve_scheme_lp(
         scheme = SignalingScheme.from_phi(num_states, phi)
         new_pairs = [
             (S, alt)
-            for S, alt, _ in _violations(instance, scheme, deviation_pool)
+            for S, alt, _ in _violations(instance, scheme, pool)
             if (S, alt) not in added
         ]
         if not new_pairs:
@@ -233,12 +253,13 @@ def _solve_scheme_lp(
 def solve_full(instance: Instance, max_actions: int | None = None) -> SolveResult:
     """Exact optimum of the brute-force LP over every feasible action."""
     actions = enumerate_actions(instance.constraint, instance.num_elements, max_actions)
-    pool = None if instance.receiver.kind is UtilityKind.LINEAR else actions
-    return _solve_scheme_lp(instance, actions, pool, "full-lp", None)
+    return _solve_scheme_lp(instance, actions, "full-lp", None)
 
 
 def solve_reduced(instance: Instance) -> SolveResult:
-    """Exact optimum over the best-response catalog (matroid, linear, max).
+    """Exact optimum over the best-response catalog (matroid, linear, max):
+    the catalog's actions are the recommendations, and each is checked
+    against the receiver's exact best deviation.
 
     Matches ``solve_full`` exactly on clean instances.  On degenerate
     instances the catalog comes from the tie-broken (perturbed) utilities and
@@ -250,7 +271,7 @@ def solve_reduced(instance: Instance) -> SolveResult:
 
     catalog = enumerate_best_responses(instance)
     actions = list(catalog.actions)
-    result = _solve_scheme_lp(instance, actions, actions, "reduced-lp", len(actions))
+    result = _solve_scheme_lp(instance, actions, "reduced-lp", len(actions))
     result.lp_stats["perturbed"] = catalog.perturbed
     return result
 
@@ -306,38 +327,19 @@ def uninformative_scheme(instance: Instance) -> tuple[SignalingScheme, Fraction]
 
 def tie_broken_response(instance: Instance, xi: Posterior) -> ActionSet:
     """The receiver's best action at the belief, ties resolved in the
-    sender's favor.
+    sender's favor: ``best_action`` with a = 1 and b = ``delta``.
 
-    Linear utilities: one ``matroid.max_weight_action`` call (greedy on a
-    matroid, Dijkstra on a path) on the weights ``w_e = r_e + delta * s_e``.
-    Here ``r_e`` and ``s_e`` are element e's expected receiver and sender
-    values at the belief, ``L`` is the lcm of the denominators of the
-    ``r_e``, and ``delta = 1 / (L * (1 + sum_e s_e))``.  The order this puts
-    on actions is exact.  Every receiver value ``R(A)`` is a multiple of
-    ``1/L``, so two of them are equal or at least ``1/L`` apart.  Sender
-    values lie in ``[0, sum_e s_e]``, so ``delta * |S(A) - S(B)|`` is below
-    ``1/L``.  Hence ``w(A) - w(B)`` has the sign of ``R(A) - R(B)`` when
-    those differ, and the sign of ``S(A) - S(B)`` when they tie: maximizing
-    (max sense) or minimizing (min sense) ``w`` picks a receiver-optimal
-    action and, among those, the sender's favorite.  Actions tied in both
-    values go to the optimizer's order (element index in greedy, the edge
-    sequence in Dijkstra).
-
-    Tabular utilities: a scan of every feasible action, ties broken in the
-    sender's favor, then by the lexicographically least action.
+    ``delta = 1 / (L * (1 + M))``: L is the lcm of the denominators of the
+    receiver's ``_atoms`` at the belief, M the sum of the sender's.  Every
+    receiver value R(A) is a sum of atoms, so two are equal or at least 1/L
+    apart; utilities are nonnegative, so sender values lie in [0, M] and
+    ``delta * |S(A) - S(B)| < 1/L``.  Hence ``R + delta * S`` orders actions
+    by R, then by S: its optimum is receiver-optimal and, among those, the
+    sender's favorite.  Actions tied in both go to greedy's element order or
+    Dijkstra's edge sequence for linear utilities, to the lexicographically
+    least action for tabular ones.
     """
-    if instance.receiver.kind is UtilityKind.LINEAR and instance.sender.kind is UtilityKind.LINEAR:
-        r = _element_weights(instance.receiver, xi.xi)
-        s = _element_weights(instance.sender, xi.xi)
-        delta = 1 / (lcm(*(w.denominator for w in r)) * (1 + sum(s, ZERO)))
-        weights = [r_e + delta * s_e for r_e, s_e in zip(r, s)]
-        return matroid.max_weight_action(instance.constraint, weights, instance.sense)
-    sign = -1 if instance.sense is Sense.MAX else 1
-    return min(
-        enumerate_actions(instance.constraint, instance.num_elements),
-        key=lambda S: (
-            sign * expected_value(instance.receiver, xi, S),
-            sign * expected_value(instance.sender, xi, S),
-            S,
-        ),
-    )
+    r = _atoms(instance.receiver, xi.xi)
+    s = _atoms(instance.sender, xi.xi)
+    delta = 1 / (lcm(*(w.denominator for w in r)) * (1 + sum(s, ZERO)))
+    return best_action(instance, xi, ONE, delta)

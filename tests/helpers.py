@@ -7,6 +7,7 @@ and these oracles is meaningful evidence.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -389,6 +390,37 @@ def scan_tie_broken_response(instance: Instance, belief, actions: list[ActionSet
     s_vals = {S: expected_value(instance.sender, belief, S) for S in ties}
     best_s = best(s_vals.values())
     return min(S for S in ties if s_vals[S] == best_s)
+
+
+def lex_weights_order(psi, point, tie_break) -> list[int]:
+    """Reference perturbed element order at a belief: element e's weight as
+    the coefficient tuple of eps^0..eps^n (its exact expected weight at
+    ``point``, then its bump tie_break[e mod D] at index e + 1), sorted
+    descending by tuple comparison, ties kept in ascending index."""
+    n = len(psi)
+    num_states = len(point)
+    weights = []
+    for e in range(n):
+        base = sum((point[t] * psi[e][t] for t in range(num_states)), ZERO)
+        tiers = [ZERO] * n
+        tiers[e] = tie_break[e % num_states]
+        weights.append((base, *tiers))
+    return sorted(range(n), key=lambda e: weights[e], reverse=True)
+
+
+def as_tables(instance: Instance) -> Instance:
+    """The instance with both utilities written as tables over every
+    feasible action."""
+    actions = enumerate_actions(instance.constraint, instance.num_elements)
+    if () not in actions:
+        actions = [(), *actions]
+
+    def tables(util):
+        return UtilitySpec.from_tabular(
+            [{S: util.value(t, S) for S in actions} for t in range(instance.num_states)]
+        )
+
+    return dataclasses.replace(instance, receiver=tables(instance.receiver), sender=tables(instance.sender))
 
 
 # ---------------------------------------------------------------------------

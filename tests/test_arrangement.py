@@ -15,12 +15,12 @@ F = Fraction
 
 def rand_planes(rng, m, num_states, coef=5):
     planes = []
-    for i in range(m):
+    for _ in range(m):
         while True:
             normal = tuple(F(rng.randint(-coef, coef)) for _ in range(num_states))
             if any(v != 0 for v in normal):
                 break
-        planes.append(arrangement.make_hyperplane(normal, label=i))
+        planes.append(arrangement.make_hyperplane(normal))
     return planes
 
 

@@ -1,5 +1,6 @@
 """Best-response catalog vs. independent sweep/LP oracles."""
 
+import dataclasses
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -24,6 +25,7 @@ from combisig.model import (
 )
 from helpers import (
     brute_weak_optimal_actions,
+    lex_weights_order,
     nondegeneracy_by_permutations,
     rand_clean_instance,
     rand_instance,
@@ -287,3 +289,38 @@ def test_greedy_at_point_matches_brute_best_response():
 
         best = max(val(S) for S in actions)
         assert val(greedy) == best
+
+
+def _belief(rng, num_states, where):
+    """A point inside the simplex, on one of its faces, or off it (some
+    coordinate negative, sum not 1)."""
+    point = [F(rng.randint(1, 5)) for _ in range(num_states)]
+    if where == "face":
+        for t in rng.sample(range(num_states), rng.randint(1, num_states - 1)):
+            point[t] = F(0)
+    elif where == "outside":
+        point[rng.randrange(num_states)] = F(-rng.randint(1, 5))
+        return tuple(point)
+    total = sum(point)
+    return tuple(p / total for p in point)
+
+
+def test_greedy_at_point_orders_like_lexicographic_bumps():
+    """greedy_at_point's element order equals the eps-tuple order of
+    tests/helpers.lex_weights_order.  Under Uniform(k) greedy returns the
+    first k elements of its order, so k = 1..n pins the whole order.  The
+    point and the tie-break belief each lie inside the simplex, on a face
+    or off it; utilities 0-2 make ties common."""
+    rng = random.Random(1971)
+    places = ("inside", "face", "outside")
+    for trial in range(180):
+        num_states = rng.choice([2, 3, 4])
+        inst = rand_instance(rng, num_states, rng.randint(2, 7), "uniform", lo=0, hi=2)
+        point = _belief(rng, num_states, places[trial % 3])
+        tie_break = _belief(rng, num_states, places[trial // 3 % 3])
+        psi = list(zip(*inst.receiver.linear))
+        want = lex_weights_order(psi, point, tie_break)
+        for k in range(1, inst.num_elements + 1):
+            uniform = dataclasses.replace(inst, constraint=Uniform(k))
+            got = best_response.greedy_at_point(uniform, point, tie_break)
+            assert got == tuple(sorted(want[:k])), f"trial {trial}, k={k}"

@@ -23,7 +23,7 @@ from combisig.model import (
     UtilitySpec,
     expected_value,
 )
-from helpers import brute_cce_value, coverage_instance, rand_instance
+from helpers import as_tables, brute_cce_value, coverage_instance, rand_instance
 
 F = Fraction
 
@@ -65,7 +65,7 @@ def test_exact_matches_brute_lp_min_paths():
         tables = [{S: inst.sender.value(t, S) for S in [(), *paths]} for t in range(2)]
         tabular = dataclasses.replace(inst, sender=UtilitySpec.from_tabular(tables))
         view = cce.make_view(tabular)
-        assert view.oracle.kind == "brute"
+        assert view.oracle.kind == "exact"
         assert cce.solve_cce_exact(view).sender_value == result.sender_value
 
 
@@ -187,12 +187,14 @@ def test_separation_flags_infeasible_point():
 
 
 def test_exact_oracle_agrees_with_brute():
+    """The exact oracle's greedy / Dijkstra path against its scan of every
+    action on the same instance written as tables, max and min sense."""
     rng = random.Random(515)
     for trial in range(12):
         sense = (Sense.MAX, Sense.MIN)[trial % 2]
         inst = rand_instance(rng, 2, 5, "uniform", sense=sense)
-        fast = cce.exact_linear_oracle(inst)
-        brute = cce.brute_oracle(inst)
+        fast = cce.exact_oracle(inst)
+        brute = cce.exact_oracle(as_tables(inst))
         s, r = inst.sender.value, inst.receiver.value
         for _ in range(6):
             t = rng.randrange(2)

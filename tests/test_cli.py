@@ -175,6 +175,18 @@ def _toy_with(**fields):
     return raw
 
 
+def _tabular_keyed(key):
+    """An 11-element instance whose sender tables hold ``key``; int() on each
+    comma-separated part reads every key below as an in-range action."""
+    n = 11
+    return {
+        "states": ["a", "b"], "elements": [f"e{i}" for i in range(n)], "prior": ["1/2", "1/2"],
+        "constraint": {"kind": "uniform", "k": 1}, "sense": "max",
+        "receiver": {"kind": "linear", "rows": [list(range(n)), list(range(n, 0, -1))]},
+        "sender": {"kind": "tabular", "tables": [{"": 0, key: 1}, {"": 0, key: 1}]},
+    }
+
+
 GEN_LINEQ = ("gen", "--from", "lineq", "--target", "uniform")
 GEN_PUBLIC = ("gen", "--from", "public", "--target", "partition")
 MALFORMED_INPUTS = {
@@ -191,6 +203,12 @@ MALFORMED_INPUTS = {
     "bool-k": (("solve",), _toy_with(constraint={"kind": "uniform", "k": True})),
     "lineq-A-is-a-number": (GEN_LINEQ, {"A": 5, "c": ["1"]}),
     "public-r0-is-a-number": (GEN_PUBLIC, dict(json.loads(Path(PUBLIC).read_text()), r0=5)),
+    # int() read these action keys as (10,), (0, 2), (1,), (1,) and (3,)
+    "action-key-underscore": (("check-nondegeneracy",), _tabular_keyed("1_0")),
+    "action-key-spaces": (("check-nondegeneracy",), _tabular_keyed(" 2, 0")),
+    "action-key-plus-sign": (("check-nondegeneracy",), _tabular_keyed("+1")),
+    "action-key-repeated-element": (("check-nondegeneracy",), _tabular_keyed("1,1")),
+    "action-key-arabic-indic-digit": (("check-nondegeneracy",), _tabular_keyed("\u0663")),
 }
 
 

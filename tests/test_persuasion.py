@@ -8,6 +8,7 @@ import pytest
 from combisig import jsonio, persuasion
 from combisig.errors import InstanceFormatError, TooLarge
 from combisig.model import (
+    TABULAR_MAX_ELEMENTS,
     Instance,
     Posterior,
     Sense,
@@ -18,6 +19,7 @@ from combisig.model import (
     expected_value,
 )
 from helpers import (
+    as_tables,
     grid_path_instance,
     rand_clean_instance,
     rand_instance,
@@ -200,15 +202,20 @@ def _degenerate_corpus(kind: str, count: int):
 @pytest.mark.parametrize("kind", ["uniform", "partition", "graphic", "layered", "grid"])
 def test_oracle_matches_the_scan_on_degenerate_instances(kind):
     """The one-call oracle gives the scan's (receiver, sender) values at
-    every belief; only the choice among actions tied in both may differ."""
+    every belief; only the choice among actions tied in both may differ.
+    Written as tables, the same instance takes the scan inside
+    ``best_action``, which must pick the reference's action exactly."""
     for rng, inst in _degenerate_corpus(kind, 40):
         actions = persuasion.enumerate_actions(inst.constraint, inst.num_elements)
+        tables = as_tables(inst) if inst.num_elements <= TABULAR_MAX_ELEMENTS else None
         for xi in _beliefs(rng, inst.num_states, inst.prior, 4):
             got = persuasion.tie_broken_response(inst, xi)
             want = scan_tie_broken_response(inst, xi, actions)
             assert got in actions
             assert expected_value(inst.receiver, xi, got) == expected_value(inst.receiver, xi, want)
             assert expected_value(inst.sender, xi, got) == expected_value(inst.sender, xi, want)
+            if tables is not None:
+                assert persuasion.tie_broken_response(tables, xi) == scan_tie_broken_response(tables, xi, actions)
 
 
 def test_linear_instances_never_enumerate_actions(monkeypatch):
