@@ -2,9 +2,13 @@
 
 Under the relaxed obedience notion, the receiver only compares following the
 scheme against the single best action under the prior, worth C in
-expectation.  The optimal scheme is then the LP: maximize expected sender
-value subject to per-state signal distributions and one aggregate row
-requiring the receiver's expected value to beat C.
+expectation.  The optimal scheme is then ``persuasion.scheme_lp`` with one
+obedience row: maximize expected sender value subject to per-state signal
+distributions and one aggregate row requiring the receiver's expected
+value to beat C.  Both solver paths return through ``persuasion.certify``
+under the relaxed notion, so a scheme that recommends an infeasible
+action, misreports its value or falls short of C is never emitted, even
+when a custom oracle proposed it.
 
 Two solver paths:
 
@@ -14,10 +18,11 @@ Two solver paths:
   duals (one oracle sweep); it stops, with the exact optimum, when no
   column prices out.  Seen from the dual this is a cutting-plane loop.
 * ``solve_cce_approx`` — binary search over the dual value combined with
-  the ellipsoid method driven by an alpha-approximate oracle; returns a
-  scheme worth at least (alpha - epsilon) times the optimum.  This is the
-  path that stays polynomial when the sender's utility can only be
-  approximately maximized (e.g. submodular, via the half-greedy oracle).
+  the ellipsoid method driven by an alpha-approximate oracle over the
+  bracket ``compute_v_bounds`` gives; returns a scheme worth at least
+  (alpha - epsilon) times the optimum.  This is the path that stays
+  polynomial when the sender's utility can only be approximately
+  maximized (e.g. submodular, via the half-greedy oracle).
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from fractions import Fraction
 from math import isqrt
 from typing import Callable
 
-from . import lp, matroid
+from . import matroid
 from .errors import (
     CertificateError,
     DegenerateBounds,
@@ -44,10 +49,18 @@ from .model import (
     Instance,
     Posterior,
     Sense,
-    SignalingScheme,
     UtilityKind,
 )
-from .persuasion import SolveResult, best_action, best_deviation, enumerate_actions, uninformative_scheme
+from .persuasion import (
+    RELAXED,
+    SolveResult,
+    best_action,
+    best_deviation,
+    certify,
+    enumerate_actions,
+    scheme_lp,
+    uninformative_scheme,
+)
 from .rationals import ONE, ZERO, as_fraction
 
 ROUND_CAP = 10_000  # column-generation rounds in solve_cce_exact
@@ -71,11 +84,8 @@ class ApproxOracle:
 class CCEInstanceView:
     instance: Instance
     oracle: ApproxOracle
-    alpha: Fraction
     C: Fraction
     prior_best: ActionSet
-    v_min: Fraction
-    v_max: Fraction
     epsilon: Fraction
     audit: bool = False
     audit_pool: tuple[ActionSet, ...] = field(default=())
@@ -225,7 +235,8 @@ def make_view(
     audit: bool = False,
     max_actions: int | None = None,
 ) -> CCEInstanceView:
-    """Bundle an instance with its oracle, bracket, and search tolerance."""
+    """Bundle an instance with its oracle, the receiver's prior-best action
+    and value, and the search tolerance."""
     if isinstance(oracle, str):
         if oracle == "exact":
             oracle = exact_oracle(instance, max_actions)
@@ -237,22 +248,14 @@ def make_view(
     if not 0 < epsilon < oracle.alpha:
         raise ParameterError("epsilon must lie strictly between 0 and the oracle's alpha")
     C, S_C = prior_best_value(instance)
-    try:
-        v_min, v_max = compute_v_bounds(instance)
-    except DegenerateBounds:
-        # Optimum is zero; any positive bracket makes the search a no-op.
-        v_min, v_max = Fraction(1, 2), ONE
     audit_pool: tuple[ActionSet, ...] = ()
     if audit:
         audit_pool = tuple(enumerate_actions(instance.constraint, instance.num_elements, max_actions))
     return CCEInstanceView(
         instance=instance,
         oracle=oracle,
-        alpha=oracle.alpha,
         C=C,
         prior_best=S_C,
-        v_min=v_min,
-        v_max=v_max,
         epsilon=epsilon,
         audit=audit,
         audit_pool=audit_pool,
@@ -268,7 +271,7 @@ def _audit_oracle(view: CCEInstanceView, state: int, y: Fraction, got: ActionSet
     for S in view.audit_pool:
         other = inst.sender.value(state, S) + y * inst.receiver.value(state, S)
         if inst.sense is Sense.MAX:
-            bar = view.alpha * inst.sender.value(state, S) + y * inst.receiver.value(state, S)
+            bar = view.oracle.alpha * inst.sender.value(state, S) + y * inst.receiver.value(state, S)
             bad = achieved < bar
         else:
             bad = achieved > other
@@ -305,38 +308,13 @@ def separation(view: CCEInstanceView, x, y: Fraction):
     return rows, proposals
 
 
-def _restricted_primal(view: CCEInstanceView, pairs: set) -> tuple[SignalingScheme, lp.LPResult]:
-    """The relaxed-obedience LP over the given (state, action) columns; they
-    hold every state's prior-best column, which alone make it feasible.
-
-    Row 0 is aggregate obedience and row 1 + t the state-t mass; the
-    certified ``duals`` follow that order."""
-    inst = view.instance
-    D = inst.num_states
-    columns = sorted(pairs)
-    maximize = inst.sense is Sense.MAX
-    model = lp.LPModel(len(columns), lp.MAX if maximize else lp.MIN)
-    model.set_objective([inst.prior[t] * inst.sender.value(t, S) for t, S in columns])
-    model.add_row(
-        [inst.prior[t] * inst.receiver.value(t, S) for t, S in columns],
-        lp.GE if maximize else lp.LE,
-        view.C,
-    )
-    for state in range(D):
-        model.add_row([ONE if t == state else ZERO for t, _ in columns], lp.EQ, ONE)
-    res = lp.solve(model)
-    if res.status != lp.OPTIMAL:
-        raise CertificateError(f"restricted LP holds the prior-best columns, yet ended {res.status}")
-    phi = {col: v for col, v in zip(columns, res.x) if v != 0}
-    return SignalingScheme.from_phi(D, phi), res
-
-
 def solve_cce_exact(view: CCEInstanceView) -> SolveResult:
     """Exact optimum by column generation (needs alpha = 1).
 
-    Round k solves the LP over the columns found so far and reads its
-    certified duals: y = -duals[0] >= 0 prices the obedience row and
-    x_t = duals[1 + t] state t's mass row.  One ``separation`` sweep then
+    Round k solves ``scheme_lp`` over the columns found so far, with the
+    one aggregate obedience row after the D mass rows, and reads its
+    certified duals: x_t = duals[t] prices state t's mass row and
+    y = -duals[D] >= 0 the obedience row.  One ``separation`` sweep then
     returns, per state, a column maximizing (minimizing) the reduced cost,
     and the violated ones join the LP.  With none violated, (x, y) is
     feasible for the full dual with the restricted LP's value, so that LP is
@@ -344,24 +322,29 @@ def solve_cce_exact(view: CCEInstanceView) -> SolveResult:
     already prices out at certified duals, so a violated one means the
     certificate or the oracle is wrong.
     """
-    if view.alpha != 1:
+    if view.oracle.alpha != 1:
         raise ParameterError("exact path needs an exact (alpha = 1) oracle")
-    columns = {(t, view.prior_best) for t in range(view.instance.num_states)}
+    inst = view.instance
+    D = inst.num_states
+    columns = {(t, view.prior_best) for t in range(D)}
     pivots = 0
     rounds = 0
     while True:
         if rounds >= ROUND_CAP:
             raise IterationCap(f"column generation exceeded {ROUND_CAP} rounds")
         rounds += 1
-        scheme, res = _restricted_primal(view, columns)
+        ordered = sorted(columns)
+        obedience = [inst.prior[t] * inst.receiver.value(t, S) for t, S in ordered]
+        scheme, res = scheme_lp(inst, ordered, [(obedience, view.C)])
         pivots += res.pivots
-        rows, _ = separation(view, res.duals[1:], -res.duals[0])
+        rows, _ = separation(view, res.duals[:D], -res.duals[D])
         if not rows:
             break
         stale = columns.intersection(rows)
         if stale:
             raise CertificateError(f"columns {sorted(stale)} price out at the certified duals of an LP that holds them")
         columns.update(rows)
+    certify(inst, scheme, res.value, RELAXED)
     return SolveResult(
         scheme=scheme,
         sender_value=res.value,
@@ -395,8 +378,9 @@ class _EllipsoidRun:
     iterations: int
 
 
-def _ellipsoid_run(view: CCEInstanceView, v: Fraction) -> _EllipsoidRun:
-    """Search {dual rows, y >= 0, objective <= v} inside the parameter box.
+def _ellipsoid_run(view: CCEInstanceView, v: Fraction, v_min: Fraction, v_max: Fraction) -> _EllipsoidRun:
+    """Search {dual rows, y >= 0, objective <= v} inside the parameter box
+    that the bracket (v_min, v_max) sizes.
 
     Returns the first center passing every test (approximately feasible),
     or exhausts the volume budget (infeasible).  All cuts are exact; only
@@ -409,19 +393,19 @@ def _ellipsoid_run(view: CCEInstanceView, v: Fraction) -> _EllipsoidRun:
     mu = inst.prior
 
     big_r, _ = _action_value_bounds(inst.receiver, D, inst.num_elements)
-    x0 = view.v_max * max(mu)
-    Y = (view.v_max + D * x0) / max(view.C, view.v_min)
-    box_hi = [mu[t] * (view.v_max + Y * big_r) for t in range(D)] + [Y]
+    x0 = v_max * max(mu)
+    Y = (v_max + D * x0) / max(view.C, v_min)
+    box_hi = [mu[t] * (v_max + Y * big_r) for t in range(D)] + [Y]
     box_hi = [max(h, ONE) for h in box_hi]
 
     center = [h / 2 for h in box_hi]
     radius_sq = sum((h / 2) ** 2 for h in box_hi)
     P = [[radius_sq if i == j else ZERO for j in range(N)] for i in range(N)]
 
-    eps_prime = view.epsilon * view.v_min
-    threshold = (eps_prime / (4 * N * (1 + view.v_max))) ** N
+    eps_prime = view.epsilon * v_min
+    threshold = (eps_prime / (4 * N * (1 + v_max))) ** N
     threshold_sq = threshold * threshold
-    iter_cap = 400 * N * N * (_ceil_log2(view.v_max / eps_prime) + 65)
+    iter_cap = 400 * N * N * (_ceil_log2(v_max / eps_prime) + 65)
 
     proposals: set = set()
     sense_max = inst.sense is Sense.MAX
@@ -525,17 +509,22 @@ def solve_cce_approx(view: CCEInstanceView) -> SolveResult:
     inst = view.instance
     if inst.sense is not Sense.MAX:
         raise UnsupportedSense("the binary-search path handles the maximize sense only")
-    eps_prime = view.epsilon * view.v_min
+    try:
+        v_min, v_max = compute_v_bounds(inst)
+    except DegenerateBounds:
+        # Optimum is zero; any positive bracket makes the search a no-op.
+        v_min, v_max = Fraction(1, 2), ONE
+    eps_prime = view.epsilon * v_min
     if eps_prime <= 0:
         raise ParameterError("epsilon * v_min must be positive")
-    total_rounds = _ceil_log2(view.v_max / eps_prime) + 1
+    total_rounds = _ceil_log2(v_max / eps_prime) + 1
 
-    v_l, v_u = ZERO, view.v_max
+    v_l, v_u = ZERO, v_max
     v = (v_l + v_u) / 2
     columns: set = {(t, view.prior_best) for t in range(inst.num_states)}
     iters_total = 0
     for _ in range(total_rounds):
-        run = _ellipsoid_run(view, v)
+        run = _ellipsoid_run(view, v, v_min, v_max)
         iters_total += run.iterations
         columns.update(run.proposals)
         if run.feasible:
@@ -544,32 +533,23 @@ def solve_cce_approx(view: CCEInstanceView) -> SolveResult:
             v_l = v
         v = (v_l + v_u) / 2
 
+    stats = {"rounds": total_rounds, "ellipsoid_iters": iters_total}
     if v_l == 0:
         scheme, value = uninformative_scheme(inst)
-        return SolveResult(
-            scheme=scheme,
-            sender_value=value,
-            method="cce-ellipsoid",
-            catalog_size=0,
-            lp_stats={
-                "rounds": total_rounds,
-                "ellipsoid_iters": iters_total,
-                "columns": 0,
-            },
-        )
-
-    scheme, res = _restricted_primal(view, columns)
+        columns = set()  # the scheme comes from no LP
+    else:
+        ordered = sorted(columns)
+        obedience = [inst.prior[t] * inst.receiver.value(t, S) for t, S in ordered]
+        scheme, res = scheme_lp(inst, ordered, [(obedience, view.C)])
+        value = res.value
+        stats["pivots"] = res.pivots
+    certify(inst, scheme, value, RELAXED)
     return SolveResult(
         scheme=scheme,
-        sender_value=res.value,
+        sender_value=value,
         method="cce-ellipsoid",
         catalog_size=len(columns),
-        lp_stats={
-            "rounds": total_rounds,
-            "ellipsoid_iters": iters_total,
-            "columns": len(columns),
-            "pivots": res.pivots,
-        },
+        lp_stats={**stats, "columns": len(columns)},
     )
 
 
@@ -582,11 +562,3 @@ def _ceil_log2(value: Fraction) -> int:
         power *= 2
         k += 1
     return k
-
-
-def cce_row_value(instance: Instance, scheme: SignalingScheme) -> Fraction:
-    """Receiver's expected value when always following the scheme."""
-    total = ZERO
-    for (t, S), p in scheme.phi.items():
-        total += instance.prior[t] * p * instance.receiver.value(t, S)
-    return total

@@ -141,7 +141,7 @@ def cmd_solve(args) -> int:
         )
         # column generation is exact but needs an exact oracle; the ellipsoid
         # search takes any alpha
-        if view.alpha == 1:
+        if view.oracle.alpha == 1:
             result = cce.solve_cce_exact(view)
         else:
             result = cce.solve_cce_approx(view)

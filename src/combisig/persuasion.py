@@ -1,11 +1,12 @@
 """Optimal persuasive signaling via exact linear programs.
 
-The full solver enumerates every feasible action and optimizes the sender's
-expected utility over direct schemes subject to persuasiveness: for each
-recommended action S and every alternative S', the receiver must weakly
-prefer S under the posterior that S induces.  In the path/minimization
-setting the receiver minimizes cost, the sender minimizes its own cost, and
-the persuasiveness inequality flips.
+Every engine, here and in ``cce``, solves one sender LP, ``scheme_lp``,
+and returns through one check, ``certify``.  The full solver enumerates
+every feasible action and optimizes over direct schemes subject to
+persuasiveness: for each recommended action S and every alternative S',
+the receiver must weakly prefer S under the posterior that S induces.  In
+the path/minimization setting the receiver minimizes cost, the sender
+minimizes its own cost, and the persuasiveness inequality flips.
 
 Persuasiveness rows are generated lazily: the LP starts with only the
 per-state probability rows, and after each solve the receiver's best
@@ -45,10 +46,12 @@ from .model import (
     signal_mass,
     posterior,
 )
-from .paths import shortest_path  # re-exported: the min-sense receiver move
+from .paths import shortest_path  # unused here; bench/test_bench.py checks that the tracer wraps this binding
 from .rationals import ONE, ZERO
 
 MATROID_ENUM_LIMIT = 20
+
+PERSUASIVE, RELAXED = "persuasive", "relaxed"  # the notions ``certify`` checks
 
 __all__ = [
     "SolveResult",
@@ -62,7 +65,8 @@ __all__ = [
     "uninformative_scheme",
     "tie_broken_response",
     "expected_sender_value",
-    "shortest_path",
+    "scheme_lp",
+    "certify",
 ]
 
 
@@ -156,10 +160,13 @@ def best_deviation(
 
 
 def _violations(
-    instance: Instance, scheme: SignalingScheme, pool: list[ActionSet] | None
+    instance: Instance, scheme: SignalingScheme, pool: list[ActionSet] | None = None
 ) -> list[tuple[ActionSet, ActionSet, Fraction]]:
     """(recommended, best deviation, gap) for every signal the receiver
-    would rather not obey; one ``best_deviation`` call per signal."""
+    would rather not obey; one ``best_deviation`` call per signal, scanning
+    ``pool`` (default: every feasible action) for a tabular receiver."""
+    if pool is None and instance.receiver.kind is not UtilityKind.LINEAR:
+        pool = enumerate_actions(instance.constraint, instance.num_elements)
     maximize = instance.sense is Sense.MAX
     out = []
     for S in scheme.support:
@@ -174,78 +181,71 @@ def _violations(
     return out
 
 
+def scheme_lp(
+    instance: Instance, columns: list[tuple[int, ActionSet]], obedience_rows: list
+) -> tuple[SignalingScheme, lp.LPResult]:
+    """The sender's LP over the (state, action) ``columns``: rows 0 .. D - 1
+    are the state masses, then each of ``obedience_rows``, a pair (list or
+    dict of column coefficients, rhs), reads ``>=`` (min sense: ``<=``).
+    Returns the scheme and the certified solve, or raises CertificateError."""
+    maximize = instance.sense is Sense.MAX
+    model = lp.LPModel(len(columns), sense=lp.MAX if maximize else lp.MIN)
+    model.set_objective([instance.prior[t] * instance.sender.value(t, S) for t, S in columns])
+    for state in range(instance.num_states):
+        model.add_row({j: ONE for j, (t, _) in enumerate(columns) if t == state}, lp.EQ, ONE)
+    for coeffs, rhs in obedience_rows:
+        model.add_row(coeffs, lp.GE if maximize else lp.LE, rhs)
+    result = lp.solve(model)
+    if result.status != lp.OPTIMAL:
+        raise CertificateError(f"scheme LP is bounded and feasible, yet ended {result.status}")
+    phi = {col: v for col, v in zip(columns, result.x) if v != 0}
+    return SignalingScheme.from_phi(instance.num_states, phi), result
+
+
 def _solve_scheme_lp(
     instance: Instance, actions: list[ActionSet], method: str, catalog_size: int | None
 ) -> SolveResult:
-    """The scheme LP recommending ``actions``, with persuasiveness rows added
+    """``scheme_lp`` recommending ``actions``, with persuasiveness rows added
     lazily.  Only ``solve_full``, whose ``actions`` are every feasible
     action, passes a tabular receiver, so they serve as its deviation pool."""
     pool = None if instance.receiver.kind is UtilityKind.LINEAR else actions
-    num_states = instance.num_states
-    maximize = instance.sense is Sense.MAX
-    index = {}
-    labels = []
-    for t in range(num_states):
-        for S in actions:
-            index[(t, S)] = len(labels)
-            labels.append((t, S))
-
-    model = lp.LPModel(len(labels), sense=lp.MAX if maximize else lp.MIN)
-    model.set_objective(
-        [
-            instance.prior[t] * instance.sender.value(t, S)
-            for (t, S) in labels
-        ]
-    )
-    for t in range(num_states):
-        model.add_row({index[(t, S)]: 1 for S in actions}, lp.EQ, 1)
-
+    columns = [(t, S) for t in range(instance.num_states) for S in actions]
+    index = {col: j for j, col in enumerate(columns)}
     r_value = instance.receiver.value
+    rows: list = []
     added: set[tuple[ActionSet, ActionSet]] = set()
     pivots = 0
     rounds = 0
     while True:
-        result = lp.solve(model)
-        if result.status != lp.OPTIMAL:
-            raise CertificateError(f"scheme LP is bounded and feasible, yet ended {result.status}")
+        scheme, result = scheme_lp(instance, columns, rows)
         pivots += result.pivots
         rounds += 1
-        phi = {
-            (t, S): result.x[index[(t, S)]]
-            for t in range(num_states)
-            for S in actions
-            if result.x[index[(t, S)]] != 0
-        }
-        scheme = SignalingScheme.from_phi(num_states, phi)
         new_pairs = [
             (S, alt)
             for S, alt, _ in _violations(instance, scheme, pool)
             if (S, alt) not in added
         ]
         if not new_pairs:
-            value = result.value
             break
         for S, alt in new_pairs:
             added.add((S, alt))
             coeffs = {
                 index[(t, S)]: instance.prior[t] * (r_value(t, S) - r_value(t, alt))
-                for t in range(num_states)
+                for t in range(instance.num_states)
             }
-            model.add_row(coeffs, lp.GE if maximize else lp.LE, 0)
+            rows.append((coeffs, ZERO))
 
-    recomputed = expected_sender_value(instance, scheme)
-    if recomputed != value:
-        raise CertificateError("scheme value drifted from the LP optimum")
+    certify(instance, scheme, result.value, PERSUASIVE)
     return SolveResult(
         scheme=scheme,
-        sender_value=value,
+        sender_value=result.value,
         method=method,
         catalog_size=catalog_size,
         lp_stats={
             "pivots": pivots,
             "cut_rounds": rounds,
             "pair_rows": len(added),
-            "columns": len(labels),
+            "columns": len(columns),
         },
     )
 
@@ -302,19 +302,44 @@ def check_persuasive(instance: Instance, scheme: SignalingScheme) -> Persuasiven
     one recommending an infeasible action, raises InstanceFormatError.
     """
     _check_scheme(instance, scheme)
-    pool = None
-    if instance.receiver.kind is not UtilityKind.LINEAR:
-        pool = enumerate_actions(instance.constraint, instance.num_elements)
-    violations = tuple(_violations(instance, scheme, pool))
+    violations = tuple(_violations(instance, scheme))
     return PersuasivenessReport(persuasive=not violations, violations=violations)
 
 
-def expected_sender_value(instance: Instance, scheme: SignalingScheme) -> Fraction:
+def certify(instance: Instance, scheme: SignalingScheme, value: Fraction, notion: str) -> None:
+    """Every engine's exit check; raises ``CertificateError``, also under
+    ``python -O``.  The scheme recommends only feasible actions, is worth
+    ``value`` to the sender, and is obeyed: ``PERSUASIVE``, no signal has a
+    better deviation; ``RELAXED``, following is worth at least (min sense:
+    at most) the best prior action.  No LP is solved."""
+    try:
+        _check_scheme(instance, scheme)
+    except InstanceFormatError as exc:
+        raise CertificateError(f"solver emitted an invalid scheme: {exc}") from exc
+    worth = _scheme_value(instance, scheme, instance.sender)
+    if worth != value:
+        raise CertificateError(f"scheme is worth {worth} to the sender, not the {value} reported")
+    if notion == PERSUASIVE:
+        if violations := _violations(instance, scheme):
+            S, alt, gap = violations[0]
+            raise CertificateError(f"signal {list(S)} is disobeyed: {list(alt)} is better by {gap}")
+    else:
+        prior_best, _ = best_deviation(instance, Posterior(xi=instance.prior))
+        follow = _scheme_value(instance, scheme, instance.receiver)
+        if (follow < prior_best) if instance.sense is Sense.MAX else (follow > prior_best):
+            raise CertificateError(f"following is worth {follow} to the receiver, its prior best {prior_best}")
+
+
+def _scheme_value(instance: Instance, scheme: SignalingScheme, utility) -> Fraction:
     total = ZERO
     for (t, S), p in scheme.phi.items():
         if p != 0:
-            total += instance.prior[t] * p * instance.sender.value(t, S)
+            total += instance.prior[t] * p * utility.value(t, S)
     return total
+
+
+def expected_sender_value(instance: Instance, scheme: SignalingScheme) -> Fraction:
+    return _scheme_value(instance, scheme, instance.sender)
 
 
 def uninformative_scheme(instance: Instance) -> tuple[SignalingScheme, Fraction]:

@@ -28,7 +28,3 @@ def as_fraction(value) -> Fraction:
             raise InstanceFormatError(f"bad rational literal {value!r}") from exc
     raise InstanceFormatError(f"not a rational: {value!r}")
 
-
-def frac_str(value: Fraction) -> str:
-    """Canonical string form, e.g. Fraction(3, 4) -> "3/4", Fraction(2) -> "2"."""
-    return str(value)

@@ -303,6 +303,15 @@ def brute_cce_value(instance: Instance, actions: list[ActionSet] | None = None):
     return result.value
 
 
+def follow_value(instance: Instance, scheme: SignalingScheme):
+    """The receiver's expected value of always following the scheme: the
+    left side of the relaxed obedience row."""
+    return sum(
+        (instance.prior[t] * p * instance.receiver.value(t, S) for (t, S), p in scheme.phi.items()),
+        ZERO,
+    )
+
+
 def sweep_weak_optimal_2state(instance: Instance) -> set[ActionSet]:
     """Exact 1-D sweep oracle for two-state instances.
 

@@ -120,7 +120,7 @@ def test_criterion_05_approx_solver_hits_guarantees():
         inst = rand_clean_instance(rng, n_states, n, KINDS[i % 4])
         opt = cce.solve_cce_exact(cce.make_view(inst)).sender_value
         view = cce.make_view(inst, epsilon=eps)
-        assert view.alpha == 1
+        assert view.oracle.alpha == 1
         approx = cce.solve_cce_approx(view)
         assert (1 - eps) * opt <= approx.sender_value <= opt, (
             inst.constraint,
@@ -132,7 +132,7 @@ def test_criterion_05_approx_solver_hits_guarantees():
         inst = coverage_instance(rng, rng.randint(4, 6), 2)
         opt = brute_cce_value(inst)
         view = cce.make_view(inst, oracle="half-greedy", epsilon=eps)
-        assert view.alpha == F(1, 2)
+        assert view.oracle.alpha == F(1, 2)
         result = cce.solve_cce_approx(view)
         assert (F(1, 2) - eps) * opt <= result.sender_value <= opt, (
             opt,

@@ -8,6 +8,7 @@ import pytest
 
 from combisig import cce, jsonio, lp, persuasion
 from combisig.errors import (
+    CertificateError,
     DegenerateBounds,
     OracleContractViolation,
     ParameterError,
@@ -23,7 +24,7 @@ from combisig.model import (
     UtilitySpec,
     expected_value,
 )
-from helpers import as_tables, brute_cce_value, coverage_instance, rand_instance
+from helpers import as_tables, brute_cce_value, coverage_instance, follow_value, rand_instance
 
 F = Fraction
 
@@ -49,7 +50,7 @@ def test_exact_matches_brute_lp_max():
         result = cce.solve_cce_exact(view)
         assert result.sender_value == brute_cce_value(inst), f"trial {trial}"
         # aggregate obedience holds with the exact threshold
-        assert cce.cce_row_value(inst, result.scheme) >= view.C
+        assert follow_value(inst, result.scheme) >= view.C
 
 
 def test_exact_matches_brute_lp_min_paths():
@@ -59,7 +60,7 @@ def test_exact_matches_brute_lp_min_paths():
         view = cce.make_view(inst)
         result = cce.solve_cce_exact(view)
         assert result.sender_value == brute_cce_value(inst), f"trial {trial}"
-        assert cce.cce_row_value(inst, result.scheme) <= view.C
+        assert follow_value(inst, result.scheme) <= view.C
         # the same sender costs as a table take the brute-force oracle
         paths = persuasion.enumerate_actions(inst.constraint, inst.num_elements)
         tables = [{S: inst.sender.value(t, S) for S in [(), *paths]} for t in range(2)]
@@ -134,8 +135,51 @@ def test_exact_on_dual_degenerate_instances(inst):
     result = cce.solve_cce_exact(view)
     assert result.sender_value == brute_cce_value(inst)
     assert persuasion.expected_sender_value(inst, result.scheme) == result.sender_value
-    row = cce.cce_row_value(inst, result.scheme)
+    row = follow_value(inst, result.scheme)
     assert row >= view.C if inst.sense is Sense.MAX else row <= view.C
+
+
+# Only one element fits (Uniform(1)), and each is worth 1 to the sender.
+SINGLE_PICK = _hand_built(("1/2", "1/2"), [[1, 1], [1, 1]], [[2, 1], [1, 2]], Uniform(1))
+
+
+@pytest.mark.parametrize("solve", [cce.solve_cce_exact, cce.solve_cce_approx], ids=["exact", "approx"])
+def test_infeasible_oracle_answer_is_refused(solve):
+    """An oracle proposing the infeasible pair (0, 1), worth 2 where no
+    feasible action is worth more than 1, is caught before the scheme
+    leaves the solver."""
+    both = cce.ApproxOracle(kind="custom", alpha=F(1), fn=lambda state, y: (0, 1))
+    with pytest.raises(CertificateError):
+        solve(cce.make_view(SINGLE_PICK, oracle=both))
+
+
+def test_every_engine_certifies_the_scheme_it_returns(monkeypatch):
+    calls = []
+    genuine = persuasion.certify
+
+    def spy(instance, scheme, value, notion):
+        calls.append((scheme, value, notion))
+        genuine(instance, scheme, value, notion)
+
+    monkeypatch.setattr(persuasion, "certify", spy)
+    monkeypatch.setattr(cce, "certify", spy)
+    inst = rand_instance(random.Random(31), 2, 3, "uniform")
+    no_sender = dataclasses.replace(inst, sender=UtilitySpec.from_linear([[0] * 3, [0] * 3]))
+    engines = {
+        "full": (lambda: persuasion.solve_full(inst), persuasion.PERSUASIVE),
+        "reduced": (lambda: persuasion.solve_reduced(inst), persuasion.PERSUASIVE),
+        "cce-exact": (lambda: cce.solve_cce_exact(cce.make_view(inst)), persuasion.RELAXED),
+        "cce-approx": (lambda: cce.solve_cce_approx(cce.make_view(inst)), persuasion.RELAXED),
+        # a zero optimum ends the search on the uninformative scheme
+        "cce-approx-fallback": (lambda: cce.solve_cce_approx(cce.make_view(no_sender)), persuasion.RELAXED),
+    }
+    for name, (solve, notion) in engines.items():
+        calls.clear()
+        result = solve()
+        assert len(calls) == 1, name
+        scheme, value, seen = calls[0]
+        assert scheme is result.scheme and value == result.sender_value and seen == notion, name
+    assert result.lp_stats["columns"] == 0  # the fallback ran
 
 
 def test_sandwich_relaxation_dominates_persuasion():
@@ -172,7 +216,7 @@ def test_degenerate_bounds_zero_sender():
     )
     with pytest.raises(DegenerateBounds):
         cce.compute_v_bounds(inst)
-    # make_view substitutes a surrogate bracket; both solvers return 0
+    # solve_cce_approx substitutes a surrogate bracket; both solvers return 0
     view = cce.make_view(inst)
     assert cce.solve_cce_exact(view).sender_value == 0
     assert cce.solve_cce_approx(view).sender_value == 0
@@ -215,7 +259,7 @@ def test_approx_alpha_one_within_epsilon():
         exact = cce.solve_cce_exact(view).sender_value
         assert approx.sender_value <= exact
         assert approx.sender_value >= (1 - F(1, 10)) * exact, f"trial {trial}"
-        assert cce.cce_row_value(inst, approx.scheme) >= view.C
+        assert follow_value(inst, approx.scheme) >= view.C
 
 
 def test_approx_half_greedy_guarantee():
@@ -223,7 +267,7 @@ def test_approx_half_greedy_guarantee():
     for trial in range(3):
         inst = coverage_instance(rng, 4, 2)
         view = cce.make_view(inst, oracle="half-greedy", epsilon=F(1, 10), audit=True)
-        assert view.alpha == F(1, 2)
+        assert view.oracle.alpha == F(1, 2)
         approx = cce.solve_cce_approx(view)
         exact = cce.solve_cce_exact(cce.make_view(inst, max_actions=None)).sender_value
         assert approx.sender_value >= (F(1, 2) - F(1, 10)) * exact, f"trial {trial}"

@@ -217,13 +217,15 @@ def test_package_has_no_assert_statements():
 def test_certificate_survives_python_O():
     """Under ``python -O`` a forged simplex solution still raises
     CertificateError, both from lp.solve and from a solver built on it, and
-    so do forged row prices under column generation, which reads them."""
+    so do forged row prices under column generation, which reads them, and
+    an oracle's infeasible action in either relaxed engine."""
     script = textwrap.dedent(
         """
         import sys
         from fractions import Fraction
         from combisig import cce, jsonio, lp, persuasion
         from combisig.errors import CertificateError
+        from combisig.model import Instance, Uniform, UtilitySpec
 
         assert False, "assert statements must be stripped"  # -O removes this line
         genuine = lp._Tableau.solution
@@ -264,6 +266,21 @@ def test_certificate_survives_python_O():
 
         lp._Tableau._reduced_costs = forged_costs
         attempt(lambda: cce.solve_cce_exact(cce.make_view(toy)))
+        lp._Tableau._reduced_costs = genuine_costs
+
+        # An oracle proposing (0, 1) under Uniform(1): only certify stops
+        # both relaxed engines from returning that infeasible action.
+        single_pick = Instance(
+            state_names=("s0", "s1"),
+            prior=(Fraction(1, 2), Fraction(1, 2)),
+            element_names=("e0", "e1"),
+            sender=UtilitySpec.from_linear([[1, 1], [1, 1]]),
+            receiver=UtilitySpec.from_linear([[2, 1], [1, 2]]),
+            constraint=Uniform(1),
+        )
+        both = cce.ApproxOracle("custom", Fraction(1), lambda state, y: (0, 1))
+        attempt(lambda: cce.solve_cce_exact(cce.make_view(single_pick, oracle=both)))
+        attempt(lambda: cce.solve_cce_approx(cce.make_view(single_pick, oracle=both)))
         """
     )
     toy = Path(__file__).resolve().parents[1] / "instances" / "two_state_toy.json"
@@ -274,4 +291,4 @@ def test_certificate_survives_python_O():
     )
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
-    assert len(lines) == 3 and all(line.startswith("caught") for line in lines), done.stdout
+    assert len(lines) == 5 and all(line.startswith("caught") for line in lines), done.stdout

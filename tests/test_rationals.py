@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from combisig.errors import InstanceFormatError
-from combisig.rationals import ONE, ZERO, as_fraction, frac_str
+from combisig.rationals import ONE, ZERO, as_fraction
 
 
 def test_constants():
@@ -34,12 +34,6 @@ def test_as_fraction_rejects(raw):
         as_fraction(raw)
 
 
-def test_frac_str():
-    assert frac_str(Fraction(3, 4)) == "3/4"
-    assert frac_str(Fraction(2)) == "2"
-    assert frac_str(Fraction(-1, 3)) == "-1/3"
-
-
 @given(st.fractions(max_denominator=10**6))
 def test_round_trip(q):
-    assert as_fraction(frac_str(q)) == q
+    assert as_fraction(str(q)) == q
