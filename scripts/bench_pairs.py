@@ -1,0 +1,118 @@
+#!/usr/bin/env python3
+"""Run the benchmark on a git ref and on the working tree, in alternating pairs.
+
+    python3 scripts/bench_pairs.py --ref HEAD~1 --workload full-lp --pairs 5 \\
+        --seed 6101 --seconds 30 --tag pr
+
+Run from the root of the repository.  The ref is extracted with ``git
+archive`` into a temporary directory, and each side runs its own
+``bench/run.py`` (``--trace 0``) from its own root, so both measure the same
+benchmark only when the ref's ``bench/`` matches the working tree's.  Pair
+``k`` runs the ref first when ``k`` is even and the working tree first when
+it is odd; its seed is ``--seed + k``.  The result goes to
+``BENCH_<workload>_<tag>.json``: the settings, both output lines of every
+run, and each side's median, quartiles and the change/ref ratio of the
+medians for every end-to-end metric.  Stdlib only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def extract(ref: str, into: Path) -> str:
+    """Unpack ``ref`` under ``into``; returns its full commit id."""
+    commit = subprocess.run(
+        ["git", "rev-parse", "--verify", f"{ref}^{{commit}}"],
+        cwd=ROOT, check=True, capture_output=True, text=True,
+    ).stdout.strip()
+    archive = into / "ref.tar"
+    with open(archive, "wb") as fh:
+        subprocess.run(["git", "archive", commit], cwd=ROOT, check=True, stdout=fh)
+    with tarfile.open(archive) as tar:
+        tar.extractall(into / "tree", filter="data")
+    archive.unlink()
+    return commit
+
+
+def run_bench(root: Path, workload: str, seed: int, seconds: float) -> dict:
+    done = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=root, capture_output=True, text=True,
+    )
+    lines = done.stdout.splitlines()
+    if done.returncode != 0 or len(lines) < 2:
+        raise SystemExit(f"bench/run.py failed in {root} (exit {done.returncode}):\n{done.stderr}")
+    return {"meta": json.loads(lines[-2]), "result": json.loads(lines[-1])}
+
+
+def summary(runs: list[dict]) -> dict:
+    """Median and quartiles of every metric over the runs."""
+    names = runs[0]["result"]["metrics"]
+    out = {}
+    for name in names:
+        values = sorted(r["result"]["metrics"][name]["value"] for r in runs)
+        q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+        out[name] = {"median": statistics.median(values), "q1": q1, "q3": q3,
+                     "unit": names[name]["unit"]}
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--ref", required=True, help="git ref to compare the working tree against")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--seed", type=int, required=True, help="seed of pair 0; pair k uses seed + k")
+    parser.add_argument("--seconds", type=float, default=30.0)
+    parser.add_argument("--tag", required=True, help="names the output file BENCH_<workload>_<tag>.json")
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+
+    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
+        commit = extract(args.ref, Path(tmp))
+        sides = {"ref": Path(tmp) / "tree", "change": ROOT}
+        pairs = []
+        for k in range(args.pairs):
+            order = ["ref", "change"] if k % 2 == 0 else ["change", "ref"]
+            pair = {"seed": args.seed + k, "first": order[0]}
+            for side in order:
+                pair[side] = run_bench(sides[side], args.workload, args.seed + k, args.seconds)
+                value = pair[side]["result"]["metrics"]["ops_per_s"]["value"]
+                print(f"pair {k} {side}: ops_per_s {value}", file=sys.stderr)
+            pairs.append(pair)
+
+    medians = {side: summary([p[side] for p in pairs]) for side in ("ref", "change")}
+    ratio = {
+        name: medians["change"][name]["median"] / m["median"] if m["median"] else None
+        for name, m in medians["ref"].items()
+    }
+    report = {
+        "workload": args.workload,
+        "ref": args.ref,
+        "ref_commit": commit,
+        "seconds": args.seconds,
+        "seeds": [p["seed"] for p in pairs],
+        "pairs": pairs,
+        "medians": medians,
+        "change_over_ref": ratio,
+    }
+    out = ROOT / f"BENCH_{args.workload}_{args.tag}.json"
+    out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print(out)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

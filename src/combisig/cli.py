@@ -30,7 +30,7 @@ from math import ceil, sqrt
 # run them, so a child process compiles only what it uses
 from . import jsonio, persuasion
 from .errors import CombisigError, InstanceFormatError, ParameterError
-from .model import Instance, posterior, signal_mass
+from .model import Instance, UtilityKind, posterior, signal_mass
 from .rationals import ZERO
 
 USAGE_EXIT = 1
@@ -239,14 +239,19 @@ def cmd_validate(args) -> int:
         raise _fail_usage("scheme was computed for a different instance (digest mismatch)")
 
     _log(args, f"validating {args.scheme} with {args.samples} samples")
-    report_exact = persuasion.check_persuasive(instance, scheme)
+    # A tabular utility is scanned over every feasible action: enumerate
+    # them once for the audit and all the tie-broken responses.
+    pool = None
+    if UtilityKind.TABULAR in (instance.receiver.kind, instance.sender.kind):
+        pool = persuasion.enumerate_actions(instance.constraint, instance.num_elements)
+    report_exact = persuasion.check_persuasive(instance, scheme, pool)
     lp_value = persuasion.expected_sender_value(instance, scheme)
 
     # The receiver best-responds to each recommendation's posterior with
     # sender-favoring ties; sample (state, recommendation) pairs, then score
     # each pair once, weighted by its count.
     responses = {
-        action: persuasion.tie_broken_response(instance, posterior(instance, scheme, action))
+        action: persuasion.tie_broken_response(instance, posterior(instance, scheme, action), pool)
         for action in scheme.support
         if signal_mass(instance, scheme, action) != 0
     }

@@ -4,13 +4,30 @@ One form is solved: maximize or minimize c.x subject to rows a.x <= b,
 a.x >= b or a.x == b, with every variable x_j >= 0 (the objective may be
 left at zero to test feasibility).  The solver is a dense two-phase primal
 simplex with Bland's rule throughout, so termination is guaranteed even on
-the heavily degenerate models the solvers build.  All arithmetic is
-fractions.Fraction; no floats ever enter the tableau.
+the heavily degenerate models the solvers build.  No floats ever enter it.
 
-Dual values are read off the final tableau (slack, surplus or artificial
-columns carry +/- the row prices).  Every optimal solve is certified against
-the model's own rows before it returns: x >= 0 satisfies every row, the
-duals are feasible for the dual program, and ``value == sum(duals[i] *
+The tableau is fraction-free (Edmonds 1967, Bareiss 1968): each
+standard-form row is multiplied by s_i, the lcm of its denominators, so the
+row and its slack, surplus or artificial column are integers; the slack
+then stands for s_i times the unscaled one.  With d > 0 the determinant of
+the current basis, the tableau holds d * B^-1 [A | b] in integers, and a
+pivot on entry p replaces every other entry by the exact quotient
+(p * T[i][j] - T[i][c] * T[r][j]) / d, then sets d = |p| (a negative p,
+possible only when a leftover artificial is driven out after phase 1,
+negates every row).  The reduced costs are one more such row, kept as d * L
+times their values, L the lcm of the cost denominators, and the ratio test
+compares rhs_i / T[i][c] by cross-multiplication.  Scaling rows leaves the
+structural columns of B^-1 A unchanged and scales a slack's reduced cost
+by 1/s_i > 0.  Phase 1 gives artificial i the cost -1/s_i, which is -1 for
+the unscaled artificial.  So every reduced cost has the sign, and every
+ratio test the order, of the unscaled Fraction tableau: Bland's rule takes
+the same pivots.
+
+Dual values are read off the final reduced costs (slack, surplus or
+artificial columns carry +/- the row prices), mapped back through s_i and
+L.  Every optimal solve is certified in Fraction arithmetic against the
+model's own rows before it returns: x >= 0 satisfies every row, the duals
+are feasible for the dual program, and ``value == sum(duals[i] *
 rows[i].rhs)`` holds exactly.  Sign pattern for a maximization: duals of
 ``<=`` rows are >= 0, of ``>=`` rows are <= 0, of ``==`` rows free; for a
 minimization the signs flip.  A failed check raises ``CertificateError``;
@@ -22,9 +39,10 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import CertificateError, InstanceFormatError, IterationCap
-from .rationals import ZERO, as_fraction
+from .rationals import ONE, ZERO, as_fraction
 
 MAX = "max"
 MIN = "min"
@@ -92,13 +110,14 @@ class LPResult:
 
 
 class _Tableau:
-    """Standard-form simplex state: maximize c.z, A z (+slacks) = b, z >= 0."""
+    """Standard-form simplex state, maximize c.z subject to A z = b, z >= 0,
+    held over the integers: ``tab`` is ``d * B^-1 [A | b]`` for the current
+    basis B, with ``d = |det B|`` computed from the row-scaled integer A."""
 
     def __init__(self, n_struct, a_rows, rels, rhs, pivot_cap):
         self.m = len(a_rows)
         self.pivot_cap = pivot_cap
         self.pivots = 0
-        self.n_struct = n_struct
         cols = n_struct
         self.slack_col: list[int | None] = [None] * self.m
         self.surplus_col: list[int | None] = [None] * self.m
@@ -115,17 +134,21 @@ class _Tableau:
                 self.art_col[i] = cols
                 cols += 1
         self.ncols = cols
-        self.tab: list[list[Fraction]] = []
+        self.d = 1
+        self.scale: list[int] = []  # s_i: row i times s_i is integral
+        self.tab: list[list[int]] = []
         self.basis: list[int] = []
         for i in range(self.m):
-            row = list(a_rows[i]) + [ZERO] * (cols - n_struct)
+            s = lcm(rhs[i].denominator, *(v.denominator for v in a_rows[i]))
+            row = [v.numerator * (s // v.denominator) for v in a_rows[i]] + [0] * (cols - n_struct)
             if self.slack_col[i] is not None:
-                row[self.slack_col[i]] = Fraction(1)
+                row[self.slack_col[i]] = 1
             if self.surplus_col[i] is not None:
-                row[self.surplus_col[i]] = Fraction(-1)
+                row[self.surplus_col[i]] = -1
             if self.art_col[i] is not None:
-                row[self.art_col[i]] = Fraction(1)
-            row.append(rhs[i])
+                row[self.art_col[i]] = 1
+            row.append(rhs[i].numerator * (s // rhs[i].denominator))
+            self.scale.append(s)
             self.tab.append(row)
             self.basis.append(self.art_col[i] if self.art_col[i] is not None else self.slack_col[i])
         self.artificial = {c for c in self.art_col if c is not None}
@@ -136,33 +159,34 @@ class _Tableau:
             raise IterationCap(f"simplex exceeded {self.pivot_cap} pivots")
         tab = self.tab
         prow = tab[row]
-        inv = prow[col]
-        if inv != 1:
-            tab[row] = prow = [v / inv for v in prow]
+        p = prow[col]
+        d = self.d
         for r, other in enumerate(tab):
             if r == row:
                 continue
-            factor = other[col]
-            if factor != 0:
-                tab[r] = [a - factor * b for a, b in zip(other, prow)]
+            f = other[col]
+            if f:
+                tab[r] = [(p * a - f * b) // d for a, b in zip(other, prow)]
+            elif p != d:
+                tab[r] = [p * a // d for a in other]
+        if p < 0:  # only a phase-1 drive-out pivots on a negative entry
+            self.tab = [[-a for a in other] for other in tab]
+        self.d = abs(p)
         self.basis[row] = col
 
-    def _reduced_costs(self, costs: list[Fraction]) -> list[Fraction]:
-        # r_j = c_j - c_B . (B^-1 A)_j computed from the current tableau.
-        zrow = list(costs)
-        for i, bv in enumerate(self.basis):
+    def _reduced_costs(self, costs: list[int]) -> list[int]:
+        # d * (C_j - C_B . (B^-1 A)_j) for integer costs C, from the tableau.
+        d = self.d
+        zrow = [d * c for c in costs]
+        for row, bv in zip(self.tab, self.basis):
             cb = costs[bv]
-            if cb != 0:
-                row = self.tab[i]
-                for j in range(self.ncols):
-                    if row[j] != 0:
-                        zrow[j] -= cb * row[j]
+            if cb:
+                zrow = [z - cb * a for z, a in zip(zrow, row)]
         return zrow
 
-    def _bland(self, costs: list[Fraction], allowed: list[int]) -> str:
+    def _bland(self, costs: list[int], allowed: list[int]) -> str:
         """Run simplex to optimality with Bland's rule; returns 'optimal'/'unbounded'."""
         zrow = self._reduced_costs(costs)
-        rhs_ix = self.ncols
         while True:
             enter = -1
             for j in allowed:
@@ -171,33 +195,32 @@ class _Tableau:
                     break
             if enter < 0:
                 return OPTIMAL
+            # Least ratio rhs_i / T[i][enter] over T[i][enter] > 0, compared
+            # by cross-multiplication; ties go to the least basic column.
             leave = -1
-            best_ratio = None
-            for i in range(self.m):
-                coeff = self.tab[i][enter]
-                if coeff > 0:
-                    ratio = self.tab[i][rhs_ix] / coeff
-                    if (
-                        best_ratio is None
-                        or ratio < best_ratio
-                        or (ratio == best_ratio and self.basis[i] < self.basis[leave])
-                    ):
-                        best_ratio = ratio
-                        leave = i
+            for i, row in enumerate(self.tab):
+                a = row[enter]
+                if a > 0:
+                    if leave < 0:
+                        leave, num, den = i, row[-1], a
+                        continue
+                    lhs, rhs = row[-1] * den, num * a
+                    if lhs < rhs or (lhs == rhs and self.basis[i] < self.basis[leave]):
+                        leave, num, den = i, row[-1], a
             if leave < 0:
                 return UNBOUNDED
+            # The reduced-cost row takes the same update as a tableau row.
+            prow, p, f, d = self.tab[leave], self.tab[leave][enter], zrow[enter], self.d
+            zrow = [(p * z - f * b) // d for z, b in zip(zrow, prow)]
             self._pivot(leave, enter)
-            # Same elimination step on the reduced-cost row (pivot row is
-            # already normalized, so the entering cost drops to zero).
-            factor = zrow[enter]
-            if factor != 0:
-                prow = self.tab[leave]
-                zrow = [a - factor * b for a, b in zip(zrow, prow)]
 
     def solution(self) -> list[Fraction]:
         z = [ZERO] * self.ncols
-        for i, bv in enumerate(self.basis):
-            z[bv] = self.tab[i][self.ncols]
+        d = self.d
+        for row, bv in zip(self.tab, self.basis):
+            v = row[-1]
+            if v:
+                z[bv] = ONE if v == d else Fraction(v, d)
         return z
 
 
@@ -213,11 +236,14 @@ def solve(model: LPModel, pivot_cap: int = DEFAULT_PIVOT_CAP) -> LPResult:
     rhs = [abs(row.rhs) for row in model.rows]
     tab = _Tableau(n, a_rows, rels, rhs, pivot_cap)
 
-    # Phase 1: drive artificials to zero.
+    # Phase 1: drive artificials to zero.  Artificial i stands for s_i times
+    # the unscaled one, so its cost is -1/s_i, times L to make it integral.
     if tab.artificial:
-        costs1 = [ZERO] * tab.ncols
-        for c in tab.artificial:
-            costs1[c] = Fraction(-1)
+        scale = lcm(*(tab.scale[i] for i, c in enumerate(tab.art_col) if c is not None))
+        costs1 = [0] * tab.ncols
+        for i, c in enumerate(tab.art_col):
+            if c is not None:
+                costs1[c] = -(scale // tab.scale[i])
         allowed = [j for j in range(tab.ncols) if j not in tab.artificial]
         status = tab._bland(costs1, allowed)
         if status != OPTIMAL:
@@ -233,9 +259,11 @@ def solve(model: LPModel, pivot_cap: int = DEFAULT_PIVOT_CAP) -> LPResult:
                         tab._pivot(i, j)
                         break
 
-    costs2 = [ZERO] * tab.ncols
+    scale = lcm(*(c.denominator for c in model.objective))
+    sign = 1 if maximize else -1
+    costs2 = [0] * tab.ncols
     for j, c in enumerate(model.objective):
-        costs2[j] = c if maximize else -c
+        costs2[j] = sign * c.numerator * (scale // c.denominator)
     allowed = [j for j in range(tab.ncols) if j not in tab.artificial]
     status = tab._bland(costs2, allowed)
     if status == UNBOUNDED:
@@ -244,9 +272,10 @@ def solve(model: LPModel, pivot_cap: int = DEFAULT_PIVOT_CAP) -> LPResult:
     x = tab.solution()[:n]
     value = sum((c * v for c, v in zip(model.objective, x) if v != 0), ZERO)
 
-    # Row prices from the final reduced costs, mapped back to the model's
-    # row orientation and sense.
+    # Row prices from the final reduced costs, mapped back through the row
+    # scales and the objective's lcm to the model's row orientation and sense.
     zrow = tab._reduced_costs(costs2)
+    den = tab.d * scale
     duals: list[Fraction] = []
     for i in range(tab.m):
         if tab.slack_col[i] is not None:
@@ -257,7 +286,9 @@ def solve(model: LPModel, pivot_cap: int = DEFAULT_PIVOT_CAP) -> LPResult:
             y = -zrow[tab.art_col[i]]
         if flips[i]:
             y = -y
-        duals.append(y if maximize else -y)
+        if not maximize:
+            y = -y
+        duals.append(Fraction(y * tab.scale[i], den) if y else ZERO)
 
     _certify(model, x, duals, value)
     return LPResult(status=OPTIMAL, value=value, x=x, duals=duals, pivots=tab.pivots)

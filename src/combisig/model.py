@@ -300,7 +300,7 @@ class Posterior:
             raise InstanceFormatError("posterior must sum to exactly 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SignalingScheme:
     """A direct scheme: per state, a distribution over recommended actions.
 

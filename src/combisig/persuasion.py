@@ -70,7 +70,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SolveResult:
     scheme: SignalingScheme
     sender_value: Fraction
@@ -83,6 +83,16 @@ class SolveResult:
 class PersuasivenessReport:
     persuasive: bool
     violations: tuple  # (recommended, best deviation, gap), one per disobeyed signal
+
+
+class _Disobeyed(CertificateError):
+    """``certify``'s verdict on a scheme some signal of which the receiver
+    would rather not obey; ``violations`` lists every such signal."""
+
+    def __init__(self, violations: list[tuple[ActionSet, ActionSet, Fraction]]):
+        S, alt, gap = violations[0]
+        super().__init__(f"signal {list(S)} is disobeyed: {list(alt)} is better by {gap}")
+        self.violations = violations
 
 
 def enumerate_actions(constraint, n: int, max_actions: int | None = None) -> list[ActionSet]:
@@ -163,9 +173,12 @@ def _violations(
     instance: Instance, scheme: SignalingScheme, pool: list[ActionSet] | None = None
 ) -> list[tuple[ActionSet, ActionSet, Fraction]]:
     """(recommended, best deviation, gap) for every signal the receiver
-    would rather not obey; one ``best_deviation`` call per signal, scanning
-    ``pool`` (default: every feasible action) for a tabular receiver."""
-    if pool is None and instance.receiver.kind is not UtilityKind.LINEAR:
+    would rather not obey; one ``best_deviation`` call per signal.  A
+    tabular receiver's deviations are scanned from ``pool`` (default: every
+    feasible action, enumerated here); a linear receiver ignores it."""
+    if instance.receiver.kind is UtilityKind.LINEAR:
+        pool = None
+    elif pool is None:
         pool = enumerate_actions(instance.constraint, instance.num_elements)
     maximize = instance.sense is Sense.MAX
     out = []
@@ -206,9 +219,9 @@ def _solve_scheme_lp(
     instance: Instance, actions: list[ActionSet], method: str, catalog_size: int | None
 ) -> SolveResult:
     """``scheme_lp`` recommending ``actions``, with persuasiveness rows added
-    lazily.  Only ``solve_full``, whose ``actions`` are every feasible
-    action, passes a tabular receiver, so they serve as its deviation pool."""
-    pool = None if instance.receiver.kind is UtilityKind.LINEAR else actions
+    lazily.  Each round's scheme goes to ``certify``, whose obedience pass
+    names the new pair rows when it fails and ends the loop when it holds,
+    so the returned scheme is audited once."""
     columns = [(t, S) for t in range(instance.num_states) for S in actions]
     index = {col: j for j, col in enumerate(columns)}
     r_value = instance.receiver.value
@@ -220,13 +233,14 @@ def _solve_scheme_lp(
         scheme, result = scheme_lp(instance, columns, rows)
         pivots += result.pivots
         rounds += 1
-        new_pairs = [
-            (S, alt)
-            for S, alt, _ in _violations(instance, scheme, pool)
-            if (S, alt) not in added
-        ]
-        if not new_pairs:
+        try:
+            certify(instance, scheme, result.value, PERSUASIVE)
             break
+        except _Disobeyed as exc:
+            # A pair row already in the LP holds there, so its pair cannot recur.
+            new_pairs = [(S, alt) for S, alt, _ in exc.violations if (S, alt) not in added]
+            if not new_pairs:
+                raise
         for S, alt in new_pairs:
             added.add((S, alt))
             coeffs = {
@@ -235,7 +249,6 @@ def _solve_scheme_lp(
             }
             rows.append((coeffs, ZERO))
 
-    certify(instance, scheme, result.value, PERSUASIVE)
     return SolveResult(
         scheme=scheme,
         sender_value=result.value,
@@ -293,16 +306,19 @@ def _check_scheme(instance: Instance, scheme: SignalingScheme) -> None:
             raise InstanceFormatError(f"recommended action {list(S)} is not {what}")
 
 
-def check_persuasive(instance: Instance, scheme: SignalingScheme) -> PersuasivenessReport:
+def check_persuasive(
+    instance: Instance, scheme: SignalingScheme, pool: list[ActionSet] | None = None
+) -> PersuasivenessReport:
     """Exact persuasiveness audit of a scheme: no tolerance, weak inequalities.
 
     Each signal is decided by its best deviation: one greedy or
     shortest-path call for a linear receiver, a scan of every feasible
-    action for a tabular one.  A scheme for another number of states, or
-    one recommending an infeasible action, raises InstanceFormatError.
+    action for a tabular one (``pool``, if the caller has enumerated them
+    already).  A scheme for another number of states, or one recommending
+    an infeasible action, raises InstanceFormatError.
     """
     _check_scheme(instance, scheme)
-    violations = tuple(_violations(instance, scheme))
+    violations = tuple(_violations(instance, scheme, pool))
     return PersuasivenessReport(persuasive=not violations, violations=violations)
 
 
@@ -321,8 +337,7 @@ def certify(instance: Instance, scheme: SignalingScheme, value: Fraction, notion
         raise CertificateError(f"scheme is worth {worth} to the sender, not the {value} reported")
     if notion == PERSUASIVE:
         if violations := _violations(instance, scheme):
-            S, alt, gap = violations[0]
-            raise CertificateError(f"signal {list(S)} is disobeyed: {list(alt)} is better by {gap}")
+            raise _Disobeyed(violations)
     else:
         prior_best, _ = best_deviation(instance, Posterior(xi=instance.prior))
         follow = _scheme_value(instance, scheme, instance.receiver)
@@ -350,7 +365,9 @@ def uninformative_scheme(instance: Instance) -> tuple[SignalingScheme, Fraction]
     return deterministic_scheme(instance.num_states, pick), expected_value(instance.sender, prior, pick)
 
 
-def tie_broken_response(instance: Instance, xi: Posterior) -> ActionSet:
+def tie_broken_response(
+    instance: Instance, xi: Posterior, pool: list[ActionSet] | None = None
+) -> ActionSet:
     """The receiver's best action at the belief, ties resolved in the
     sender's favor: ``best_action`` with a = 1 and b = ``delta``.
 
@@ -362,9 +379,10 @@ def tie_broken_response(instance: Instance, xi: Posterior) -> ActionSet:
     by R, then by S: its optimum is receiver-optimal and, among those, the
     sender's favorite.  Actions tied in both go to greedy's element order or
     Dijkstra's edge sequence for linear utilities, to the lexicographically
-    least action for tabular ones.
+    least action for tabular ones, scanned from ``pool`` as in
+    ``best_action``.
     """
     r = _atoms(instance.receiver, xi.xi)
     s = _atoms(instance.sender, xi.xi)
     delta = 1 / (lcm(*(w.denominator for w in r)) * (1 + sum(s, ZERO)))
-    return best_action(instance, xi, ONE, delta)
+    return best_action(instance, xi, ONE, delta, pool)

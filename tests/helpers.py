@@ -508,3 +508,122 @@ def wide_uniform_instance() -> Instance:
         receiver=UtilitySpec.from_linear([[c[t] for c in cols] for t in range(3)]),
         constraint=Uniform(2),
     )
+
+
+# ---------------------------------------------------------------------------
+# reference simplex for `combisig.lp`
+# ---------------------------------------------------------------------------
+
+
+class _FractionTableau:
+    """Dense two-phase tableau in ``Fraction`` arithmetic, Bland's rule:
+    the straightforward kernel that ``lp.solve``'s integer tableau must
+    reproduce pivot for pivot."""
+
+    def __init__(self, n_struct, a_rows, rels, rhs):
+        self.m = len(a_rows)
+        self.pivots = 0
+        cols = n_struct
+        self.slack_col = [None] * self.m
+        self.surplus_col = [None] * self.m
+        self.art_col = [None] * self.m
+        for i, rel in enumerate(rels):
+            if rel == lp.LE:
+                self.slack_col[i] = cols
+                cols += 1
+            elif rel == lp.GE:
+                self.surplus_col[i] = cols
+                cols += 1
+        for i, rel in enumerate(rels):
+            if rel in (lp.GE, lp.EQ):
+                self.art_col[i] = cols
+                cols += 1
+        self.ncols = cols
+        self.tab = []
+        self.basis = []
+        for i in range(self.m):
+            row = list(a_rows[i]) + [ZERO] * (cols - n_struct)
+            for col, v in ((self.slack_col[i], 1), (self.surplus_col[i], -1), (self.art_col[i], 1)):
+                if col is not None:
+                    row[col] = F(v)
+            row.append(rhs[i])
+            self.tab.append(row)
+            self.basis.append(self.art_col[i] if self.art_col[i] is not None else self.slack_col[i])
+        self.artificial = {c for c in self.art_col if c is not None}
+
+    def pivot(self, row, col):
+        self.pivots += 1
+        prow = self.tab[row] = [v / self.tab[row][col] for v in self.tab[row]]
+        for r, other in enumerate(self.tab):
+            if r != row and other[col] != 0:
+                self.tab[r] = [a - other[col] * b for a, b in zip(other, prow)]
+        self.basis[row] = col
+
+    def reduced_costs(self, costs):
+        zrow = list(costs)
+        for i, bv in enumerate(self.basis):
+            zrow = [z - costs[bv] * a for z, a in zip(zrow, self.tab[i])]
+        return zrow
+
+    def bland(self, costs, allowed):
+        while True:
+            zrow = self.reduced_costs(costs)
+            enter = next((j for j in allowed if zrow[j] > 0), None)
+            if enter is None:
+                return lp.OPTIMAL
+            ratios = [
+                (row[-1] / row[enter], self.basis[i], i)
+                for i, row in enumerate(self.tab)
+                if row[enter] > 0
+            ]
+            if not ratios:
+                return lp.UNBOUNDED
+            self.pivot(min(ratios)[2], enter)
+
+    def solution(self):
+        z = [ZERO] * self.ncols
+        for i, bv in enumerate(self.basis):
+            z[bv] = self.tab[i][-1]
+        return z
+
+
+def fraction_simplex(model: lp.LPModel) -> lp.LPResult:
+    """``lp.solve`` on the ``Fraction`` reference tableau, uncertified."""
+    n = model.num_vars
+    maximize = model.sense == lp.MAX
+    flipped = {lp.LE: lp.GE, lp.GE: lp.LE, lp.EQ: lp.EQ}
+    flips = [row.rhs < 0 for row in model.rows]
+    tab = _FractionTableau(
+        n,
+        [[-v for v in row.coeffs] if flip else row.coeffs for row, flip in zip(model.rows, flips)],
+        [flipped[row.rel] if flip else row.rel for row, flip in zip(model.rows, flips)],
+        [abs(row.rhs) for row in model.rows],
+    )
+    if tab.artificial:
+        allowed = [j for j in range(tab.ncols) if j not in tab.artificial]
+        tab.bland([F(-1) if j in tab.artificial else ZERO for j in range(tab.ncols)], allowed)
+        if any(tab.solution()[c] != 0 for c in tab.artificial):
+            return lp.LPResult(status=lp.INFEASIBLE, pivots=tab.pivots)
+        for i in range(tab.m):
+            if tab.basis[i] in tab.artificial:
+                j = next((j for j in allowed if tab.tab[i][j] != 0), None)
+                if j is not None:
+                    tab.pivot(i, j)
+    costs = [(c if maximize else -c) for c in model.objective] + [ZERO] * (tab.ncols - n)
+    allowed = [j for j in range(tab.ncols) if j not in tab.artificial]
+    if tab.bland(costs, allowed) == lp.UNBOUNDED:
+        return lp.LPResult(status=lp.UNBOUNDED, pivots=tab.pivots)
+    x = tab.solution()[:n]
+    zrow = tab.reduced_costs(costs)
+    duals = []
+    for i in range(tab.m):
+        if tab.slack_col[i] is not None:
+            y = -zrow[tab.slack_col[i]]
+        elif tab.surplus_col[i] is not None:
+            y = zrow[tab.surplus_col[i]]
+        else:
+            y = -zrow[tab.art_col[i]]
+        y = -y if flips[i] else y
+        duals.append(y if maximize else -y)
+    value = sum((c * v for c, v in zip(model.objective, x)), ZERO)
+    return lp.LPResult(status=lp.OPTIMAL, value=value, x=x, duals=duals, pivots=tab.pivots)

@@ -15,7 +15,7 @@ import pytest
 
 from combisig import cli, jsonio, persuasion
 from combisig.model import SignalingScheme
-from helpers import grid_path_instance, validate_sampling_reference, wide_uniform_instance
+from helpers import as_tables, grid_path_instance, validate_sampling_reference, wide_uniform_instance
 
 INSTANCES = Path(__file__).resolve().parents[1] / "instances"
 TOY = str(INSTANCES / "two_state_toy.json")
@@ -153,6 +153,28 @@ INFEASIBLE = [
     (TOY, {"num_states": 2.7, "phi": [{"state": 0.9, "action": [1.5], "prob": 1},
                                       {"state": 1, "action": [1], "prob": 1}]}),
 ]
+
+
+def test_validate_enumerates_a_tabular_instance_once(capsys, tmp_path, monkeypatch):
+    """Both utilities as tables: the audit and every signal's tie-broken
+    response scan one enumeration, and the report is the linear one's."""
+    linear = jsonio.instance_from_json(jsonio.load_json(WEATHER))
+    inst = as_tables(linear)
+    scheme = persuasion.solve_full(inst).scheme
+    assert len(scheme.support) == 2
+    genuine = persuasion.enumerate_actions
+    reports = {}
+    for name, which in (("linear", linear), ("tables", inst)):
+        inst_path, scheme_path = str(tmp_path / f"{name}.json"), str(tmp_path / f"{name}.scheme.json")
+        jsonio.save_json(inst_path, jsonio.instance_to_json(which))
+        jsonio.save_json(scheme_path, jsonio.scheme_to_json(scheme, jsonio.instance_digest(which)))
+        calls = []
+        monkeypatch.setattr(persuasion, "enumerate_actions", lambda *a: calls.append(a) or genuine(*a))
+        reports[name] = report_of(capsys, "validate", inst_path, scheme_path, "--samples", "500")
+        assert len(calls) == (name == "tables"), name
+    for report in reports.values():
+        del report["instance"], report["digest"]
+    assert reports["tables"] == reports["linear"] and reports["linear"]["persuasive"] is True
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """Exact simplex: known optima, duals, degeneracy, an independent
-Fourier-Motzkin feasibility oracle on random systems, and the certificate
+Fourier-Motzkin feasibility oracle on random systems, the integer tableau
+against a ``Fraction`` reference pivot for pivot, and the certificate
 under ``python -O`` (with no ``assert`` in the package)."""
 
 import ast
@@ -16,6 +17,7 @@ import pytest
 
 from combisig import lp
 from combisig.errors import IterationCap
+from helpers import fraction_simplex
 
 F = Fraction
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -59,15 +61,20 @@ def test_fractional_optimum():
     assert sum(d * b for d, b in zip(res.duals, [F(3), F(4)])) == res.value
 
 
-def test_beale_degenerate_cycling_instance():
-    """The classic cycling example terminates under Bland's rule, and the
-    optimum matches exhaustive vertex enumeration."""
-    obj = [F(3, 4), F(-150), F(1, 50), F(-6)]
-    rows = [
+BEALE = (
+    [F(3, 4), F(-150), F(1, 50), F(-6)],
+    [
         ([F(1, 4), F(-60), F(-1, 25), F(9)], lp.LE, F(0)),
         ([F(1, 2), F(-90), F(-1, 50), F(3)], lp.LE, F(0)),
         ([F(0), F(0), F(1), F(0)], lp.LE, F(1)),
-    ]
+    ],
+)
+
+
+def test_beale_degenerate_cycling_instance():
+    """The classic cycling example terminates under Bland's rule, and the
+    optimum matches exhaustive vertex enumeration."""
+    obj, rows = BEALE
     res = solve_simple(obj, rows)
     assert res.status == lp.OPTIMAL
 
@@ -108,6 +115,82 @@ def _gauss_solve(A, b):
                 factor = M[r][col]
                 M[r] = [v - factor * w for v, w in zip(M[r], M[col])]
     return [M[r][n] for r in range(n)]
+
+
+# ---------------------------------------------------------------------------
+# the integer tableau against the Fraction reference, pivot for pivot
+# ---------------------------------------------------------------------------
+
+# Redundant == rows with zero right-hand sides leave both artificials basic
+# at zero after phase 1; the first drive-out pivot is on the -1 of x0.
+DRIVE_OUT = (
+    [F(1), F(0)],
+    [([F(-1), F(1)], lp.EQ, F(0)), ([F(1), F(-1)], lp.EQ, F(0)), ([F(1), F(1)], lp.LE, F(4))],
+)
+# Denominators pairwise coprime, and large ones, so the row scales differ.
+DENOMINATORS = (1, 2, 3, 7, 11, 13, 101, 9973, 2**31 - 1, 10**18 + 9)
+
+
+def _model(obj, rows, sense=lp.MAX):
+    model = lp.LPModel(len(obj), sense=sense)
+    model.set_objective(obj)
+    for coeffs, rel, rhs in rows:
+        model.add_row(coeffs, rel, rhs)
+    return model
+
+
+def _random_lp(rng):
+    def q(lo, hi):
+        return F(rng.randint(lo, hi), rng.choice(DENOMINATORS))
+
+    n = rng.randint(2, 5)
+    rows = []
+    for _ in range(rng.randint(1, 5)):
+        coeffs = [q(-6, 6) if rng.random() < 0.7 else F(0) for _ in range(n)]
+        rows.append((coeffs, rng.choice([lp.LE, lp.LE, lp.GE, lp.EQ]), q(-3, 9)))
+    if rng.random() < 0.3:  # a negative multiple of a row, as an == row
+        coeffs, _, rhs = rng.choice(rows)
+        k = -q(1, 5)
+        rows.append(([k * v for v in coeffs], lp.EQ, k * rhs))
+    if rng.random() < 0.6:  # a box keeps most of them bounded
+        rows.append(([F(1)] * n, lp.LE, q(1, 20)))
+    return [q(-5, 5) for _ in range(n)], rows
+
+
+def _same_as_reference(model):
+    got, want = lp.solve(model), fraction_simplex(model)
+    assert (got.status, got.value, got.x, got.duals, got.pivots) == (
+        want.status, want.value, want.x, want.duals, want.pivots,
+    )
+    return got.status
+
+
+def test_integer_tableau_matches_fraction_reference():
+    rng = random.Random(1968)
+    seen = {lp.OPTIMAL: 0, lp.INFEASIBLE: 0, lp.UNBOUNDED: 0}
+    for _ in range(300):
+        obj, rows = _random_lp(rng)
+        seen[_same_as_reference(_model(obj, rows, rng.choice([lp.MAX, lp.MIN])))] += 1
+    assert min(seen.values()) >= 20, seen
+    for obj, rows in (BEALE, DRIVE_OUT):
+        assert _same_as_reference(_model(obj, rows)) == lp.OPTIMAL
+        _same_as_reference(_model(obj, rows, lp.MIN))
+    assert _same_as_reference(_model([F(1)], [([F(1)], lp.GE, F(1)), ([F(1)], lp.LE, F(0))])) == lp.INFEASIBLE
+    assert _same_as_reference(_model([F(1)], [([F(-1)], lp.LE, F(0))])) == lp.UNBOUNDED
+
+
+def test_drive_out_pivots_on_a_negative_entry(monkeypatch):
+    entries = []
+    genuine = lp._Tableau._pivot
+
+    def spy(self, row, col):
+        entries.append(self.tab[row][col])
+        genuine(self, row, col)
+
+    monkeypatch.setattr(lp._Tableau, "_pivot", spy)
+    res = lp.solve(_model(*DRIVE_OUT))
+    assert entries[0] < 0
+    assert res.status == lp.OPTIMAL and res.value == 2 and res.x == [2, 2]
 
 
 def test_iteration_cap():
@@ -257,8 +340,8 @@ def test_certificate_survives_python_O():
         def forged_costs(self, costs):
             # Artificial columns never enter a basis, so this moves only the
             # prices of == rows: every state's mass price in the relaxed LP
-            # rises by one, no column prices out, and the loop would stop
-            # after one round on a wrong optimum.
+            # rises, no column prices out, and the loop would stop after
+            # one round on a wrong optimum.
             zrow = genuine_costs(self, costs)
             for c in self.artificial:
                 zrow[c] -= 1

@@ -235,6 +235,34 @@ def test_linear_instances_never_enumerate_actions(monkeypatch):
         assert persuasion.check_persuasive(inst, uninformative).persuasive
 
 
+def test_lazy_rows_stop_on_the_certify_verdict(monkeypatch):
+    """Each round's scheme gets one obedience pass, ``certify``'s: its
+    verdict names the new pair rows, and the last one, on the returned
+    scheme, ends the loop; no pass repeats it."""
+    passes, certified = [], []
+    genuine_pass, genuine_certify = persuasion._violations, persuasion.certify
+
+    def pass_spy(instance, scheme, pool=None):
+        passes.append(scheme)
+        return genuine_pass(instance, scheme, pool)
+
+    def certify_spy(instance, scheme, value, notion):
+        certified.append(scheme)
+        genuine_certify(instance, scheme, value, notion)
+
+    monkeypatch.setattr(persuasion, "_violations", pass_spy)
+    monkeypatch.setattr(persuasion, "certify", certify_spy)
+    for name in ("two_state_toy", "weather_pair", "route_min"):
+        inst = jsonio.instance_from_json(jsonio.load_json(f"instances/{name}.json"))
+        for solve in (persuasion.solve_full, lambda i: persuasion.solve_full(as_tables(i))):
+            passes.clear()
+            certified.clear()
+            result = solve(inst)
+            rounds = result.lp_stats["cut_rounds"]
+            assert rounds >= 2 and len(passes) == len(certified) == rounds, name
+            assert all(a is b for a, b in zip(passes, certified)) and passes[-1] is result.scheme, name
+
+
 def test_check_persuasive_names_one_best_deviation_per_signal():
     """Every recommendation of the weather instance disobeyed: each signal
     gets one violation, naming the receiver's best action at its posterior."""
