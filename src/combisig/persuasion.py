@@ -327,7 +327,9 @@ def certify(instance: Instance, scheme: SignalingScheme, value: Fraction, notion
     ``python -O``.  The scheme recommends only feasible actions, is worth
     ``value`` to the sender, and is obeyed: ``PERSUASIVE``, no signal has a
     better deviation; ``RELAXED``, following is worth at least (min sense:
-    at most) the best prior action.  No LP is solved."""
+    at most) the best prior action.  No LP is solved.  A disobeyed signal
+    raises ``_Disobeyed``, which lists every one: the lazy-row loop of
+    ``full`` and ``reduced`` takes its new pair rows from that verdict."""
     try:
         _check_scheme(instance, scheme)
     except InstanceFormatError as exc:
