@@ -11,8 +11,12 @@ benchmark only when the ref's ``bench/`` matches the working tree's.  Pair
 ``k`` runs the ref first when ``k`` is even and the working tree first when
 it is odd; its seed is ``--seed + k``.  The result goes to
 ``BENCH_<workload>_<tag>.json``: the settings, both output lines of every
-run, and each side's median, quartiles and the change/ref ratio of the
-medians for every end-to-end metric.  Stdlib only.
+run, each side's median and quartiles of every metric and, for every
+end-to-end metric of ``BENCHMARK.json``, the change/ref ratio of the
+medians, the pairs the change wins in the direction that file gives (ties
+count for neither side), and whether the medians differ by more than the
+ref's quartile spread.  A gain may be claimed only when the change wins at
+least nine tenths of the pairs and that spread is exceeded.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -68,6 +72,32 @@ def summary(runs: list[dict]) -> dict:
     return out
 
 
+def judge(pairs: list[dict], better: dict[str, str]) -> dict:
+    """Medians, change/ref ratios, wins and the quartile test of ``pairs``;
+    ``better`` maps each end-to-end metric to "higher" or "lower"."""
+    medians = {side: summary([p[side] for p in pairs]) for side in ("ref", "change")}
+    ref = medians["ref"]
+    names = [name for name in better if name in ref]
+
+    def gain(pair: dict, name: str) -> float:
+        values = {side: pair[side]["result"]["metrics"][name]["value"] for side in ("ref", "change")}
+        gap = values["change"] - values["ref"]
+        return gap if better[name] == "higher" else -gap
+
+    return {
+        "medians": medians,
+        "change_over_ref": {
+            name: medians["change"][name]["median"] / m["median"] if m["median"] else None
+            for name, m in ref.items()
+        },
+        "wins": {name: sum(1 for p in pairs if gain(p, name) > 0) for name in names},
+        "gap_exceeds_ref_iqr": {
+            name: abs(medians["change"][name]["median"] - ref[name]["median"]) > ref[name]["q3"] - ref[name]["q1"]
+            for name in names
+        },
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--ref", required=True, help="git ref to compare the working tree against")
@@ -93,11 +123,8 @@ def main(argv=None) -> int:
                 print(f"pair {k} {side}: ops_per_s {value}", file=sys.stderr)
             pairs.append(pair)
 
-    medians = {side: summary([p[side] for p in pairs]) for side in ("ref", "change")}
-    ratio = {
-        name: medians["change"][name]["median"] / m["median"] if m["median"] else None
-        for name, m in medians["ref"].items()
-    }
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     report = {
         "workload": args.workload,
         "ref": args.ref,
@@ -105,8 +132,7 @@ def main(argv=None) -> int:
         "seconds": args.seconds,
         "seeds": [p["seed"] for p in pairs],
         "pairs": pairs,
-        "medians": medians,
-        "change_over_ref": ratio,
+        **judge(pairs, better),
     }
     out = ROOT / f"BENCH_{args.workload}_{args.tag}.json"
     out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n", encoding="utf-8")

@@ -29,7 +29,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt
+from functools import cache
+from math import floor, gcd, isqrt, lcm
 from typing import Callable
 
 from . import matroid
@@ -119,8 +120,6 @@ def _action_value_bounds(util, num_states: int, n: int) -> tuple[Fraction, Fract
 
 
 def _rational_gcd(values) -> Fraction:
-    from math import gcd, lcm
-
     nums = [v for v in values if v != 0]
     if not nums:
         return ZERO
@@ -143,8 +142,6 @@ def compute_v_bounds(instance: Instance) -> tuple[Fraction, Fraction]:
     masses (after clearing receiver denominators) and whose denominator is
     at most |E| times the largest receiver singleton.
     """
-    from math import floor, lcm
-
     n = instance.num_elements
     D = instance.num_states
     s_bound, s_min = _action_value_bounds(instance.sender, D, n)
@@ -173,17 +170,27 @@ def compute_v_bounds(instance: Instance) -> tuple[Fraction, Fraction]:
 
 def exact_oracle(instance: Instance, max_actions: int | None = None) -> ApproxOracle:
     """Exact oracle: ``persuasion.best_action`` at state t's point belief
-    with a = y and b = 1.  Linear utilities take one greedy or Dijkstra
-    call; otherwise every feasible action is enumerated here, once, and
-    each call scans them, ties going to the lexicographically least."""
-    pool = None
+    with a = y and b = 1.  Tabular utilities: every feasible action is
+    enumerated here, once, and each call scans them, ties going to the
+    lexicographically least.  Linear utilities: one greedy or Dijkstra call
+    on best_action's weights y * r_e + s_e times the positive integer
+    y.denominator * L_t (L_t clears state t's denominators, in ``rows``),
+    which keeps greedy's order and Dijkstra's comparisons, so the answer."""
+    D = instance.num_states
     if UtilityKind.TABULAR in (instance.sender.kind, instance.receiver.kind):
         pool = enumerate_actions(instance.constraint, instance.num_elements, max_actions)
-    D = instance.num_states
-    points = [Posterior(tuple(ONE if s == t else ZERO for s in range(D))) for t in range(D)]
+        points = [Posterior(tuple(ONE if s == t else ZERO for s in range(D))) for t in range(D)]
+        return ApproxOracle("exact", ONE, lambda state, y: best_action(instance, points[state], y, ONE, pool))
+
+    rows = []
+    for r, s in zip(instance.receiver.linear, instance.sender.linear):
+        L = lcm(*(w.denominator for w in (*r, *s)))
+        rows.append([(a.numerator * (L // a.denominator), b.numerator * (L // b.denominator)) for a, b in zip(r, s)])
 
     def fn(state: int, y: Fraction) -> ActionSet:
-        return best_action(instance, points[state], y, ONE, pool)
+        num, den = y.numerator, y.denominator
+        weights = [num * a + den * b for a, b in rows[state]]
+        return matroid.max_weight_action(instance.constraint, weights, instance.sense)
 
     return ApproxOracle("exact", ONE, fn)
 
@@ -200,30 +207,27 @@ def half_greedy_submodular_oracle(instance: Instance) -> ApproxOracle:
     n = instance.num_elements
     oracle = matroid.oracle_for(instance.constraint, n)
 
+    @cache
+    def gains(state: int, chosen: ActionSet) -> tuple[tuple[int, Fraction], ...]:
+        """(e, sender gain of adding e) for each e that keeps ``chosen``
+        independent, ascending: they do not depend on y."""
+        value = instance.sender.value(state, chosen)
+        out = []
+        for e in range(n):
+            if e in chosen:
+                continue
+            cand = tuple(sorted((*chosen, e)))
+            if oracle.is_independent(cand):
+                out.append((e, instance.sender.value(state, cand) - value))
+        return tuple(out)
+
     def fn(state: int, y: Fraction) -> ActionSet:
-        chosen: list[int] = []
-        value = instance.sender.value(state, ())
-        remaining = set(range(n))
-        while True:
-            best: tuple[Fraction, int] | None = None
-            for e in sorted(remaining):
-                cand = tuple(sorted(chosen + [e]))
-                if not oracle.is_independent(cand):
-                    continue
-                gain = (
-                    instance.sender.value(state, cand)
-                    - value
-                    + y * instance.receiver.singleton(state, e)
-                )
-                if best is None or gain > best[0]:
-                    best = (gain, e)
-            if best is None:
-                break
-            _, e = best
-            chosen.append(e)
-            remaining.discard(e)
-            value = instance.sender.value(state, tuple(sorted(chosen)))
-        return tuple(sorted(chosen))
+        yr = [y * r for r in instance.receiver.linear[state]]
+        chosen: ActionSet = ()
+        while options := gains(state, chosen):
+            best = max(options, key=lambda eg: eg[1] + yr[eg[0]])  # first of ties: least e
+            chosen = tuple(sorted((*chosen, best[0])))
+        return chosen
 
     return ApproxOracle("half-greedy", Fraction(1, 2), fn)
 
@@ -354,38 +358,20 @@ def solve_cce_exact(view: CCEInstanceView) -> SolveResult:
     )
 
 
-def _fraction_sqrt_up(value: Fraction, bits: int = CENTER_DENOM_BITS) -> Fraction:
-    """Rational upper bound on sqrt(value) with about `bits` bits of slack."""
-    if value <= 0:
-        raise ValueError("sqrt of nonpositive value")
-    shift = 1 << bits
-    scaled = value.numerator * shift * shift // value.denominator
-    root = isqrt(scaled)
-    if root * root < scaled:
-        root += 1
-    return Fraction(root, shift)
-
-
-def _round_fraction(v: Fraction, bits: int = CENTER_DENOM_BITS) -> Fraction:
-    shift = 1 << bits
-    return Fraction(v.numerator * shift // v.denominator, shift)
-
-
-@dataclass
-class _EllipsoidRun:
-    feasible: bool
-    proposals: set
-    iterations: int
-
-
-def _ellipsoid_run(view: CCEInstanceView, v: Fraction, v_min: Fraction, v_max: Fraction) -> _EllipsoidRun:
+def _ellipsoid_run(view: CCEInstanceView, v: Fraction, v_min: Fraction, v_max: Fraction) -> tuple[bool, set, int]:
     """Search {dual rows, y >= 0, objective <= v} inside the parameter box
-    that the bracket (v_min, v_max) sizes.
+    that the bracket (v_min, v_max) sizes; returns (feasible, the oracle's
+    proposals, iterations).
 
-    Returns the first center passing every test (approximately feasible),
-    or exhausts the volume budget (infeasible).  All cuts are exact; only
-    the shape matrix and centers are rounded.  More than 400 * N^2 *
-    (binary-search rounds + 64) iterations raise ``IterationCap``.
+    Feasible means a center passed every test; infeasible, the volume budget
+    ran out.  All cuts are exact; only the centers and shape matrix are
+    rounded down to multiples of 2^-B, B = ``CENTER_DENOM_BITS``, in
+    fixed-point integers: center C / 2^B, matrix Q / den, and each cut
+    scaled to integers A = L * a by the lcm L of its denominators.  Each
+    rounded value is one floor division of integers, equal to the rounded
+    rational, so the iterates are those of the rational computation.  More
+    than 400 * N^2 * (binary-search rounds + 64) iterations raise
+    ``IterationCap``.
     """
     inst = view.instance
     D = inst.num_states
@@ -398,14 +384,18 @@ def _ellipsoid_run(view: CCEInstanceView, v: Fraction, v_min: Fraction, v_max: F
     box_hi = [mu[t] * (v_max + Y * big_r) for t in range(D)] + [Y]
     box_hi = [max(h, ONE) for h in box_hi]
 
-    center = [h / 2 for h in box_hi]
+    shift = 1 << CENTER_DENOM_BITS
+    center = [h.numerator * shift // (2 * h.denominator) for h in box_hi]
     radius_sq = sum((h / 2) ** 2 for h in box_hi)
-    P = [[radius_sq if i == j else ZERO for j in range(N)] for i in range(N)]
+    Q = [[radius_sq.numerator if i == j else 0 for j in range(N)] for i in range(N)]
+    den = radius_sq.denominator
 
     eps_prime = view.epsilon * v_min
-    threshold = (eps_prime / (4 * N * (1 + v_max))) ** N
-    threshold_sq = threshold * threshold
+    threshold_sq = (eps_prime / (4 * N * (1 + v_max))) ** (2 * N)
     iter_cap = 400 * N * N * (_ceil_log2(v_max / eps_prime) + 65)
+    # P' = scale * (P - 2/(N+1) * Pa a'P / a'Pa); 1/(N+1) is folded into inflate_den
+    scale = Fraction(N * N, N * N - 1) * (1 + MATRIX_INFLATION)
+    inflate_num, inflate_den = scale.numerator * shift, scale.denominator * (N + 1)
 
     proposals: set = set()
     sense_max = inst.sense is Sense.MAX
@@ -454,54 +444,61 @@ def _ellipsoid_run(view: CCEInstanceView, v: Fraction, v_min: Fraction, v_max: F
         if iterations >= iter_cap:
             raise IterationCap(f"ellipsoid exceeded {iter_cap} iterations at v={v}")
         iterations += 1
-        # Round the center itself so every cut passes exactly through the
-        # point it was validated at; the matrix inflation absorbs the shift.
-        center = [_round_fraction(c) for c in center]
-        cut = find_cut(center)
+        # The center is rounded itself, so every cut passes exactly through
+        # the point it was validated at; the matrix inflation absorbs the shift.
+        cut = find_cut([Fraction(c, shift) for c in center])
         if cut is None:
-            return _EllipsoidRun(True, proposals, iterations)
+            return True, proposals, iterations
 
-        # det(P) below threshold^2 certifies the remaining volume is gone.
-        # det only shrinks, so an every-8th-iteration check is safe.
-        if iterations % 8 == 0 and _det(P) <= threshold_sq:
-            return _EllipsoidRun(False, proposals, iterations)
+        # det(P) = det(Q) / den^N below threshold^2 certifies the remaining
+        # volume is gone.  det only shrinks, so an every-8th check is safe.
+        if iterations % 8 == 0 and (
+            _bareiss_det(Q) * threshold_sq.denominator <= threshold_sq.numerator * den**N
+        ):
+            return False, proposals, iterations
 
-        pa = [sum((P[i][j] * cut[j] for j in range(N)), ZERO) for i in range(N)]
-        apa = sum((cut[i] * pa[i] for i in range(N)), ZERO)
-        if apa <= 0:
-            return _EllipsoidRun(False, proposals, iterations)
-        s = _fraction_sqrt_up(apa)
-        step = Fraction(1, N + 1)
-        center = [c - step * (p / s) for c, p in zip(center, pa)]
-        scale = Fraction(N * N, N * N - 1) * (1 + MATRIX_INFLATION)
-        twostep = Fraction(2, N + 1)
-        P = [
-            [
-                _round_fraction(scale * (P[i][j] - twostep * pa[i] * pa[j] / apa))
-                for j in range(N)
-            ]
+        L = lcm(*(c.denominator for c in cut))
+        A = [(j, c.numerator * (L // c.denominator)) for j, c in enumerate(cut) if c]
+        QA = [sum(row[j] * a for j, a in A) for row in Q]  # P a = QA / (den L)
+        M = sum(QA[j] * a for j, a in A)  # a P a = M / (den L^2)
+        if M <= 0:
+            return False, proposals, iterations
+        scaled = M * shift * shift // (den * L * L)
+        s = isqrt(scaled)
+        if s * s < scaled:
+            s += 1  # sqrt(a P a) rounded up is s / 2^B
+        # c' = c - P a / ((N + 1) sqrt(a P a)), rounded down
+        step = (N + 1) * den * L * s
+        center = [c + (-q * shift * shift) // step for c, q in zip(center, QA)]
+        # (Q' / 2^B) = scale * (Q / den - 2 QA QA' / ((N + 1) den M)), rounded down
+        m1 = (N + 1) * M
+        div = inflate_den * den * M
+        Q = [
+            [inflate_num * (Q[i][j] * m1 - 2 * QA[i] * QA[j]) // div for j in range(N)]
             for i in range(N)
         ]
+        den = shift
 
 
-def _det(m) -> Fraction:
-    size = len(m)
+def _bareiss_det(m: list[list[int]]) -> int:
+    """Determinant of an integer matrix by Bareiss fraction-free
+    elimination: every division is exact, rows swap past zero pivots."""
     a = [row[:] for row in m]
-    det = ONE
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if a[r][col] != 0), None)
-        if pivot is None:
-            return ZERO
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = a[col][col]
-        for r in range(col + 1, size):
-            f = a[r][col] / inv
-            if f != 0:
-                a[r] = [u - f * w for u, w in zip(a[r], a[col])]
-    return det
+    size = len(a)
+    sign, prev = 1, 1
+    for k in range(size - 1):
+        if a[k][k] == 0:
+            swap = next((r for r in range(k + 1, size) if a[r][k] != 0), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        p = a[k][k]
+        for i in range(k + 1, size):
+            for j in range(k + 1, size):
+                a[i][j] = (a[i][j] * p - a[i][k] * a[k][j]) // prev
+        prev = p
+    return sign * a[-1][-1]
 
 
 def solve_cce_approx(view: CCEInstanceView) -> SolveResult:
@@ -524,10 +521,10 @@ def solve_cce_approx(view: CCEInstanceView) -> SolveResult:
     columns: set = {(t, view.prior_best) for t in range(inst.num_states)}
     iters_total = 0
     for _ in range(total_rounds):
-        run = _ellipsoid_run(view, v, v_min, v_max)
-        iters_total += run.iterations
-        columns.update(run.proposals)
-        if run.feasible:
+        feasible, proposals, iterations = _ellipsoid_run(view, v, v_min, v_max)
+        iters_total += iterations
+        columns.update(proposals)
+        if feasible:
             v_u = v
         else:
             v_l = v
@@ -556,9 +553,4 @@ def solve_cce_approx(view: CCEInstanceView) -> SolveResult:
 def _ceil_log2(value: Fraction) -> int:
     if value <= 0:
         raise ParameterError("log of nonpositive value")
-    k = 0
-    power = ONE
-    while power < value:
-        power *= 2
-        k += 1
-    return k
+    return (-(-value.numerator // value.denominator) - 1).bit_length()  # least k with 2^k >= ceil(value)

@@ -216,12 +216,13 @@ def scheme_lp(
 
 
 def _solve_scheme_lp(
-    instance: Instance, actions: list[ActionSet], method: str, catalog_size: int | None
+    instance: Instance, actions: list[ActionSet], method: str, catalog_size: int | None, pool=None
 ) -> SolveResult:
     """``scheme_lp`` recommending ``actions``, with persuasiveness rows added
     lazily.  Each round's scheme goes to ``certify``, whose obedience pass
     names the new pair rows when it fails and ends the loop when it holds,
-    so the returned scheme is audited once."""
+    so the returned scheme is audited once.  ``pool`` is every feasible
+    action, if the caller holds them, for a tabular receiver's passes."""
     columns = [(t, S) for t in range(instance.num_states) for S in actions]
     index = {col: j for j, col in enumerate(columns)}
     r_value = instance.receiver.value
@@ -234,7 +235,7 @@ def _solve_scheme_lp(
         pivots += result.pivots
         rounds += 1
         try:
-            certify(instance, scheme, result.value, PERSUASIVE)
+            certify(instance, scheme, result.value, PERSUASIVE, pool)
             break
         except _Disobeyed as exc:
             # A pair row already in the LP holds there, so its pair cannot recur.
@@ -266,7 +267,7 @@ def _solve_scheme_lp(
 def solve_full(instance: Instance, max_actions: int | None = None) -> SolveResult:
     """Exact optimum of the brute-force LP over every feasible action."""
     actions = enumerate_actions(instance.constraint, instance.num_elements, max_actions)
-    return _solve_scheme_lp(instance, actions, "full-lp", None)
+    return _solve_scheme_lp(instance, actions, "full-lp", None, actions)
 
 
 def solve_reduced(instance: Instance) -> SolveResult:
@@ -322,14 +323,18 @@ def check_persuasive(
     return PersuasivenessReport(persuasive=not violations, violations=violations)
 
 
-def certify(instance: Instance, scheme: SignalingScheme, value: Fraction, notion: str) -> None:
+def certify(
+    instance: Instance, scheme: SignalingScheme, value: Fraction, notion: str, pool: list[ActionSet] | None = None
+) -> None:
     """Every engine's exit check; raises ``CertificateError``, also under
     ``python -O``.  The scheme recommends only feasible actions, is worth
     ``value`` to the sender, and is obeyed: ``PERSUASIVE``, no signal has a
     better deviation; ``RELAXED``, following is worth at least (min sense:
     at most) the best prior action.  No LP is solved.  A disobeyed signal
     raises ``_Disobeyed``, which lists every one: the lazy-row loop of
-    ``full`` and ``reduced`` takes its new pair rows from that verdict."""
+    ``full`` and ``reduced`` takes its new pair rows from that verdict.
+    ``pool``, every feasible action if the caller holds them, spares a
+    tabular receiver's obedience pass its enumeration."""
     try:
         _check_scheme(instance, scheme)
     except InstanceFormatError as exc:
@@ -338,7 +343,7 @@ def certify(instance: Instance, scheme: SignalingScheme, value: Fraction, notion
     if worth != value:
         raise CertificateError(f"scheme is worth {worth} to the sender, not the {value} reported")
     if notion == PERSUASIVE:
-        if violations := _violations(instance, scheme):
+        if violations := _violations(instance, scheme, pool):
             raise _Disobeyed(violations)
     else:
         prior_best, _ = best_deviation(instance, Posterior(xi=instance.prior))

@@ -11,9 +11,9 @@ import dataclasses
 import itertools
 import random
 from fractions import Fraction
-from math import sqrt
+from math import isqrt, sqrt
 
-from combisig import lp, matroid
+from combisig import cce, lp, matroid
 from combisig.jsonio import format_rational
 from combisig.model import (
     ActionSet,
@@ -627,3 +627,118 @@ def fraction_simplex(model: lp.LPModel) -> lp.LPResult:
         duals.append(y if maximize else -y)
     value = sum((c * v for c, v in zip(model.objective, x)), ZERO)
     return lp.LPResult(status=lp.OPTIMAL, value=value, x=x, duals=duals, pivots=tab.pivots)
+
+
+# ---------------------------------------------------------------------------
+# reference ellipsoid for `combisig.cce`
+# ---------------------------------------------------------------------------
+
+
+def fraction_det(m) -> Fraction:
+    """Determinant by Gaussian elimination in ``Fraction`` arithmetic."""
+    size = len(m)
+    a = [[F(v) for v in row] for row in m]
+    det = F(1)
+    for col in range(size):
+        pivot = next((r for r in range(col, size) if a[r][col] != 0), None)
+        if pivot is None:
+            return ZERO
+        if pivot != col:
+            a[col], a[pivot] = a[pivot], a[col]
+            det = -det
+        det *= a[col][col]
+        for r in range(col + 1, size):
+            f = a[r][col] / a[col][col]
+            if f != 0:
+                a[r] = [u - f * w for u, w in zip(a[r], a[col])]
+    return det
+
+
+def _round_down(v: Fraction, bits: int) -> Fraction:
+    shift = 1 << bits
+    return F(v.numerator * shift // v.denominator, shift)
+
+
+def _sqrt_up(value: Fraction, bits: int) -> Fraction:
+    """sqrt(value) rounded up to a multiple of 2^-bits."""
+    shift = 1 << bits
+    scaled = value.numerator * shift * shift // value.denominator
+    root = isqrt(scaled)
+    if root * root < scaled:
+        root += 1
+    return F(root, shift)
+
+
+def fraction_ellipsoid_run(view, v: Fraction, v_min: Fraction, v_max: Fraction):
+    """``cce._ellipsoid_run`` computed in ``Fraction`` arithmetic: a
+    ``Fraction`` shape matrix and center, each rounded down to a multiple of
+    2^-``CENTER_DENOM_BITS`` after every update, and the volume test on a
+    ``Fraction`` determinant.  The straightforward kernel that the integer
+    one must reproduce iterate for iterate; returns (feasible, proposals,
+    iterations)."""
+    bits = cce.CENTER_DENOM_BITS
+    inst = view.instance
+    D = inst.num_states
+    N = D + 1
+    mu = inst.prior
+    one = F(1)
+
+    big_r, _ = cce._action_value_bounds(inst.receiver, D, inst.num_elements)
+    x0 = v_max * max(mu)
+    Y = (v_max + D * x0) / max(view.C, v_min)
+    box_hi = [max(h, one) for h in [mu[t] * (v_max + Y * big_r) for t in range(D)] + [Y]]
+    center = [h / 2 for h in box_hi]
+    radius_sq = sum((h / 2) ** 2 for h in box_hi)
+    P = [[radius_sq if i == j else ZERO for j in range(N)] for i in range(N)]
+
+    eps_prime = view.epsilon * v_min
+    threshold_sq = ((eps_prime / (4 * N * (1 + v_max))) ** N) ** 2
+    iter_cap = 400 * N * N * (cce._ceil_log2(v_max / eps_prime) + 65)
+    proposals: set = set()
+    sense_max = inst.sense is Sense.MAX
+
+    def find_cut(z):
+        x, y = z[:D], z[D]
+        if y < 0:
+            return [ZERO] * D + [-one]
+        for j in range(N):
+            if z[j] > box_hi[j]:
+                return [one if i == j else ZERO for i in range(N)]
+            if z[j] < 0 and j < D:
+                return [-one if i == j else ZERO for i in range(N)]
+        objective = sum(x, ZERO) - view.C * y
+        if sense_max and objective > v:
+            return [one] * D + [-view.C]
+        if not sense_max and objective < v:
+            return [-one] * D + [view.C]
+        rows, prop = cce.separation(view, x, y)
+        proposals.update(prop)
+        if not rows:
+            return None
+        t, S = rows[0]
+        coeff = mu[t] * inst.receiver.value(t, S)
+        a = [ZERO] * N
+        a[t], a[D] = (-one, coeff) if sense_max else (one, -coeff)
+        return a
+
+    iterations = 0
+    while True:
+        assert iterations < iter_cap
+        iterations += 1
+        center = [_round_down(c, bits) for c in center]
+        cut = find_cut(center)
+        if cut is None:
+            return True, proposals, iterations
+        if iterations % 8 == 0 and fraction_det(P) <= threshold_sq:
+            return False, proposals, iterations
+        pa = [sum((P[i][j] * cut[j] for j in range(N)), ZERO) for i in range(N)]
+        apa = sum((cut[i] * pa[i] for i in range(N)), ZERO)
+        if apa <= 0:
+            return False, proposals, iterations
+        s = _sqrt_up(apa, bits)
+        center = [c - F(1, N + 1) * (p / s) for c, p in zip(center, pa)]
+        scale = F(N * N, N * N - 1) * (1 + cce.MATRIX_INFLATION)
+        P = [
+            [_round_down(scale * (P[i][j] - F(2, N + 1) * pa[i] * pa[j] / apa), bits) for j in range(N)]
+            for i in range(N)
+        ]

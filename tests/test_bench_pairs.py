@@ -1,0 +1,39 @@
+"""The verdict fields of ``scripts/bench_pairs.py`` on synthetic runs."""
+
+import importlib.util
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
+spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+
+BETTER = {"ops_per_s": "higher", "latency_s.p50": "lower"}
+
+
+def run(ops: float, p50: float) -> dict:
+    metrics = {"ops_per_s": (ops, "1/s"), "latency_s.p50": (p50, "s"), "lp.pivots": (7, "count")}
+    return {"result": {"metrics": {k: {"value": v, "unit": u} for k, (v, u) in metrics.items()}}}
+
+
+def pairs_of(ref: list[tuple], change: list[tuple]) -> list[dict]:
+    return [{"ref": run(*r), "change": run(*c)} for r, c in zip(ref, change)]
+
+
+def test_wins_follow_each_metrics_direction_and_ties_count_for_neither():
+    ref = [(10, 0.5), (10, 0.5), (10, 0.5), (10, 0.5)]
+    change = [(12, 0.4), (10, 0.5), (9, 0.6), (11, 0.5)]
+    verdict = bench_pairs.judge(pairs_of(ref, change), BETTER)
+    assert verdict["wins"] == {"ops_per_s": 2, "latency_s.p50": 1}
+    assert set(verdict["gap_exceeds_ref_iqr"]) == set(BETTER)  # per-layer counts are not judged
+    assert verdict["change_over_ref"]["ops_per_s"] == 10.5 / 10
+
+
+def test_gap_must_exceed_the_refs_quartile_spread():
+    # ref ops_per_s 8..12 (quartiles 8.5 and 11.5, spread 3), median 10
+    ref = [(8, 0.5), (9, 0.5), (10, 0.5), (11, 0.5), (12, 0.5)]
+    near = pairs_of(ref, [(v + 2, 0.5) for v, _ in ref])  # medians 2 apart
+    far = pairs_of(ref, [(v + 4, 0.1) for v, _ in ref])  # medians 4 apart
+    assert bench_pairs.judge(near, BETTER)["gap_exceeds_ref_iqr"] == {"ops_per_s": False, "latency_s.p50": False}
+    assert bench_pairs.judge(far, BETTER)["gap_exceeds_ref_iqr"] == {"ops_per_s": True, "latency_s.p50": True}
+    assert bench_pairs.judge(far, BETTER)["wins"] == {"ops_per_s": 5, "latency_s.p50": 5}

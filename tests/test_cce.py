@@ -24,7 +24,15 @@ from combisig.model import (
     UtilitySpec,
     expected_value,
 )
-from helpers import as_tables, brute_cce_value, coverage_instance, follow_value, rand_instance
+from helpers import (
+    as_tables,
+    brute_cce_value,
+    coverage_instance,
+    follow_value,
+    fraction_det,
+    fraction_ellipsoid_run,
+    rand_instance,
+)
 
 F = Fraction
 
@@ -157,9 +165,9 @@ def test_every_engine_certifies_the_scheme_it_returns(monkeypatch):
     calls = []
     genuine = persuasion.certify
 
-    def spy(instance, scheme, value, notion):
+    def spy(instance, scheme, value, notion, pool=None):
         calls.append((scheme, value, notion))
-        genuine(instance, scheme, value, notion)
+        genuine(instance, scheme, value, notion, pool)
 
     monkeypatch.setattr(persuasion, "certify", spy)
     monkeypatch.setattr(cce, "certify", spy)
@@ -232,11 +240,12 @@ def test_separation_flags_infeasible_point():
 
 def test_exact_oracle_agrees_with_brute():
     """The exact oracle's greedy / Dijkstra path against its scan of every
-    action on the same instance written as tables, max and min sense."""
+    action on the same instance written as tables, and against
+    ``best_action`` itself, ties included, max and min sense."""
     rng = random.Random(515)
     for trial in range(12):
         sense = (Sense.MAX, Sense.MIN)[trial % 2]
-        inst = rand_instance(rng, 2, 5, "uniform", sense=sense)
+        inst = rand_instance(rng, 2, 5, "uniform", sense=sense, hi=3)
         fast = cce.exact_oracle(inst)
         brute = cce.exact_oracle(as_tables(inst))
         s, r = inst.sender.value, inst.receiver.value
@@ -248,6 +257,8 @@ def test_exact_oracle_agrees_with_brute():
                 return s(t, S) + y * r(t, S)
 
             assert score(fast.fn(t, y)) == score(brute.fn(t, y))
+            point = Posterior(tuple(F(int(s == t)) for s in range(2)))
+            assert fast.fn(t, y) == persuasion.best_action(inst, point, y, F(1)), "integer rows keep ties"
 
 
 def test_approx_alpha_one_within_epsilon():
@@ -273,6 +284,58 @@ def test_approx_half_greedy_guarantee():
         assert approx.sender_value >= (F(1, 2) - F(1, 10)) * exact, f"trial {trial}"
         assert approx.sender_value <= exact
         assert persuasion.expected_sender_value(inst, approx.scheme) == approx.sender_value
+
+
+def test_integer_ellipsoid_matches_the_fraction_reference(monkeypatch):
+    """Every binary-search guess of ``solve_cce_approx``: the integer kernel
+    returns the ``Fraction`` kernel's verdict, proposals and iteration count,
+    and separates at the same centers, with the exact oracle on 2- and
+    3-state matroids and with half-greedy on coverage instances."""
+    points = []
+    genuine = cce.separation
+
+    def spy(view, x, y):
+        points.append((*x, y))
+        return genuine(view, x, y)
+
+    monkeypatch.setattr(cce, "separation", spy)
+    rng = random.Random(1414)
+    cases = [
+        (rand_instance(rng, 2, 3, "uniform"), "exact"),
+        (rand_instance(rng, 2, 3, "partition"), "exact"),
+        (rand_instance(rng, 3, 3, "graphic"), "exact"),
+        (coverage_instance(rng, 4, 2), "half-greedy"),
+    ]
+    for inst, oracle in cases:
+        view = cce.make_view(inst, oracle=oracle, epsilon=F(1, 10))
+        v_min, v_max = cce.compute_v_bounds(inst)
+        lo, hi = F(0), v_max
+        for _ in range(cce._ceil_log2(v_max / (view.epsilon * v_min)) + 1):
+            v = (lo + hi) / 2
+            points.clear()
+            run = cce._ellipsoid_run(view, v, v_min, v_max)
+            centers = points[:]
+            points.clear()
+            assert run == fraction_ellipsoid_run(view, v, v_min, v_max)
+            assert centers == points
+            lo, hi = (lo, v) if run[0] else (v, hi)
+
+
+def test_bareiss_det_matches_fraction_elimination():
+    rng = random.Random(77)
+    zero_lead = singular = 0
+    for trial in range(300):
+        size = 1 + trial % 5
+        m = [[rng.randint(-4, 4) for _ in range(size)] for _ in range(size)]
+        if trial % 3 == 0:
+            m[0][0] = 0
+        if trial % 7 == 0 and size > 1:
+            m[-1] = [2 * v for v in m[0]]
+        zero_lead += m[0][0] == 0
+        det = cce._bareiss_det(m)
+        singular += det == 0
+        assert det == fraction_det(m), m
+    assert zero_lead >= 100 and singular >= 40
 
 
 def test_approx_min_unsupported():

@@ -246,9 +246,9 @@ def test_lazy_rows_stop_on_the_certify_verdict(monkeypatch):
         passes.append(scheme)
         return genuine_pass(instance, scheme, pool)
 
-    def certify_spy(instance, scheme, value, notion):
+    def certify_spy(instance, scheme, value, notion, pool=None):
         certified.append(scheme)
-        genuine_certify(instance, scheme, value, notion)
+        genuine_certify(instance, scheme, value, notion, pool)
 
     monkeypatch.setattr(persuasion, "_violations", pass_spy)
     monkeypatch.setattr(persuasion, "certify", certify_spy)
@@ -261,6 +261,20 @@ def test_lazy_rows_stop_on_the_certify_verdict(monkeypatch):
             rounds = result.lp_stats["cut_rounds"]
             assert rounds >= 2 and len(passes) == len(certified) == rounds, name
             assert all(a is b for a, b in zip(passes, certified)) and passes[-1] is result.scheme, name
+
+
+def test_solve_full_enumerates_a_tabular_receiver_once(monkeypatch):
+    """The lazy-row loop's obedience passes scan ``solve_full``'s own
+    actions: one enumeration per solve, however many rounds it takes."""
+    genuine = persuasion.enumerate_actions
+    calls = []
+    monkeypatch.setattr(persuasion, "enumerate_actions", lambda *a: calls.append(a) or genuine(*a))
+    for name in ("two_state_toy", "weather_pair", "route_min"):
+        inst = as_tables(jsonio.instance_from_json(jsonio.load_json(f"instances/{name}.json")))
+        calls.clear()
+        result = persuasion.solve_full(inst)
+        assert result.lp_stats["cut_rounds"] >= 2 and len(calls) == 1, name
+        assert persuasion.check_persuasive(inst, result.scheme).persuasive, name
 
 
 def test_check_persuasive_names_one_best_deviation_per_signal():
