@@ -9,8 +9,12 @@ archive`` into a temporary directory, and each side runs its own
 ``bench/run.py`` (``--trace 0``) from its own root, so both measure the same
 benchmark only when the ref's ``bench/`` matches the working tree's.  Pair
 ``k`` runs the ref first when ``k`` is even and the working tree first when
-it is odd; its seed is ``--seed + k``.  The result goes to
-``BENCH_<workload>_<tag>.json``: the settings, both output lines of every
+it is odd; its seed is ``--seed + k``.  Both sides run with
+``PYTHONDONTWRITEBYTECODE=1`` and ``PYTHONPYCACHEPREFIX`` set to an empty
+directory, so each compiles every module it imports: the ref's fresh tree
+has no bytecode cache, and a current ``__pycache__`` in the working tree
+would otherwise favour the change.  The result goes to
+``BENCH_<workload>_<tag>.json``: the settings (the bytecode ones among them), both output lines of every
 run, each side's median and quartiles of every metric and, for every
 end-to-end metric of ``BENCHMARK.json``, the change/ref ratio of the
 medians, the pairs the change wins in the direction that file gives (ties
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -48,11 +53,16 @@ def extract(ref: str, into: Path) -> str:
     return commit
 
 
-def run_bench(root: Path, workload: str, seed: int, seconds: float) -> dict:
+def bytecode_env(pycache_prefix: Path) -> dict[str, str]:
+    """Neither read nor write compiled bytecode: ``pycache_prefix`` stays empty."""
+    return {"PYTHONDONTWRITEBYTECODE": "1", "PYTHONPYCACHEPREFIX": str(pycache_prefix)}
+
+
+def run_bench(root: Path, workload: str, seed: int, seconds: float, pycache_prefix: Path) -> dict:
     done = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
-        cwd=root, capture_output=True, text=True,
+        cwd=root, capture_output=True, text=True, env=dict(os.environ, **bytecode_env(pycache_prefix)),
     )
     lines = done.stdout.splitlines()
     if done.returncode != 0 or len(lines) < 2:
@@ -112,13 +122,15 @@ def main(argv=None) -> int:
 
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         commit = extract(args.ref, Path(tmp))
+        pycache_prefix = Path(tmp) / "pycache"
+        pycache_prefix.mkdir()
         sides = {"ref": Path(tmp) / "tree", "change": ROOT}
         pairs = []
         for k in range(args.pairs):
             order = ["ref", "change"] if k % 2 == 0 else ["change", "ref"]
             pair = {"seed": args.seed + k, "first": order[0]}
             for side in order:
-                pair[side] = run_bench(sides[side], args.workload, args.seed + k, args.seconds)
+                pair[side] = run_bench(sides[side], args.workload, args.seed + k, args.seconds, pycache_prefix)
                 value = pair[side]["result"]["metrics"]["ops_per_s"]["value"]
                 print(f"pair {k} {side}: ops_per_s {value}", file=sys.stderr)
             pairs.append(pair)
@@ -130,6 +142,7 @@ def main(argv=None) -> int:
         "ref": args.ref,
         "ref_commit": commit,
         "seconds": args.seconds,
+        "env": bytecode_env(pycache_prefix),
         "seeds": [p["seed"] for p in pairs],
         "pairs": pairs,
         **judge(pairs, better),

@@ -27,7 +27,6 @@ strict-feasibility LP, and each box cell is classified with
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import combinations
@@ -35,16 +34,19 @@ from math import factorial, gcd, lcm
 
 from . import lp
 from .errors import CertificateError, DimensionTooSmall, TooLarge
+from .model import Record
 from .rationals import ONE, ZERO, as_fraction
 
 DEFAULT_CELL_CAP = 100_000
 
 
-@dataclass(frozen=True)
-class Hyperplane:
+class Hyperplane(Record):
     """The set {x in aff : normal . x == 0}."""
 
-    normal: tuple[Fraction, ...]
+    __slots__ = ("normal",)
+
+    def __init__(self, normal: tuple[Fraction, ...]):
+        object.__setattr__(self, "normal", normal)
 
 
 def make_hyperplane(normal) -> Hyperplane:
@@ -57,8 +59,7 @@ def side(plane: Hyperplane, point) -> int:
     return (val > 0) - (val < 0)
 
 
-@dataclass(frozen=True)
-class Cell:
+class Cell(Record):
     """One full-dimensional region: per-input-plane signs plus a witness.
 
     An ``interior`` cell meets the open simplex and its witness ``point`` is
@@ -70,10 +71,19 @@ class Cell:
     more states only a touching cell carries one, found by LP.
     """
 
-    signs: tuple[int, ...]
-    point: tuple[Fraction, ...]
-    interior: bool = True
-    boundary: tuple[tuple[Fraction, ...], ...] = ()
+    __slots__ = ("signs", "point", "interior", "boundary")
+
+    def __init__(
+        self,
+        signs: tuple[int, ...],
+        point: tuple[Fraction, ...],
+        interior: bool = True,
+        boundary: tuple[tuple[Fraction, ...], ...] = (),
+    ):
+        object.__setattr__(self, "signs", signs)
+        object.__setattr__(self, "point", point)
+        object.__setattr__(self, "interior", interior)
+        object.__setattr__(self, "boundary", boundary)
 
 
 def _functional(plane: Hyperplane, num_states: int) -> tuple[tuple[Fraction, ...], Fraction]:

@@ -24,7 +24,6 @@ boundary beliefs the cell enumeration reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial
@@ -36,6 +35,7 @@ from .model import (
     ActionSet,
     Instance,
     Partition,
+    Record,
     Sense,
     UtilityKind,
 )
@@ -46,23 +46,39 @@ from .rationals import ZERO
 AUDIT_FAMILY_CAP = 1_000_000
 
 
-@dataclass(frozen=True)
-class NondegeneracyReport:
-    clean: bool
-    method: str  # "exhaustive" | "skipped" (over the cap, not clean)
-    families_checked: int
-    violations: tuple = ()  # (permutation, positions) witnesses
+class NondegeneracyReport(Record):
+    """``method`` is "exhaustive" or "skipped" (over the cap, not clean);
+    ``violations`` holds (permutation, positions) witnesses."""
+
+    __slots__ = ("clean", "method", "families_checked", "violations")
+
+    def __init__(self, clean: bool, method: str, families_checked: int, violations: tuple = ()):
+        object.__setattr__(self, "clean", clean)
+        object.__setattr__(self, "method", method)
+        object.__setattr__(self, "families_checked", families_checked)
+        object.__setattr__(self, "violations", violations)
 
 
-@dataclass(frozen=True)
-class BestResponseCatalog:
-    actions: tuple[ActionSet, ...]
-    # one point per action: an interior belief, or for an action found only
-    # on a cell touching the simplex boundary a point of that cell outside it
-    witnesses: tuple[tuple[Fraction, ...], ...]
-    num_cells: int
-    degeneracy: NondegeneracyReport
-    perturbed: bool
+class BestResponseCatalog(Record):
+    """``witnesses`` has one point per action: an interior belief, or for an
+    action found only on a cell touching the simplex boundary a point of
+    that cell outside it."""
+
+    __slots__ = ("actions", "witnesses", "num_cells", "degeneracy", "perturbed")
+
+    def __init__(
+        self,
+        actions: tuple[ActionSet, ...],
+        witnesses: tuple[tuple[Fraction, ...], ...],
+        num_cells: int,
+        degeneracy: NondegeneracyReport,
+        perturbed: bool,
+    ):
+        object.__setattr__(self, "actions", actions)
+        object.__setattr__(self, "witnesses", witnesses)
+        object.__setattr__(self, "num_cells", num_cells)
+        object.__setattr__(self, "degeneracy", degeneracy)
+        object.__setattr__(self, "perturbed", perturbed)
 
 
 def _require_linear_matroid(instance: Instance) -> None:

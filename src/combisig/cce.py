@@ -27,7 +27,6 @@ Two solver paths:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from math import floor, gcd, isqrt, lcm
@@ -49,6 +48,7 @@ from .model import (
     ActionSet,
     Instance,
     Posterior,
+    Record,
     Sense,
     UtilityKind,
 )
@@ -70,31 +70,50 @@ CENTER_DENOM_BITS = 128  # ellipsoid centers/matrix rounded to this denominator 
 MATRIX_INFLATION = Fraction(1, 1 << 10)  # keeps rounded ellipsoids containing
 
 
-@dataclass(frozen=True)
-class ApproxOracle:
+class ApproxOracle(Record):
     """Returns, for (state, y>=0), an action within factor alpha of
     max/min over independent sets of s_state(S) + y * r_state(S); the
-    receiver part y*r must never be approximated."""
+    receiver part y*r must never be approximated.  ``kind`` is "exact",
+    "half-greedy" or "custom"."""
 
-    kind: str  # "exact" | "half-greedy" | "custom"
-    alpha: Fraction
-    fn: Callable[[int, Fraction], ActionSet]
+    __slots__ = ("kind", "alpha", "fn")
 
-
-@dataclass(frozen=True)
-class CCEInstanceView:
-    instance: Instance
-    oracle: ApproxOracle
-    C: Fraction
-    prior_best: ActionSet
-    epsilon: Fraction
-    audit: bool = False
-    audit_pool: tuple[ActionSet, ...] = field(default=())
+    def __init__(self, kind: str, alpha: Fraction, fn: Callable[[int, Fraction], ActionSet]):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "fn", fn)
 
 
-def prior_best_value(instance: Instance) -> tuple[Fraction, ActionSet]:
-    """Receiver's best expected value (and action) under the prior alone."""
-    return best_deviation(instance, Posterior(xi=instance.prior))
+class CCEInstanceView(Record):
+    """``pool`` is every feasible action when ``make_view`` enumerated them
+    (to audit the oracle, or for the exact oracle on tabular utilities),
+    else None; the oracle, the prior best and ``certify`` share it."""
+
+    __slots__ = ("instance", "oracle", "C", "prior_best", "epsilon", "audit", "pool")
+
+    def __init__(
+        self,
+        instance: Instance,
+        oracle: ApproxOracle,
+        C: Fraction,
+        prior_best: ActionSet,
+        epsilon: Fraction,
+        audit: bool = False,
+        pool: tuple[ActionSet, ...] | None = None,
+    ):
+        object.__setattr__(self, "instance", instance)
+        object.__setattr__(self, "oracle", oracle)
+        object.__setattr__(self, "C", C)
+        object.__setattr__(self, "prior_best", prior_best)
+        object.__setattr__(self, "epsilon", epsilon)
+        object.__setattr__(self, "audit", audit)
+        object.__setattr__(self, "pool", pool)
+
+
+def prior_best_value(instance: Instance, pool: list[ActionSet] | None = None) -> tuple[Fraction, ActionSet]:
+    """Receiver's best expected value (and action) under the prior alone;
+    a tabular receiver's is scanned from ``pool`` (default: enumerated)."""
+    return best_deviation(instance, Posterior(xi=instance.prior), pool)
 
 
 def _utility_values(util, num_states: int, n: int) -> list[Fraction]:
@@ -168,17 +187,18 @@ def compute_v_bounds(instance: Instance) -> tuple[Fraction, Fraction]:
     return v_min, v_max
 
 
-def exact_oracle(instance: Instance, max_actions: int | None = None) -> ApproxOracle:
+def exact_oracle(instance: Instance, pool: list[ActionSet] | None = None) -> ApproxOracle:
     """Exact oracle: ``persuasion.best_action`` at state t's point belief
-    with a = y and b = 1.  Tabular utilities: every feasible action is
-    enumerated here, once, and each call scans them, ties going to the
-    lexicographically least.  Linear utilities: one greedy or Dijkstra call
+    with a = y and b = 1.  Tabular utilities: each call scans ``pool``,
+    every feasible action (enumerated here, once, if not given), ties going
+    to the lexicographically least.  Linear utilities: one greedy or Dijkstra call
     on best_action's weights y * r_e + s_e times the positive integer
     y.denominator * L_t (L_t clears state t's denominators, in ``rows``),
     which keeps greedy's order and Dijkstra's comparisons, so the answer."""
     D = instance.num_states
     if UtilityKind.TABULAR in (instance.sender.kind, instance.receiver.kind):
-        pool = enumerate_actions(instance.constraint, instance.num_elements, max_actions)
+        if pool is None:
+            pool = enumerate_actions(instance.constraint, instance.num_elements)
         points = [Posterior(tuple(ONE if s == t else ZERO for s in range(D))) for t in range(D)]
         return ApproxOracle("exact", ONE, lambda state, y: best_action(instance, points[state], y, ONE, pool))
 
@@ -240,10 +260,14 @@ def make_view(
     max_actions: int | None = None,
 ) -> CCEInstanceView:
     """Bundle an instance with its oracle, the receiver's prior-best action
-    and value, and the search tolerance."""
+    and value, and the search tolerance.  Every feasible action is
+    enumerated at most once, here."""
+    pool = None
+    if audit or (oracle == "exact" and UtilityKind.TABULAR in (instance.sender.kind, instance.receiver.kind)):
+        pool = tuple(enumerate_actions(instance.constraint, instance.num_elements, max_actions))
     if isinstance(oracle, str):
         if oracle == "exact":
-            oracle = exact_oracle(instance, max_actions)
+            oracle = exact_oracle(instance, pool)
         elif oracle == "half-greedy":
             oracle = half_greedy_submodular_oracle(instance)
         else:
@@ -251,10 +275,7 @@ def make_view(
     epsilon = as_fraction(epsilon)
     if not 0 < epsilon < oracle.alpha:
         raise ParameterError("epsilon must lie strictly between 0 and the oracle's alpha")
-    C, S_C = prior_best_value(instance)
-    audit_pool: tuple[ActionSet, ...] = ()
-    if audit:
-        audit_pool = tuple(enumerate_actions(instance.constraint, instance.num_elements, max_actions))
+    C, S_C = prior_best_value(instance, pool)
     return CCEInstanceView(
         instance=instance,
         oracle=oracle,
@@ -262,7 +283,7 @@ def make_view(
         prior_best=S_C,
         epsilon=epsilon,
         audit=audit,
-        audit_pool=audit_pool,
+        pool=pool,
     )
 
 
@@ -272,7 +293,7 @@ def _audit_oracle(view: CCEInstanceView, state: int, y: Fraction, got: ActionSet
     checks plain optimality."""
     inst = view.instance
     achieved = inst.sender.value(state, got) + y * inst.receiver.value(state, got)
-    for S in view.audit_pool:
+    for S in view.pool:
         other = inst.sender.value(state, S) + y * inst.receiver.value(state, S)
         if inst.sense is Sense.MAX:
             bar = view.oracle.alpha * inst.sender.value(state, S) + y * inst.receiver.value(state, S)
@@ -348,7 +369,7 @@ def solve_cce_exact(view: CCEInstanceView) -> SolveResult:
         if stale:
             raise CertificateError(f"columns {sorted(stale)} price out at the certified duals of an LP that holds them")
         columns.update(rows)
-    certify(inst, scheme, res.value, RELAXED)
+    certify(inst, scheme, res.value, RELAXED, view.pool)
     return SolveResult(
         scheme=scheme,
         sender_value=res.value,
@@ -540,7 +561,7 @@ def solve_cce_approx(view: CCEInstanceView) -> SolveResult:
         scheme, res = scheme_lp(inst, ordered, [(obedience, view.C)])
         value = res.value
         stats["pivots"] = res.pivots
-    certify(inst, scheme, value, RELAXED)
+    certify(inst, scheme, value, RELAXED, view.pool)
     return SolveResult(
         scheme=scheme,
         sender_value=value,

@@ -9,7 +9,6 @@ form) ties schemes and reports to the instance they were computed from.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from fractions import Fraction
 from typing import Any
@@ -182,6 +181,8 @@ def dumps_canonical(obj: Any) -> str:
 
 
 def instance_digest(instance: Instance) -> str:
+    import hashlib  # here, not at the top: loading it loads OpenSSL, which parsing never needs
+
     payload = dumps_canonical(instance_to_json(instance))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 

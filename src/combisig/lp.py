@@ -37,11 +37,11 @@ the checks are plain code, so ``python -O`` keeps them.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
 from .errors import CertificateError, InstanceFormatError, IterationCap
+from .model import Record
 from .rationals import ONE, ZERO, as_fraction
 
 MAX = "max"
@@ -60,11 +60,13 @@ _FLIPPED = {LE: GE, GE: LE, EQ: EQ}
 _HOLDS = {LE: operator.le, GE: operator.ge, EQ: operator.eq}
 
 
-@dataclass
-class LPRow:
-    coeffs: list[Fraction]
-    rel: str
-    rhs: Fraction
+class LPRow(Record):
+    __slots__ = ("coeffs", "rel", "rhs")
+
+    def __init__(self, coeffs: list[Fraction], rel: str, rhs: Fraction):
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "rel", rel)
+        object.__setattr__(self, "rhs", rhs)
 
 
 class LPModel:
@@ -100,13 +102,22 @@ class LPModel:
         return len(self.rows) - 1
 
 
-@dataclass
-class LPResult:
-    status: str
-    value: Fraction | None = None
-    x: list[Fraction] | None = None
-    duals: list[Fraction] | None = None
-    pivots: int = 0
+class LPResult(Record):
+    __slots__ = ("status", "value", "x", "duals", "pivots")
+
+    def __init__(
+        self,
+        status: str,
+        value: Fraction | None = None,
+        x: list[Fraction] | None = None,
+        duals: list[Fraction] | None = None,
+        pivots: int = 0,
+    ):
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "duals", duals)
+        object.__setattr__(self, "pivots", pivots)
 
 
 class _Tableau:

@@ -8,7 +8,6 @@ Actions are canonically represented as sorted tuples of element indices.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
@@ -31,6 +30,43 @@ def make_action(elements) -> ActionSet:
     return action
 
 
+class Record:
+    """Base of the package's immutable value types, in place of a frozen
+    dataclass (whose import chain, ``dataclasses`` -> ``inspect``, and
+    ``exec``-generated methods every CLI process would pay at start-up).
+
+    A subclass names its fields in ``__slots__`` and sets each one in its
+    ``__init__`` with ``object.__setattr__``.  Equality, hashing, ``repr``
+    and pickling follow the fields in slot order; assignment raises.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 class Sense(enum.Enum):
     MAX = "max"
     MIN = "min"
@@ -41,8 +77,7 @@ class UtilityKind(enum.Enum):
     TABULAR = "tabular"
 
 
-@dataclass(frozen=True)
-class UtilitySpec:
+class UtilitySpec(Record):
     """Per-state utility over actions, either additive over elements or a table.
 
     ``linear``: for each state, a vector of singleton values; the value of an
@@ -50,9 +85,17 @@ class UtilitySpec:
     explicit map from actions to values (tiny instances only).
     """
 
-    kind: UtilityKind
-    linear: tuple[tuple[Fraction, ...], ...] | None = None
-    tabular: tuple[Mapping[ActionSet, Fraction], ...] | None = None
+    __slots__ = ("kind", "linear", "tabular")
+
+    def __init__(
+        self,
+        kind: UtilityKind,
+        linear: tuple[tuple[Fraction, ...], ...] | None = None,
+        tabular: tuple[Mapping[ActionSet, Fraction], ...] | None = None,
+    ):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "linear", linear)
+        object.__setattr__(self, "tabular", tabular)
 
     @classmethod
     def from_linear(cls, rows) -> "UtilitySpec":
@@ -119,44 +162,56 @@ class UtilitySpec:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Uniform:
+class Uniform(Record):
     """Independent sets are all subsets of size at most k."""
 
-    k: int
+    __slots__ = ("k",)
+
+    def __init__(self, k: int):
+        object.__setattr__(self, "k", k)
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Record):
     """Blocks partition the ground set; at most caps[b] elements per block."""
 
-    blocks: tuple[tuple[int, ...], ...]
-    caps: tuple[int, ...]
+    __slots__ = ("blocks", "caps")
+
+    def __init__(self, blocks: tuple[tuple[int, ...], ...], caps: tuple[int, ...]):
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "caps", caps)
 
 
-@dataclass(frozen=True)
-class Graphic:
-    """Elements are edges of a multigraph; independent sets are acyclic."""
+class Graphic(Record):
+    """Elements are edges of a multigraph; independent sets are acyclic.
+    ``edges[e] = (u, v)`` for element e."""
 
-    num_vertices: int
-    edges: tuple[tuple[int, int], ...]  # edges[e] = (u, v) for element e
+    __slots__ = ("num_vertices", "edges")
+
+    def __init__(self, num_vertices: int, edges: tuple[tuple[int, int], ...]):
+        object.__setattr__(self, "num_vertices", num_vertices)
+        object.__setattr__(self, "edges", edges)
 
 
-@dataclass(frozen=True)
-class OracleMatroid:
+class OracleMatroid(Record):
     """Matroid given only through a registered independence callable."""
 
-    oracle_id: str
+    __slots__ = ("oracle_id",)
+
+    def __init__(self, oracle_id: str):
+        object.__setattr__(self, "oracle_id", oracle_id)
 
 
-@dataclass(frozen=True)
-class PathGraph:
-    """Directed graph; feasible actions are simple source-sink paths (min sense)."""
+class PathGraph(Record):
+    """Directed graph; feasible actions are simple source-sink paths (min sense).
+    ``edges[e] = (tail, head)`` for element e."""
 
-    num_vertices: int
-    edges: tuple[tuple[int, int], ...]  # edges[e] = (tail, head) for element e
-    source: int
-    sink: int
+    __slots__ = ("num_vertices", "edges", "source", "sink")
+
+    def __init__(self, num_vertices: int, edges: tuple[tuple[int, int], ...], source: int, sink: int):
+        object.__setattr__(self, "num_vertices", num_vertices)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "sink", sink)
 
 
 Constraint = Uniform | Partition | Graphic | OracleMatroid | PathGraph
@@ -229,19 +284,28 @@ def _sink_reachable(spec: PathGraph) -> bool:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(Record):
     """A persuasion instance: prior, utilities for both players, feasible actions."""
 
-    state_names: tuple[str, ...]
-    prior: tuple[Fraction, ...]
-    element_names: tuple[str, ...]
-    sender: UtilitySpec
-    receiver: UtilitySpec
-    constraint: Constraint
-    sense: Sense = Sense.MAX
+    __slots__ = ("state_names", "prior", "element_names", "sender", "receiver", "constraint", "sense")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        state_names: tuple[str, ...],
+        prior: tuple[Fraction, ...],
+        element_names: tuple[str, ...],
+        sender: UtilitySpec,
+        receiver: UtilitySpec,
+        constraint: Constraint,
+        sense: Sense = Sense.MAX,
+    ):
+        object.__setattr__(self, "state_names", state_names)
+        object.__setattr__(self, "prior", prior)
+        object.__setattr__(self, "element_names", element_names)
+        object.__setattr__(self, "sender", sender)
+        object.__setattr__(self, "receiver", receiver)
+        object.__setattr__(self, "constraint", constraint)
+        object.__setattr__(self, "sense", sense)
         n_states = len(self.state_names)
         n = len(self.element_names)
         if n_states == 0 or n == 0:
@@ -287,21 +351,20 @@ class Instance:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Posterior:
+class Posterior(Record):
     """A distribution over states."""
 
-    xi: tuple[Fraction, ...]
+    __slots__ = ("xi",)
 
-    def __post_init__(self):
+    def __init__(self, xi: tuple[Fraction, ...]):
+        object.__setattr__(self, "xi", xi)
         if any(p < 0 for p in self.xi):
             raise InstanceFormatError("posterior entries must be nonnegative")
         if sum(self.xi, ZERO) != ONE:
             raise InstanceFormatError("posterior must sum to exactly 1")
 
 
-@dataclass(frozen=True, slots=True)
-class SignalingScheme:
+class SignalingScheme(Record):
     """A direct scheme: per state, a distribution over recommended actions.
 
     ``phi`` maps (state index, action) to a probability; missing pairs are
@@ -309,11 +372,17 @@ class SignalingScheme:
     under some state.
     """
 
-    num_states: int
-    support: tuple[ActionSet, ...]
-    phi: Mapping[tuple[int, ActionSet], Fraction] = field(compare=True)
+    __slots__ = ("num_states", "support", "phi")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        num_states: int,
+        support: tuple[ActionSet, ...],
+        phi: Mapping[tuple[int, ActionSet], Fraction],
+    ):
+        object.__setattr__(self, "num_states", num_states)
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "phi", phi)
         support_set = set(self.support)
         if len(support_set) != len(self.support):
             raise InstanceFormatError("scheme support contains duplicates")

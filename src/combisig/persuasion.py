@@ -26,7 +26,6 @@ audited with no action enumerated, else one scan of the feasible actions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from math import lcm
@@ -38,6 +37,7 @@ from .model import (
     Instance,
     PathGraph,
     Posterior,
+    Record,
     SignalingScheme,
     Sense,
     UtilityKind,
@@ -70,19 +70,34 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class SolveResult:
-    scheme: SignalingScheme
-    sender_value: Fraction
-    method: str  # "full-lp" | "reduced-lp" | "cce-cutting-plane" | "cce-ellipsoid"
-    catalog_size: int | None = None
-    lp_stats: dict = field(default_factory=dict)
+class SolveResult(Record):
+    """``method`` is "full-lp", "reduced-lp", "cce-cutting-plane" or "cce-ellipsoid"."""
+
+    __slots__ = ("scheme", "sender_value", "method", "catalog_size", "lp_stats")
+
+    def __init__(
+        self,
+        scheme: SignalingScheme,
+        sender_value: Fraction,
+        method: str,
+        catalog_size: int | None = None,
+        lp_stats: dict | None = None,
+    ):
+        object.__setattr__(self, "scheme", scheme)
+        object.__setattr__(self, "sender_value", sender_value)
+        object.__setattr__(self, "method", method)
+        object.__setattr__(self, "catalog_size", catalog_size)
+        object.__setattr__(self, "lp_stats", {} if lp_stats is None else lp_stats)
 
 
-@dataclass(frozen=True)
-class PersuasivenessReport:
-    persuasive: bool
-    violations: tuple  # (recommended, best deviation, gap), one per disobeyed signal
+class PersuasivenessReport(Record):
+    """``violations`` holds (recommended, best deviation, gap), one per disobeyed signal."""
+
+    __slots__ = ("persuasive", "violations")
+
+    def __init__(self, persuasive: bool, violations: tuple):
+        object.__setattr__(self, "persuasive", persuasive)
+        object.__setattr__(self, "violations", violations)
 
 
 class _Disobeyed(CertificateError):
@@ -164,7 +179,10 @@ def best_deviation(
     instance: Instance, xi: Posterior, pool: list[ActionSet] | None = None
 ) -> tuple[Fraction, ActionSet]:
     """The receiver's best value at the belief and an action attaining it:
-    ``best_action`` with a = 1, b = 0."""
+    ``best_action`` with a = 1, b = 0.  A linear receiver ignores ``pool``:
+    one greedy or shortest-path call answers it."""
+    if instance.receiver.kind is UtilityKind.LINEAR:
+        pool = None
     action = best_action(instance, xi, ONE, ZERO, pool)
     return expected_value(instance.receiver, xi, action), action
 
@@ -176,9 +194,7 @@ def _violations(
     would rather not obey; one ``best_deviation`` call per signal.  A
     tabular receiver's deviations are scanned from ``pool`` (default: every
     feasible action, enumerated here); a linear receiver ignores it."""
-    if instance.receiver.kind is UtilityKind.LINEAR:
-        pool = None
-    elif pool is None:
+    if instance.receiver.kind is UtilityKind.TABULAR and pool is None:
         pool = enumerate_actions(instance.constraint, instance.num_elements)
     maximize = instance.sense is Sense.MAX
     out = []
@@ -334,7 +350,7 @@ def certify(
     raises ``_Disobeyed``, which lists every one: the lazy-row loop of
     ``full`` and ``reduced`` takes its new pair rows from that verdict.
     ``pool``, every feasible action if the caller holds them, spares a
-    tabular receiver's obedience pass its enumeration."""
+    tabular receiver's scans (obedience pass, prior best) their enumeration."""
     try:
         _check_scheme(instance, scheme)
     except InstanceFormatError as exc:
@@ -346,7 +362,7 @@ def certify(
         if violations := _violations(instance, scheme, pool):
             raise _Disobeyed(violations)
     else:
-        prior_best, _ = best_deviation(instance, Posterior(xi=instance.prior))
+        prior_best, _ = best_deviation(instance, Posterior(xi=instance.prior), pool)
         follow = _scheme_value(instance, scheme, instance.receiver)
         if (follow < prior_best) if instance.sense is Sense.MAX else (follow > prior_best):
             raise CertificateError(f"following is worth {follow} to the receiver, its prior best {prior_best}")

@@ -21,7 +21,6 @@ the satisfiable case, mapped down to a direct (recommendation) scheme.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import MissingSolution, ParameterError, PriorDegenerate
@@ -32,6 +31,7 @@ from .model import (
     PathGraph,
     Partition,
     Posterior,
+    Record,
     Sense,
     SignalingScheme,
     Uniform,
@@ -41,8 +41,7 @@ from .persuasion import tie_broken_response
 from .rationals import ONE, ZERO, as_fraction
 
 
-@dataclass(frozen=True)
-class LineqMaSpec:
+class LineqMaSpec(Record):
     """A rational linear system with the promise parameters attached.
 
     ``zeta``/``delta`` are metadata describing the promise gap; generators
@@ -50,13 +49,21 @@ class LineqMaSpec:
     witnessing the satisfiable case (used by ``completeness_scheme``).
     """
 
-    A: tuple[tuple[Fraction, ...], ...]
-    c: tuple[Fraction, ...]
-    zeta: Fraction
-    delta: Fraction
-    known_solution: tuple[int, ...] | None = None
+    __slots__ = ("A", "c", "zeta", "delta", "known_solution")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        A: tuple[tuple[Fraction, ...], ...],
+        c: tuple[Fraction, ...],
+        zeta: Fraction,
+        delta: Fraction,
+        known_solution: tuple[int, ...] | None = None,
+    ):
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "zeta", zeta)
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "known_solution", known_solution)
         if not self.A or not self.A[0]:
             raise ParameterError("need at least one equation and one variable")
         width = len(self.A[0])
@@ -274,8 +281,7 @@ def gen_path_from_lineq(spec: LineqMaSpec) -> Instance:
     )
 
 
-@dataclass(frozen=True)
-class PublicPersuasionSpec:
+class PublicPersuasionSpec(Record):
     """Public persuasion with binary per-receiver actions and no externalities.
 
     ``r0[theta][i]`` / ``r1[theta][i]``: receiver i's utility for action 0/1
@@ -283,13 +289,21 @@ class PublicPersuasionSpec:
     receiver i takes action 1.
     """
 
-    state_names: tuple[str, ...]
-    prior: tuple[Fraction, ...]
-    r0: tuple[tuple[Fraction, ...], ...]
-    r1: tuple[tuple[Fraction, ...], ...]
-    sender: tuple[tuple[Fraction, ...], ...]
+    __slots__ = ("state_names", "prior", "r0", "r1", "sender")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        state_names: tuple[str, ...],
+        prior: tuple[Fraction, ...],
+        r0: tuple[tuple[Fraction, ...], ...],
+        r1: tuple[tuple[Fraction, ...], ...],
+        sender: tuple[tuple[Fraction, ...], ...],
+    ):
+        object.__setattr__(self, "state_names", state_names)
+        object.__setattr__(self, "prior", prior)
+        object.__setattr__(self, "r0", r0)
+        object.__setattr__(self, "r1", r1)
+        object.__setattr__(self, "sender", sender)
         D = len(self.state_names)
         if not (len(self.prior) == len(self.r0) == len(self.r1) == len(self.sender) == D):
             raise ParameterError("per-state tables must all match the state count")

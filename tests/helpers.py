@@ -7,7 +7,6 @@ and these oracles is meaningful evidence.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -417,6 +416,13 @@ def lex_weights_order(psi, point, tie_break) -> list[int]:
     return sorted(range(n), key=lambda e: weights[e], reverse=True)
 
 
+def replace_fields(record, **changes):
+    """A new ``record`` of the same type with the named fields replaced; the
+    constructor runs, so the result is validated like any other."""
+    fields = {name: getattr(record, name) for name in record.__slots__}
+    return type(record)(**{**fields, **changes})
+
+
 def as_tables(instance: Instance) -> Instance:
     """The instance with both utilities written as tables over every
     feasible action."""
@@ -429,7 +435,7 @@ def as_tables(instance: Instance) -> Instance:
             [{S: util.value(t, S) for S in actions} for t in range(instance.num_states)]
         )
 
-    return dataclasses.replace(instance, receiver=tables(instance.receiver), sender=tables(instance.sender))
+    return replace_fields(instance, receiver=tables(instance.receiver), sender=tables(instance.sender))
 
 
 # ---------------------------------------------------------------------------

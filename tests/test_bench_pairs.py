@@ -1,6 +1,9 @@
-"""The verdict fields of ``scripts/bench_pairs.py`` on synthetic runs."""
+"""``scripts/bench_pairs.py``: the verdict fields on synthetic runs, and the
+environment each benchmark run gets."""
 
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
@@ -37,3 +40,23 @@ def test_gap_must_exceed_the_refs_quartile_spread():
     assert bench_pairs.judge(near, BETTER)["gap_exceeds_ref_iqr"] == {"ops_per_s": False, "latency_s.p50": False}
     assert bench_pairs.judge(far, BETTER)["gap_exceeds_ref_iqr"] == {"ops_per_s": True, "latency_s.p50": True}
     assert bench_pairs.judge(far, BETTER)["wins"] == {"ops_per_s": 5, "latency_s.p50": 5}
+
+
+def test_both_sides_run_without_a_bytecode_cache(monkeypatch, tmp_path):
+    calls = []
+
+    def fake_run(argv, **kwargs):
+        calls.append(kwargs)
+        lines = [json.dumps({"seed": 1}), json.dumps({"metrics": {}})]
+        return subprocess.CompletedProcess(argv, 0, stdout="\n".join(lines) + "\n", stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    prefix = tmp_path / "pycache"
+    for root in (tmp_path / "tree", SCRIPT.parents[1]):
+        out = bench_pairs.run_bench(root, "cli", 1, 0.5, prefix)
+        assert out == {"meta": {"seed": 1}, "result": {"metrics": {}}}
+    assert [c["cwd"] for c in calls] == [tmp_path / "tree", SCRIPT.parents[1]]
+    for kwargs in calls:
+        assert kwargs["env"]["PYTHONDONTWRITEBYTECODE"] == "1"
+        assert kwargs["env"]["PYTHONPYCACHEPREFIX"] == str(prefix)
+    assert bench_pairs.bytecode_env(prefix) == {"PYTHONDONTWRITEBYTECODE": "1", "PYTHONPYCACHEPREFIX": str(prefix)}

@@ -1,6 +1,5 @@
 """Best-response catalog vs. independent sweep/LP oracles."""
 
-import dataclasses
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -29,6 +28,7 @@ from helpers import (
     nondegeneracy_by_permutations,
     rand_clean_instance,
     rand_instance,
+    replace_fields,
     sweep_weak_optimal_2state,
     wide_uniform_instance,
 )
@@ -321,6 +321,6 @@ def test_greedy_at_point_orders_like_lexicographic_bumps():
         psi = list(zip(*inst.receiver.linear))
         want = lex_weights_order(psi, point, tie_break)
         for k in range(1, inst.num_elements + 1):
-            uniform = dataclasses.replace(inst, constraint=Uniform(k))
+            uniform = replace_fields(inst, constraint=Uniform(k))
             got = best_response.greedy_at_point(uniform, point, tie_break)
             assert got == tuple(sorted(want[:k])), f"trial {trial}, k={k}"

@@ -1,6 +1,5 @@
 """Relaxed-obedience solvers against an independently built direct LP."""
 
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -32,6 +31,7 @@ from helpers import (
     fraction_det,
     fraction_ellipsoid_run,
     rand_instance,
+    replace_fields,
 )
 
 F = Fraction
@@ -72,7 +72,7 @@ def test_exact_matches_brute_lp_min_paths():
         # the same sender costs as a table take the brute-force oracle
         paths = persuasion.enumerate_actions(inst.constraint, inst.num_elements)
         tables = [{S: inst.sender.value(t, S) for S in [(), *paths]} for t in range(2)]
-        tabular = dataclasses.replace(inst, sender=UtilitySpec.from_tabular(tables))
+        tabular = replace_fields(inst, sender=UtilitySpec.from_tabular(tables))
         view = cce.make_view(tabular)
         assert view.oracle.kind == "exact"
         assert cce.solve_cce_exact(view).sender_value == result.sender_value
@@ -172,7 +172,7 @@ def test_every_engine_certifies_the_scheme_it_returns(monkeypatch):
     monkeypatch.setattr(persuasion, "certify", spy)
     monkeypatch.setattr(cce, "certify", spy)
     inst = rand_instance(random.Random(31), 2, 3, "uniform")
-    no_sender = dataclasses.replace(inst, sender=UtilitySpec.from_linear([[0] * 3, [0] * 3]))
+    no_sender = replace_fields(inst, sender=UtilitySpec.from_linear([[0] * 3, [0] * 3]))
     engines = {
         "full": (lambda: persuasion.solve_full(inst), persuasion.PERSUASIVE),
         "reduced": (lambda: persuasion.solve_reduced(inst), persuasion.PERSUASIVE),
@@ -236,6 +236,21 @@ def test_separation_flags_infeasible_point():
     # the all-zero dual point violates every (state, action) row with s > 0
     rows, proposals = cce.separation(view, (F(0), F(0)), F(0))
     assert rows and proposals
+
+
+def test_relaxed_solve_enumerates_a_tabular_instance_once(monkeypatch):
+    """``make_view`` enumerates the feasible actions once, and the exact
+    oracle, the prior best and ``certify`` all scan that pool."""
+    genuine = persuasion.enumerate_actions
+    calls = []
+    spy = lambda *a: calls.append(a) or genuine(*a)
+    monkeypatch.setattr(persuasion, "enumerate_actions", spy)
+    monkeypatch.setattr(cce, "enumerate_actions", spy)
+    inst = as_tables(jsonio.instance_from_json(jsonio.load_json("instances/weather_pair.json")))
+    calls.clear()
+    result = cce.solve_cce_exact(cce.make_view(inst))
+    assert len(calls) == 1
+    assert result.sender_value == brute_cce_value(inst)
 
 
 def test_exact_oracle_agrees_with_brute():

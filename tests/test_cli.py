@@ -548,6 +548,38 @@ def test_import_surface():
     assert probe["unknown"] == "AttributeError"
 
 
+START_UP_PROBE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+if sys.argv[2] == "load":
+    from combisig import jsonio
+    jsonio.instance_from_json(jsonio.load_json(sys.argv[3]))
+else:
+    __import__(sys.argv[2])
+print(" ".join(m for m in ("dataclasses", "inspect", "hashlib") if m in sys.modules))
+"""
+
+
+@pytest.mark.parametrize(
+    "target, absent",
+    [
+        *((f"combisig.{m}", "dataclasses inspect") for m in ("cli", "cce", "best_response", "arrangement", "reductions")),
+        ("load", "hashlib"),
+    ],
+)
+def test_start_up_leaves_out_heavy_modules(target, absent):
+    """What a fresh interpreter (``-S``: no site hooks) loads for an import,
+    or for parsing an instance: ``dataclasses`` -> ``inspect`` and OpenSSL's
+    ``hashlib`` are start-up cost every CLI process would pay."""
+    root = Path(__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", START_UP_PROBE, str(root / "src"), target,
+         str(root / "instances" / "weather_pair.json")],
+        capture_output=True, text=True, check=True,
+    )
+    assert set(done.stdout.split()) & set(absent.split()) == set()
+
+
 # ---------------------------------------------------------------------------
 # demo script
 # ---------------------------------------------------------------------------

@@ -297,6 +297,19 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
+def test_package_does_not_import_dataclasses():
+    """Every CLI process would pay for ``dataclasses`` and the ``inspect``
+    chain it loads; the package's records derive from ``model.Record``."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((SRC / "combisig").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if (isinstance(node, ast.Import) and any(a.name.split(".")[0] == "dataclasses" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "dataclasses")
+    ]
+    assert found == []
+
+
 def test_certificate_survives_python_O():
     """Under ``python -O`` a forged simplex solution still raises
     CertificateError, both from lp.solve and from a solver built on it, and

@@ -1,5 +1,6 @@
 """Instance/scheme domain types: validation, posteriors, scheme algebra."""
 
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -32,6 +33,28 @@ def small_instance(sense=Sense.MAX, constraint=None):
         constraint=constraint or Uniform(1),
         sense=sense,
     )
+
+
+def test_records_compare_hash_print_and_refuse_assignment():
+    """``model.Record`` behaves as the frozen dataclasses it replaced: equal
+    fields make equal, equally hashed records; ``repr`` names every field;
+    pickling re-runs the constructor; assignment and deletion raise."""
+    inst, twin = small_instance(), small_instance()
+    assert inst == twin and hash(inst) == hash(twin) and inst is not twin
+    assert inst != small_instance(constraint=Uniform(2)) and Uniform(1) != (1,)
+    assert repr(Uniform(2)) == "Uniform(k=2)"
+    assert repr(PathGraph(3, ((0, 1),), 0, 1)) == "PathGraph(num_vertices=3, edges=((0, 1),), source=0, sink=1)"
+    assert pickle.loads(pickle.dumps(inst)) == inst
+    scheme = deterministic_scheme(2, (0,))
+    assert pickle.loads(pickle.dumps(scheme)) == scheme
+    with pytest.raises(AttributeError):
+        inst.prior = (F(1, 2), F(1, 2))
+    with pytest.raises(AttributeError):
+        del scheme.phi
+    with pytest.raises(AttributeError):
+        scheme.extra = 1
+    with pytest.raises(TypeError):
+        hash(scheme)  # phi is a dict
 
 
 def test_prior_must_sum_to_one():
