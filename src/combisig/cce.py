@@ -149,7 +149,7 @@ def _rational_gcd(values) -> Fraction:
     return Fraction(g, den)
 
 
-def compute_v_bounds(instance: Instance) -> tuple[Fraction, Fraction]:
+def compute_v_bounds(instance: Instance, pool: list[ActionSet] | None = None) -> tuple[Fraction, Fraction]:
     """Strict bracket (v_min, v_max) around any positive optimum.
 
     v_max strictly exceeds the best possible sender value (subadditivity of
@@ -159,7 +159,8 @@ def compute_v_bounds(instance: Instance) -> tuple[Fraction, Fraction]:
     the smallest positive singleton sender value.  Vertex coordinates are
     ratios whose numerator lies on the lattice generated by the prior
     masses (after clearing receiver denominators) and whose denominator is
-    at most |E| times the largest receiver singleton.
+    at most |E| times the largest receiver singleton.  ``pool`` goes to
+    ``prior_best_value``.
     """
     n = instance.num_elements
     D = instance.num_states
@@ -175,7 +176,7 @@ def compute_v_bounds(instance: Instance) -> tuple[Fraction, Fraction]:
         r_values = _utility_values(instance.receiver, D, n)
         scale = lcm(*[v.denominator for v in r_values])
         g = _rational_gcd(instance.prior)
-        C, _ = prior_best_value(instance)
+        C, _ = prior_best_value(instance, pool)
         c_scaled = C * scale
         rem = c_scaled - g * floor(c_scaled / g)
         precision = g if rem == 0 else min(rem, g - rem)
@@ -528,7 +529,7 @@ def solve_cce_approx(view: CCEInstanceView) -> SolveResult:
     if inst.sense is not Sense.MAX:
         raise UnsupportedSense("the binary-search path handles the maximize sense only")
     try:
-        v_min, v_max = compute_v_bounds(inst)
+        v_min, v_max = compute_v_bounds(inst, view.pool)
     except DegenerateBounds:
         # Optimum is zero; any positive bracket makes the search a no-op.
         v_min, v_max = Fraction(1, 2), ONE

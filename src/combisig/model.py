@@ -31,9 +31,10 @@ def make_action(elements) -> ActionSet:
 
 
 class Record:
-    """Base of the package's immutable value types, in place of a frozen
-    dataclass (whose import chain, ``dataclasses`` -> ``inspect``, and
-    ``exec``-generated methods every CLI process would pay at start-up).
+    """Base of the package's immutable value types.  They are written by
+    hand, not with ``dataclasses``: its import (which loads ``inspect``) and
+    its ``exec``-generated methods would be start-up cost in every CLI
+    process.
 
     A subclass names its fields in ``__slots__`` and sets each one in its
     ``__init__`` with ``object.__setattr__``.  Equality, hashing, ``repr``

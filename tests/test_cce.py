@@ -240,17 +240,19 @@ def test_separation_flags_infeasible_point():
 
 def test_relaxed_solve_enumerates_a_tabular_instance_once(monkeypatch):
     """``make_view`` enumerates the feasible actions once, and the exact
-    oracle, the prior best and ``certify`` all scan that pool."""
+    oracle, the prior best, the approximate path's bracket and ``certify``
+    all scan that pool."""
     genuine = persuasion.enumerate_actions
     calls = []
     spy = lambda *a: calls.append(a) or genuine(*a)
     monkeypatch.setattr(persuasion, "enumerate_actions", spy)
     monkeypatch.setattr(cce, "enumerate_actions", spy)
     inst = as_tables(jsonio.instance_from_json(jsonio.load_json("instances/weather_pair.json")))
-    calls.clear()
-    result = cce.solve_cce_exact(cce.make_view(inst))
-    assert len(calls) == 1
-    assert result.sender_value == brute_cce_value(inst)
+    for solve in (cce.solve_cce_exact, cce.solve_cce_approx):
+        calls.clear()
+        result = solve(cce.make_view(inst))
+        assert len(calls) == 1, solve.__name__
+        assert result.sender_value == brute_cce_value(inst)
 
 
 def test_exact_oracle_agrees_with_brute():
