@@ -32,9 +32,8 @@ def make_action(elements) -> ActionSet:
 
 class Record:
     """Base of the package's immutable value types.  They are written by
-    hand, not with ``dataclasses``: its import (which loads ``inspect``) and
-    its ``exec``-generated methods would be start-up cost in every CLI
-    process.
+    hand: the standard library's class generator imports ``inspect`` and
+    builds each method with ``exec``, start-up cost in every CLI process.
 
     A subclass names its fields in ``__slots__`` and sets each one in its
     ``__init__`` with ``object.__setattr__``.  Equality, hashing, ``repr``
