@@ -5,15 +5,16 @@
         --seed 6101 --seconds 30 --tag pr
 
 Run from the root of the repository.  The ref is extracted with ``git
-archive`` into a temporary directory, and each side runs its own
-``bench/run.py`` (``--trace 0``) from its own root, so both measure the same
-benchmark only when the ref's ``bench/`` matches the working tree's.  Pair
-``k`` runs the ref first when ``k`` is even and the working tree first when
-it is odd; its seed is ``--seed + k``.  Both sides run with
-``PYTHONDONTWRITEBYTECODE=1`` and ``PYTHONPYCACHEPREFIX`` set to an empty
-directory, so each compiles every module it imports: the ref's fresh tree
-has no bytecode cache, and a current ``__pycache__`` in the working tree
-would otherwise favour the change.  The result goes to
+archive`` into a temporary directory, and the working tree is exported
+beside it: its tracked and unignored files, so no ``__pycache__`` or other
+ignored output comes along.  Each side runs its own ``bench/run.py``
+(``--trace 0``) from its own root, so both measure the same benchmark only
+when the ref's ``bench/`` matches the working tree's.  Pair ``k`` runs the
+ref first when ``k`` is even and the working tree first when it is odd; its
+seed is ``--seed + k``.  Both sides run with ``PYTHONDONTWRITEBYTECODE=1``
+and without ``PYTHONPYCACHEPREFIX``: each compiles the package's modules
+on every start, as neither fresh tree has their bytecode, while the
+standard library's cache is read, as in a user's process.  The result goes to
 ``BENCH_<workload>_<tag>.json``: the settings (the bytecode ones among them), both output lines of every
 run, each side's median and quartiles of every metric and, for every
 end-to-end metric of ``BENCHMARK.json``, the change/ref ratio of the
@@ -28,6 +29,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -53,16 +55,29 @@ def extract(ref: str, into: Path) -> str:
     return commit
 
 
-def bytecode_env(pycache_prefix: Path) -> dict[str, str]:
-    """Neither read nor write compiled bytecode: ``pycache_prefix`` stays empty."""
-    return {"PYTHONDONTWRITEBYTECODE": "1", "PYTHONPYCACHEPREFIX": str(pycache_prefix)}
+def export_worktree(into: Path) -> None:
+    """Copy the working tree's tracked and unignored files under ``into``."""
+    listed = subprocess.run(
+        ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+        cwd=ROOT, check=True, capture_output=True,
+    ).stdout.decode()
+    for name in filter(None, listed.split("\0")):
+        if (ROOT / name).is_file():  # a tracked file deleted in the tree is left out
+            (into / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(ROOT / name, into / name)
 
 
-def run_bench(root: Path, workload: str, seed: int, seconds: float, pycache_prefix: Path) -> dict:
+def bytecode_env() -> dict[str, str]:
+    """Write no compiled bytecode; the fresh trees then never have any."""
+    return {"PYTHONDONTWRITEBYTECODE": "1"}
+
+
+def run_bench(root: Path, workload: str, seed: int, seconds: float) -> dict:
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPYCACHEPREFIX"}
     done = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
-        cwd=root, capture_output=True, text=True, env=dict(os.environ, **bytecode_env(pycache_prefix)),
+        cwd=root, capture_output=True, text=True, env=dict(env, **bytecode_env()),
     )
     lines = done.stdout.splitlines()
     if done.returncode != 0 or len(lines) < 2:
@@ -122,15 +137,14 @@ def main(argv=None) -> int:
 
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         commit = extract(args.ref, Path(tmp))
-        pycache_prefix = Path(tmp) / "pycache"
-        pycache_prefix.mkdir()
-        sides = {"ref": Path(tmp) / "tree", "change": ROOT}
+        export_worktree(Path(tmp) / "change")
+        sides = {"ref": Path(tmp) / "tree", "change": Path(tmp) / "change"}
         pairs = []
         for k in range(args.pairs):
             order = ["ref", "change"] if k % 2 == 0 else ["change", "ref"]
             pair = {"seed": args.seed + k, "first": order[0]}
             for side in order:
-                pair[side] = run_bench(sides[side], args.workload, args.seed + k, args.seconds, pycache_prefix)
+                pair[side] = run_bench(sides[side], args.workload, args.seed + k, args.seconds)
                 value = pair[side]["result"]["metrics"]["ops_per_s"]["value"]
                 print(f"pair {k} {side}: ops_per_s {value}", file=sys.stderr)
             pairs.append(pair)
@@ -142,7 +156,7 @@ def main(argv=None) -> int:
         "ref": args.ref,
         "ref_commit": commit,
         "seconds": args.seconds,
-        "env": bytecode_env(pycache_prefix),
+        "env": bytecode_env(),
         "seeds": [p["seed"] for p in pairs],
         "pairs": pairs,
         **judge(pairs, better),

@@ -6,16 +6,17 @@ left at zero to test feasibility).  The solver is a dense two-phase primal
 simplex with Bland's rule throughout, so termination is guaranteed even on
 the heavily degenerate models the solvers build.  No floats ever enter it.
 
-The tableau is fraction-free (Edmonds 1967, Bareiss 1968): each
-standard-form row is multiplied by s_i, the lcm of its denominators, so the
-row and its slack, surplus or artificial column are integers; the slack
-then stands for s_i times the unscaled one.  With d > 0 the determinant of
-the current basis, the tableau holds d * B^-1 [A | b] in integers, and a
-pivot on entry p replaces every other entry by the exact quotient
-(p * T[i][j] - T[i][c] * T[r][j]) / d, then sets d = |p| (a negative p,
-possible only when a leftover artificial is driven out after phase 1,
-negates every row).  The reduced costs are one more such row, kept as d * L
-times their values, L the lcm of the cost denominators, and the ratio test
+Each row, and the objective, is stored in integers as it is added: times
+s_i, the lcm of its denominators (``LPRow``).  The tableau is fraction-free
+(Edmonds 1967, Bareiss 1968): it copies the stored rows, so each
+standard-form row and its slack, surplus or artificial column are
+integers; the slack then stands for s_i times the unscaled one.  With d > 0
+the determinant of the current basis, the tableau holds d * B^-1 [A | b] in
+integers, and a pivot on entry p replaces every other entry by the exact
+quotient (p * T[i][j] - T[i][c] * T[r][j]) / d, then sets d = |p| (a
+negative p, possible only when a leftover artificial is driven out after
+phase 1, negates every row).  The reduced costs are one more such row, kept
+as d * L times their values, L the objective's scale, and the ratio test
 compares rhs_i / T[i][c] by cross-multiplication.  Scaling rows leaves the
 structural columns of B^-1 A unchanged and scales a slack's reduced cost
 by 1/s_i > 0.  Phase 1 gives artificial i the cost -1/s_i, which is -1 for
@@ -25,13 +26,17 @@ the same pivots.
 
 Dual values are read off the final reduced costs (slack, surplus or
 artificial columns carry +/- the row prices), mapped back through s_i and
-L.  Every optimal solve is certified in Fraction arithmetic against the
-model's own rows before it returns: x >= 0 satisfies every row, the duals
-are feasible for the dual program, and ``value == sum(duals[i] *
-rows[i].rhs)`` holds exactly.  Sign pattern for a maximization: duals of
-``<=`` rows are >= 0, of ``>=`` rows are <= 0, of ``==`` rows free; for a
-minimization the signs flip.  A failed check raises ``CertificateError``;
-the checks are plain code, so ``python -O`` keeps them.
+L.  Every optimal solve is certified against the model's own rows before
+it returns: x >= 0 satisfies every row, the duals are feasible for the
+dual program, and ``c.x == value == sum(duals[i] * rows[i].rhs)`` holds
+exactly.  Sign pattern for a maximization: duals of ``<=`` rows are >= 0,
+of ``>=`` rows are <= 0, of ``==`` rows free; for a minimization the signs
+flip.  The checks run in integers over the stored rows, with x over its
+common denominator D and the prices y_i / s_i over theirs: each relation
+is multiplied through by positive factors (s_i * D for row i), so it keeps
+its direction and the integer checks hold exactly when the rational ones
+do.  A failed check raises ``CertificateError``; the checks are plain
+code, so ``python -O`` keeps them.
 """
 
 from __future__ import annotations
@@ -61,44 +66,63 @@ _HOLDS = {LE: operator.le, GE: operator.ge, EQ: operator.eq}
 
 
 class LPRow(Record):
-    __slots__ = ("coeffs", "rel", "rhs")
+    """The row ``coeffs . x rel rhs``, stored once in integers: ``a`` and
+    ``b`` are ``coeffs`` and ``rhs`` times ``scale``, the lcm of their
+    denominators, the least positive integer that makes them integral."""
 
-    def __init__(self, coeffs: list[Fraction], rel: str, rhs: Fraction):
-        object.__setattr__(self, "coeffs", coeffs)
+    __slots__ = ("a", "rel", "b", "scale")
+
+    def __init__(self, a: list[int], rel: str, b: int, scale: int):
+        object.__setattr__(self, "a", a)
         object.__setattr__(self, "rel", rel)
-        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "scale", scale)
+
+    @property
+    def coeffs(self) -> list[Fraction]:
+        return [Fraction(v, self.scale) for v in self.a]
+
+    @property
+    def rhs(self) -> Fraction:
+        return Fraction(self.b, self.scale)
 
 
 class LPModel:
-    """A linear program over nonnegative variables, in natural (row) form."""
+    """A linear program over nonnegative variables, in natural (row) form.
+    The objective is stored like a row: ``cost`` is it times ``cost_scale``."""
 
     def __init__(self, num_vars: int, sense: str = MAX):
         if sense not in (MAX, MIN):
             raise InstanceFormatError(f"unknown sense {sense!r}")
         self.num_vars = num_vars
         self.sense = sense
-        self.objective: list[Fraction] = [ZERO] * num_vars
+        self.cost: list[int] = [0] * num_vars
+        self.cost_scale = 1
         self.rows: list[LPRow] = []
 
-    def _dense(self, coeffs) -> list[Fraction]:
+    @property
+    def objective(self) -> list[Fraction]:
+        return [Fraction(c, self.cost_scale) for c in self.cost]
+
+    def _scaled(self, coeffs, rhs: Fraction) -> tuple[list[int], int, int]:
+        """``coeffs`` (dense) and ``rhs`` times their scale, and the scale."""
         dense = [ZERO] * self.num_vars
-        if isinstance(coeffs, dict):
-            items = coeffs.items()
-        else:
-            items = enumerate(coeffs)
-        for j, v in items:
+        for j, v in coeffs.items() if isinstance(coeffs, dict) else enumerate(coeffs):
             if not 0 <= j < self.num_vars:
                 raise InstanceFormatError(f"variable index {j} out of range")
             dense[j] = as_fraction(v)
-        return dense
+        scale = lcm(rhs.denominator, *(v.denominator for v in dense))
+        a = [v.numerator * (scale // v.denominator) for v in dense]
+        return a, rhs.numerator * (scale // rhs.denominator), scale
 
     def set_objective(self, coeffs) -> None:
-        self.objective = self._dense(coeffs)
+        self.cost, _, self.cost_scale = self._scaled(coeffs, ZERO)
 
     def add_row(self, coeffs, rel: str, rhs) -> int:
         if rel not in (LE, GE, EQ):
             raise InstanceFormatError(f"unknown relation {rel!r}")
-        self.rows.append(LPRow(self._dense(coeffs), rel, as_fraction(rhs)))
+        a, b, scale = self._scaled(coeffs, as_fraction(rhs))
+        self.rows.append(LPRow(a, rel, b, scale))
         return len(self.rows) - 1
 
 
@@ -125,8 +149,9 @@ class _Tableau:
     held over the integers: ``tab`` is ``d * B^-1 [A | b]`` for the current
     basis B, with ``d = |det B|`` computed from the row-scaled integer A."""
 
-    def __init__(self, n_struct, a_rows, rels, rhs, pivot_cap):
-        self.m = len(a_rows)
+    def __init__(self, n_struct, rows: list[LPRow], flips: list[bool], pivot_cap):
+        rels = [_FLIPPED[row.rel] if flip else row.rel for row, flip in zip(rows, flips)]
+        self.m = len(rows)
         self.pivot_cap = pivot_cap
         self.pivots = 0
         cols = n_struct
@@ -146,20 +171,18 @@ class _Tableau:
                 cols += 1
         self.ncols = cols
         self.d = 1
-        self.scale: list[int] = []  # s_i: row i times s_i is integral
+        self.scale = [row.scale for row in rows]  # s_i: row i times s_i is integral
         self.tab: list[list[int]] = []
         self.basis: list[int] = []
-        for i in range(self.m):
-            s = lcm(rhs[i].denominator, *(v.denominator for v in a_rows[i]))
-            row = [v.numerator * (s // v.denominator) for v in a_rows[i]] + [0] * (cols - n_struct)
+        for i, (lp_row, flip) in enumerate(zip(rows, flips)):
+            row = ([-v for v in lp_row.a] if flip else lp_row.a) + [0] * (cols - n_struct)
             if self.slack_col[i] is not None:
                 row[self.slack_col[i]] = 1
             if self.surplus_col[i] is not None:
                 row[self.surplus_col[i]] = -1
             if self.art_col[i] is not None:
                 row[self.art_col[i]] = 1
-            row.append(rhs[i].numerator * (s // rhs[i].denominator))
-            self.scale.append(s)
+            row.append(abs(lp_row.b))
             self.tab.append(row)
             self.basis.append(self.art_col[i] if self.art_col[i] is not None else self.slack_col[i])
         self.artificial = {c for c in self.art_col if c is not None}
@@ -241,11 +264,8 @@ def solve(model: LPModel, pivot_cap: int = DEFAULT_PIVOT_CAP) -> LPResult:
     maximize = model.sense == MAX
 
     # Standard form: every right-hand side nonnegative, rows flipped to match.
-    flips = [row.rhs < 0 for row in model.rows]
-    a_rows = [[-v for v in row.coeffs] if flip else row.coeffs for row, flip in zip(model.rows, flips)]
-    rels = [_FLIPPED[row.rel] if flip else row.rel for row, flip in zip(model.rows, flips)]
-    rhs = [abs(row.rhs) for row in model.rows]
-    tab = _Tableau(n, a_rows, rels, rhs, pivot_cap)
+    flips = [row.b < 0 for row in model.rows]
+    tab = _Tableau(n, model.rows, flips, pivot_cap)
 
     # Phase 1: drive artificials to zero.  Artificial i stands for s_i times
     # the unscaled one, so its cost is -1/s_i, times L to make it integral.
@@ -270,18 +290,15 @@ def solve(model: LPModel, pivot_cap: int = DEFAULT_PIVOT_CAP) -> LPResult:
                         tab._pivot(i, j)
                         break
 
-    scale = lcm(*(c.denominator for c in model.objective))
-    sign = 1 if maximize else -1
-    costs2 = [0] * tab.ncols
-    for j, c in enumerate(model.objective):
-        costs2[j] = sign * c.numerator * (scale // c.denominator)
+    scale = model.cost_scale
+    costs2 = (model.cost if maximize else [-c for c in model.cost]) + [0] * (tab.ncols - n)
     allowed = [j for j in range(tab.ncols) if j not in tab.artificial]
     status = tab._bland(costs2, allowed)
     if status == UNBOUNDED:
         return LPResult(status=UNBOUNDED, pivots=tab.pivots)
 
     x = tab.solution()[:n]
-    value = sum((c * v for c, v in zip(model.objective, x) if v != 0), ZERO)
+    value = Fraction(sum(model.cost[bv] * row[-1] for row, bv in zip(tab.tab, tab.basis) if bv < n), tab.d * scale)
 
     # Row prices from the final reduced costs, mapped back through the row
     # scales and the objective's lcm to the model's row orientation and sense.
@@ -307,24 +324,33 @@ def solve(model: LPModel, pivot_cap: int = DEFAULT_PIVOT_CAP) -> LPResult:
 
 def _certify(model: LPModel, x: list[Fraction], duals: list[Fraction], value: Fraction) -> None:
     """Exact optimality certificate: primal feasibility, dual feasibility and
-    strong duality, which together imply optimality by weak duality."""
+    strong duality (``c.x == value == y.b``), which together imply
+    optimality by weak duality; in integers, as the module docstring says."""
     sign = 1 if model.sense == MAX else -1
-    if any(v < 0 for v in x):
+    X, D = _common(x)
+    if any(v < 0 for v in X):
         raise CertificateError("negative variable in certified solution")
-    reduced = list(model.objective)  # c_j - sum_i y_i a_ij
-    dual_value = ZERO
-    for row, y in zip(model.rows, duals):
-        lhs = sum((a * x[j] for j, a in enumerate(row.coeffs) if a != 0 and x[j] != 0), ZERO)
-        if not _HOLDS[row.rel](lhs, row.rhs):
+    W, E = _common([y / row.scale for row, y in zip(model.rows, duals)])
+    reduced = [c * E for c in model.cost]  # L * E * (c_j - sum_i y_i a_ij)
+    dual_value = 0  # E * y.b
+    for row, w in zip(model.rows, W):
+        if not _HOLDS[row.rel](sum(map(operator.mul, row.a, X)), row.b * D):
             raise CertificateError("primal infeasibility in certified solution")
-        if (row.rel == LE and sign * y < 0) or (row.rel == GE and sign * y > 0):
+        if (row.rel == LE and sign * w < 0) or (row.rel == GE and sign * w > 0):
             raise CertificateError("row price has the wrong sign")
-        if y != 0:
-            dual_value += y * row.rhs
-            for j, a in enumerate(row.coeffs):
-                if a != 0:
-                    reduced[j] -= y * a
+        if w:
+            dual_value += w * row.b
+            f = model.cost_scale * w
+            reduced = [r - f * a for r, a in zip(reduced, row.a)]
     if any(sign * r > 0 for r in reduced):
         raise CertificateError("dual infeasibility on a column")
-    if dual_value != value:
+    if sum(map(operator.mul, model.cost, X)) * value.denominator != value.numerator * model.cost_scale * D:
+        raise CertificateError("reported value is not the objective at x")
+    if dual_value * value.denominator != value.numerator * E:
         raise CertificateError("strong duality failed")
+
+
+def _common(values: list[Fraction]) -> tuple[list[int], int]:
+    """Integer numerators of ``values`` over their least common denominator."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den

@@ -13,7 +13,9 @@ per-state probability rows, and after each solve the receiver's best
 deviation at every recommended action's posterior is computed (greedy /
 shortest path / table scan); violated pair rows are added until none
 remain, at which point the relaxed optimum is feasible for - and therefore
-equal to - the full LP optimum.
+equal to - the full LP optimum.  One model is kept across the rounds: its
+objective and state rows are built once, and each round appends its new
+pair rows.
 
 The reduced solver recommends only best-response catalog members;
 deviations still range over every feasible action.
@@ -210,20 +212,27 @@ def _violations(
     return out
 
 
+def _scheme_model(instance: Instance, columns: list[tuple[int, ActionSet]]) -> lp.LPModel:
+    """``scheme_lp``'s model before any obedience row: objective, state rows."""
+    model = lp.LPModel(len(columns), sense=lp.MAX if instance.sense is Sense.MAX else lp.MIN)
+    model.set_objective([instance.prior[t] * instance.sender.value(t, S) for t, S in columns])
+    for state in range(instance.num_states):
+        model.add_row({j: ONE for j, (t, _) in enumerate(columns) if t == state}, lp.EQ, ONE)
+    return model
+
+
 def scheme_lp(
-    instance: Instance, columns: list[tuple[int, ActionSet]], obedience_rows: list
+    instance: Instance, columns: list[tuple[int, ActionSet]], obedience_rows: list, model: lp.LPModel | None = None
 ) -> tuple[SignalingScheme, lp.LPResult]:
     """The sender's LP over the (state, action) ``columns``: rows 0 .. D - 1
     are the state masses, then each of ``obedience_rows``, a pair (list or
     dict of column coefficients, rhs), reads ``>=`` (min sense: ``<=``).
+    ``model``, this LP over the same columns from ``_scheme_model`` or an
+    earlier call, keeps its rows and gets only ``obedience_rows`` appended.
     Returns the scheme and the certified solve, or raises CertificateError."""
-    maximize = instance.sense is Sense.MAX
-    model = lp.LPModel(len(columns), sense=lp.MAX if maximize else lp.MIN)
-    model.set_objective([instance.prior[t] * instance.sender.value(t, S) for t, S in columns])
-    for state in range(instance.num_states):
-        model.add_row({j: ONE for j, (t, _) in enumerate(columns) if t == state}, lp.EQ, ONE)
+    model = model or _scheme_model(instance, columns)
     for coeffs, rhs in obedience_rows:
-        model.add_row(coeffs, lp.GE if maximize else lp.LE, rhs)
+        model.add_row(coeffs, lp.GE if instance.sense is Sense.MAX else lp.LE, rhs)
     result = lp.solve(model)
     if result.status != lp.OPTIMAL:
         raise CertificateError(f"scheme LP is bounded and feasible, yet ended {result.status}")
@@ -235,19 +244,20 @@ def _solve_scheme_lp(
     instance: Instance, actions: list[ActionSet], method: str, catalog_size: int | None, pool=None
 ) -> SolveResult:
     """``scheme_lp`` recommending ``actions``, with persuasiveness rows added
-    lazily.  Each round's scheme goes to ``certify``, whose obedience pass
-    names the new pair rows when it fails and ends the loop when it holds,
-    so the returned scheme is audited once.  ``pool`` is every feasible
-    action, if the caller holds them, for a tabular receiver's passes."""
+    lazily to one model.  Each round's scheme goes to ``certify``, whose
+    obedience pass names the new pair rows when it fails and ends the loop
+    when it holds, so the returned scheme is audited once.  ``pool`` is every
+    feasible action, if the caller holds them, for a tabular receiver's passes."""
     columns = [(t, S) for t in range(instance.num_states) for S in actions]
     index = {col: j for j, col in enumerate(columns)}
     r_value = instance.receiver.value
+    model = _scheme_model(instance, columns)
     rows: list = []
     added: set[tuple[ActionSet, ActionSet]] = set()
     pivots = 0
     rounds = 0
     while True:
-        scheme, result = scheme_lp(instance, columns, rows)
+        scheme, result = scheme_lp(instance, columns, rows, model)
         pivots += result.pivots
         rounds += 1
         try:
@@ -258,6 +268,7 @@ def _solve_scheme_lp(
             new_pairs = [(S, alt) for S, alt, _ in exc.violations if (S, alt) not in added]
             if not new_pairs:
                 raise
+        rows = []
         for S, alt in new_pairs:
             added.add((S, alt))
             coeffs = {

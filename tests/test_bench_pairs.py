@@ -43,6 +43,9 @@ def test_gap_must_exceed_the_refs_quartile_spread():
 
 
 def test_both_sides_run_without_a_bytecode_cache(monkeypatch, tmp_path):
+    """Neither side writes bytecode, and neither hides the standard
+    library's cache behind a ``PYTHONPYCACHEPREFIX``, not even one set by
+    the caller."""
     calls = []
 
     def fake_run(argv, **kwargs):
@@ -51,12 +54,33 @@ def test_both_sides_run_without_a_bytecode_cache(monkeypatch, tmp_path):
         return subprocess.CompletedProcess(argv, 0, stdout="\n".join(lines) + "\n", stderr="")
 
     monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
-    prefix = tmp_path / "pycache"
-    for root in (tmp_path / "tree", SCRIPT.parents[1]):
-        out = bench_pairs.run_bench(root, "cli", 1, 0.5, prefix)
+    monkeypatch.setenv("PYTHONPYCACHEPREFIX", str(tmp_path / "pycache"))
+    for root in (tmp_path / "tree", tmp_path / "change"):
+        out = bench_pairs.run_bench(root, "cli", 1, 0.5)
         assert out == {"meta": {"seed": 1}, "result": {"metrics": {}}}
-    assert [c["cwd"] for c in calls] == [tmp_path / "tree", SCRIPT.parents[1]]
+    assert [c["cwd"] for c in calls] == [tmp_path / "tree", tmp_path / "change"]
     for kwargs in calls:
         assert kwargs["env"]["PYTHONDONTWRITEBYTECODE"] == "1"
-        assert kwargs["env"]["PYTHONPYCACHEPREFIX"] == str(prefix)
-    assert bench_pairs.bytecode_env(prefix) == {"PYTHONDONTWRITEBYTECODE": "1", "PYTHONPYCACHEPREFIX": str(prefix)}
+        assert "PYTHONPYCACHEPREFIX" not in kwargs["env"]
+    assert bench_pairs.bytecode_env() == {"PYTHONDONTWRITEBYTECODE": "1"}
+
+
+def test_the_change_side_runs_from_a_clean_export(monkeypatch, tmp_path):
+    """The export holds the working tree's edits and new files, and no
+    ignored output such as a stale ``__pycache__``."""
+    repo = tmp_path / "repo"
+    (repo / "src" / "__pycache__").mkdir(parents=True)
+    (repo / ".gitignore").write_text("__pycache__/\n")
+    (repo / "src" / "kept.py").write_text("old\n")
+    (repo / "src" / "gone.py").write_text("x\n")
+    subprocess.run(["git", "init", "-q"], cwd=repo, check=True)
+    subprocess.run(["git", "add", "."], cwd=repo, check=True)
+    (repo / "src" / "kept.py").write_text("edited\n")
+    (repo / "src" / "gone.py").unlink()
+    (repo / "src" / "new.py").write_text("new\n")
+    (repo / "src" / "__pycache__" / "kept.cpython-311.pyc").write_bytes(b"stale")
+    monkeypatch.setattr(bench_pairs, "ROOT", repo)
+    bench_pairs.export_worktree(tmp_path / "change")
+    exported = sorted(str(f.relative_to(tmp_path / "change")) for f in (tmp_path / "change").rglob("*") if f.is_file())
+    assert exported == [".gitignore", "src/kept.py", "src/new.py"]
+    assert (tmp_path / "change" / "src" / "kept.py").read_text() == "edited\n"

@@ -11,12 +11,13 @@ import subprocess
 import sys
 import textwrap
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
 
 from combisig import lp
-from combisig.errors import IterationCap
+from combisig.errors import CertificateError, IterationCap
 from helpers import fraction_simplex
 
 F = Fraction
@@ -199,6 +200,86 @@ def test_iteration_cap():
     model.add_row({0: F(1), 1: F(1)}, lp.LE, F(1))
     with pytest.raises(IterationCap):
         lp.solve(model, pivot_cap=0)
+
+
+# ---------------------------------------------------------------------------
+# rows stored in integers, and the certificate over them
+# ---------------------------------------------------------------------------
+
+
+def test_stored_rows_are_the_least_integer_multiple_of_the_fraction_rows():
+    rng = random.Random(1967)
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        dense = [F(rng.randint(-9, 9), rng.choice(DENOMINATORS)) if rng.random() < 0.7 else F(0) for _ in range(n)]
+        rhs = F(rng.randint(-9, 9), rng.choice(DENOMINATORS))
+        # The same values as a list or a dict of Fractions, ints or strings.
+        spelled = [v if v.denominator != 1 or rng.random() < 0.5 else int(v) for v in dense]
+        spelled = [str(v) if rng.random() < 0.3 else v for v in spelled]
+        coeffs = {j: v for j, v in enumerate(spelled) if dense[j] != 0} if rng.random() < 0.5 else spelled
+        model = lp.LPModel(n, sense=rng.choice([lp.MAX, lp.MIN]))
+        model.set_objective(coeffs)
+        model.add_row(coeffs, rng.choice([lp.LE, lp.GE, lp.EQ]), str(rhs) if rng.random() < 0.3 else rhs)
+        row = model.rows[0]
+        assert row.a == [row.scale * v for v in dense] and row.b == row.scale * rhs
+        # Every multiple k > 0 that makes the row integral divides out of
+        # gcd(a, b, k) once, so the least one leaves gcd 1.
+        assert row.scale > 0 and gcd(*row.a, row.b, row.scale) == 1
+        assert row.coeffs == dense and row.rhs == rhs
+        assert model.cost == [model.cost_scale * v for v in dense]
+        assert model.cost_scale > 0 and gcd(*model.cost, model.cost_scale) == 1
+        assert model.objective == dense
+        again = lp.LPModel(n)
+        again.add_row(row.coeffs, row.rel, row.rhs)
+        assert again.rows[0] == row
+
+
+def _forgery_model(sense):
+    """Mixed denominators, and negative right-hand sides on a ``<=``, a
+    ``>=`` and an ``==`` row, which the solver flips; bounded either way."""
+    model = lp.LPModel(3, sense=sense)
+    model.set_objective([F(1, 2), F(1, 3) if sense == lp.MAX else F(-1, 3), F(1, 5)])
+    model.add_row([F(2, 3), F(1, 5), F(3, 7)], lp.LE, F(3, 2))
+    model.add_row([F(-1), F(-1, 2), F(0)], lp.LE, F(-1, 4))
+    model.add_row([F(1, 3), F(-1, 4), F(1, 11)], lp.GE, F(-5, 6))
+    model.add_row([F(1), F(-1), F(1, 2)], lp.EQ, F(-1, 2))
+    model.add_row([F(0), F(1), F(0)], lp.LE, F(9, 4))
+    return model
+
+
+@pytest.mark.parametrize("sense", [lp.MAX, lp.MIN])
+def test_certificate_refuses_each_forgery(sense):
+    model = _forgery_model(sense)
+    res, want = lp.solve(model), fraction_simplex(model)
+    assert res.status == lp.OPTIMAL and (res.value, res.x, res.duals) == (want.value, want.x, want.duals)
+    assert len({v.denominator for v in res.x + res.duals}) > 1
+    lp._certify(model, res.x, res.duals, res.value)  # the genuine one holds
+
+    def refused(x, duals, value, message):
+        with pytest.raises(CertificateError, match=message):
+            lp._certify(model, x, duals, value)
+
+    sign = 1 if sense == lp.MAX else -1
+    refused([F(-1, 3)] + res.x[1:], res.duals, res.value, "negative variable")
+    # x1 = 5/2 >= 0 breaks the x1 <= 9/4 row, whatever the other rows say.
+    refused(res.x[:1] + [F(5, 2)] + res.x[2:], res.duals, res.value, "primal infeasibility")
+    for i, row in enumerate(model.rows):
+        if row.rel != lp.EQ:
+            wrong = F(-sign if row.rel == lp.LE else sign, 7)
+            refused(res.x, res.duals[:i] + [wrong] + res.duals[i + 1:], res.value, "wrong sign")
+    # No prices at all have every sign right, but leave a column priced out:
+    # x0's cost 1/2 > 0 for a maximization, x1's -1/3 < 0 for a minimization.
+    refused(res.x, [F(0)] * len(model.rows), res.value, "dual infeasibility")
+    refused(res.x, res.duals, res.value + F(1, 1000), "not the objective")
+    # A feasible vertex of the opposite sense, reported at its own value, is
+    # primal-feasible and honest about c.x, but y.b is the optimum.
+    other = lp.LPModel(3, sense=lp.MIN if sense == lp.MAX else lp.MAX)
+    other.set_objective(model.objective)
+    for row in model.rows:
+        other.add_row(row.coeffs, row.rel, row.rhs)
+    worst = lp.solve(other)
+    assert worst.value != res.value
+    refused(worst.x, res.duals, worst.value, "strong duality")
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from combisig import jsonio, persuasion
+from combisig import jsonio, lp, persuasion
 from combisig.errors import InstanceFormatError, TooLarge
 from combisig.model import (
     TABULAR_MAX_ELEMENTS,
@@ -261,6 +261,48 @@ def test_lazy_rows_stop_on_the_certify_verdict(monkeypatch):
             rounds = result.lp_stats["cut_rounds"]
             assert rounds >= 2 and len(passes) == len(certified) == rounds, name
             assert all(a is b for a, b in zip(passes, certified)) and passes[-1] is result.scheme, name
+
+
+def test_lazy_rows_keep_one_model_across_rounds(monkeypatch):
+    """``solve_full`` sets the objective once and adds each row once: the D
+    state rows, then only each round's new pair rows, and every round's
+    ``lp.solve`` gets that same model.  ``lp_stats`` reads as before."""
+    objectives, rows, models, pivots = [], [], [], []
+    genuine_objective, genuine_row, genuine_solve = lp.LPModel.set_objective, lp.LPModel.add_row, lp.solve
+
+    def objective_spy(self, coeffs):
+        objectives.append(self)
+        genuine_objective(self, coeffs)
+
+    def row_spy(self, coeffs, rel, rhs):
+        rows.append(self)
+        return genuine_row(self, coeffs, rel, rhs)
+
+    def solve_spy(model, *args):
+        models.append(model)
+        result = genuine_solve(model, *args)
+        pivots.append(result.pivots)
+        return result
+
+    monkeypatch.setattr(lp.LPModel, "set_objective", objective_spy)
+    monkeypatch.setattr(lp.LPModel, "add_row", row_spy)
+    monkeypatch.setattr(lp, "solve", solve_spy)
+    for name in ("two_state_toy", "weather_pair", "route_min"):
+        inst = jsonio.instance_from_json(jsonio.load_json(f"instances/{name}.json"))
+        for solved in (inst, as_tables(inst)):
+            for log in (objectives, rows, models, pivots):
+                log.clear()
+            stats = persuasion.solve_full(solved).lp_stats
+            assert stats["cut_rounds"] >= 2 and len(objectives) == 1, name
+            model = objectives[0]
+            assert set(models) == set(rows) == {model} and len(models) == stats["cut_rounds"], name
+            assert len(rows) == len(model.rows) == inst.num_states + stats["pair_rows"], name
+            assert stats == {
+                "pivots": sum(pivots),
+                "cut_rounds": len(models),
+                "pair_rows": len(model.rows) - inst.num_states,
+                "columns": model.num_vars,
+            }, name
 
 
 def test_solve_full_enumerates_a_tabular_receiver_once(monkeypatch):
