@@ -23,6 +23,10 @@ Two solver paths:
   (alpha - epsilon) times the optimum.  This is the path that stays
   polynomial when the sender's utility can only be approximately
   maximized (e.g. submodular, via the half-greedy oracle).
+
+Both price columns with ``separation`` on a point of integers over one
+denominator, comparing each row times a positive scale, so every verdict
+is the rational one.
 """
 
 from __future__ import annotations
@@ -195,7 +199,8 @@ def exact_oracle(instance: Instance, pool: list[ActionSet] | None = None) -> App
     to the lexicographically least.  Linear utilities: one greedy or Dijkstra call
     on best_action's weights y * r_e + s_e times the positive integer
     y.denominator * L_t (L_t clears state t's denominators, in ``rows``),
-    which keeps greedy's order and Dijkstra's comparisons, so the answer."""
+    which keeps greedy's order and Dijkstra's comparisons, so the answer.
+    A matroid's independence oracle is built once, here, for every call."""
     D = instance.num_states
     if UtilityKind.TABULAR in (instance.sender.kind, instance.receiver.kind):
         if pool is None:
@@ -203,6 +208,9 @@ def exact_oracle(instance: Instance, pool: list[ActionSet] | None = None) -> App
         points = [Posterior(tuple(ONE if s == t else ZERO for s in range(D))) for t in range(D)]
         return ApproxOracle("exact", ONE, lambda state, y: best_action(instance, points[state], y, ONE, pool))
 
+    independence = None
+    if isinstance(instance.constraint, MATROID_KINDS):
+        independence = matroid.oracle_for(instance.constraint, instance.num_elements)
     rows = []
     for r, s in zip(instance.receiver.linear, instance.sender.linear):
         L = lcm(*(w.denominator for w in (*r, *s)))
@@ -211,14 +219,21 @@ def exact_oracle(instance: Instance, pool: list[ActionSet] | None = None) -> App
     def fn(state: int, y: Fraction) -> ActionSet:
         num, den = y.numerator, y.denominator
         weights = [num * a + den * b for a, b in rows[state]]
-        return matroid.max_weight_action(instance.constraint, weights, instance.sense)
+        return matroid.max_weight_action(instance.constraint, weights, instance.sense, independence)
 
     return ApproxOracle("exact", ONE, fn)
 
 
 def half_greedy_submodular_oracle(instance: Instance) -> ApproxOracle:
     """Marginal-gain greedy: 1/2-approximation for monotone submodular
-    sender value plus the linear receiver part over a matroid."""
+    sender value plus the linear receiver part over a matroid.
+
+    In integers: state t's gains and receiver values are multiplied by
+    L_t, the lcm of the denominators of its receiver row and its sender
+    values (linear row or table), and the key of element e at y is
+    g_e * y.denominator + y.numerator * L_t * r_e, the gain plus y * r_e
+    times the positive L_t * y.denominator, so the argmax and its first
+    of ties (least e) are the ``Fraction`` key's."""
     if instance.sense is not Sense.MAX:
         raise UnsupportedSense("half-greedy oracle handles the maximize sense only")
     if not isinstance(instance.constraint, MATROID_KINDS):
@@ -227,11 +242,16 @@ def half_greedy_submodular_oracle(instance: Instance) -> ApproxOracle:
         raise NonLinearReceiver("half-greedy oracle needs a linear receiver utility")
     n = instance.num_elements
     oracle = matroid.oracle_for(instance.constraint, n)
+    senders = instance.sender.linear
+    if instance.sender.kind is not UtilityKind.LINEAR:
+        senders = [table.values() for table in instance.sender.tabular]
+    scales = [lcm(*(w.denominator for w in (*r, *s))) for r, s in zip(instance.receiver.linear, senders)]
+    receiver = [[w.numerator * (L // w.denominator) for w in r] for L, r in zip(scales, instance.receiver.linear)]
 
     @cache
-    def gains(state: int, chosen: ActionSet) -> tuple[tuple[int, Fraction], ...]:
-        """(e, sender gain of adding e) for each e that keeps ``chosen``
-        independent, ascending: they do not depend on y."""
+    def gains(state: int, chosen: ActionSet) -> tuple[tuple[int, int], ...]:
+        """(e, L_t times the sender gain of adding e) for each e that keeps
+        ``chosen`` independent, ascending: they do not depend on y."""
         value = instance.sender.value(state, chosen)
         out = []
         for e in range(n):
@@ -239,14 +259,14 @@ def half_greedy_submodular_oracle(instance: Instance) -> ApproxOracle:
                 continue
             cand = tuple(sorted((*chosen, e)))
             if oracle.is_independent(cand):
-                out.append((e, instance.sender.value(state, cand) - value))
+                out.append((e, ((instance.sender.value(state, cand) - value) * scales[state]).numerator))
         return tuple(out)
 
     def fn(state: int, y: Fraction) -> ActionSet:
-        yr = [y * r for r in instance.receiver.linear[state]]
+        num, den, r = y.numerator, y.denominator, receiver[state]
         chosen: ActionSet = ()
         while options := gains(state, chosen):
-            best = max(options, key=lambda eg: eg[1] + yr[eg[0]])  # first of ties: least e
+            best = max(options, key=lambda eg: eg[1] * den + num * r[eg[0]])  # first of ties: least e
             chosen = tuple(sorted((*chosen, best[0])))
         return chosen
 
@@ -308,18 +328,27 @@ def _audit_oracle(view: CCEInstanceView, state: int, y: Fraction, got: ActionSet
             )
 
 
-def separation(view: CCEInstanceView, x, y: Fraction):
+def separation(view: CCEInstanceView, X, Y: int, den: int, memo: dict | None = None):
     """One oracle sweep: the dual rows violated at the point (x, y), if any.
 
-    Row (t, S) of the dual reads ``x_t >= mu_t * (s_t(S) + y * r_t(S))``
-    (``<=`` for minimize); for the primal it is the reduced-cost test of
-    column (t, S).  Returns (rows, proposals): ``rows`` lists violated
-    (state, action) pairs — empty means (x/alpha, y/alpha) is feasible for
-    the full dual — and ``proposals`` every oracle-returned pair (the
-    ellipsoid keeps these as primal columns whether or not they cut).
+    The point is integers over one denominator: x_t = X[t] / den and
+    y = Y / den, den > 0.  Row (t, S) of the dual reads
+    ``x_t >= mu_t * (s_t(S) + y * r_t(S))`` (``<=`` for minimize); for the
+    primal it is the reduced-cost test of column (t, S).  With
+    mu_t * s_t(S) = a / K and mu_t * r_t(S) = b / K over K > 0, the lcm of
+    their denominators (memoized in ``memo``, one dict per solve), the test
+    is ``X[t] * K >= a * den + b * Y``: both sides are the row's times the
+    positive K * den, so it is exact, and a point on the row is not
+    violated.  Only y becomes a ``Fraction``, once, for the oracle.
+    Returns (rows, proposals): ``rows`` lists violated (state, action)
+    pairs — empty means (x/alpha, y/alpha) is feasible for the full dual —
+    and ``proposals`` every oracle-returned pair (the ellipsoid keeps these
+    as primal columns whether or not they cut).
     """
     inst = view.instance
-    mu = inst.prior
+    memo = {} if memo is None else memo
+    y = Fraction(Y, den)
+    sense_max = inst.sense is Sense.MAX
     rows: list[tuple[int, ActionSet]] = []
     proposals: list[tuple[int, ActionSet]] = []
     for t in range(inst.num_states):
@@ -327,9 +356,13 @@ def separation(view: CCEInstanceView, x, y: Fraction):
         if view.audit:
             _audit_oracle(view, t, y, S)
         proposals.append((t, S))
-        lhs = mu[t] * (inst.sender.value(t, S) + y * inst.receiver.value(t, S))
-        violated = x[t] < lhs if inst.sense is Sense.MAX else x[t] > lhs
-        if violated:
+        if (t, S) not in memo:
+            s, r = inst.prior[t] * inst.sender.value(t, S), inst.prior[t] * inst.receiver.value(t, S)
+            K = lcm(s.denominator, r.denominator)
+            memo[t, S] = s.numerator * (K // s.denominator), r.numerator * (K // r.denominator), K
+        a, b, K = memo[t, S]
+        lhs, rhs = X[t] * K, a * den + b * Y
+        if lhs < rhs if sense_max else lhs > rhs:
             rows.append((t, S))
     return rows, proposals
 
@@ -340,7 +373,8 @@ def solve_cce_exact(view: CCEInstanceView) -> SolveResult:
     Round k solves ``scheme_lp`` over the columns found so far, with the
     one aggregate obedience row after the D mass rows, and reads its
     certified duals: x_t = duals[t] prices state t's mass row and
-    y = -duals[D] >= 0 the obedience row.  One ``separation`` sweep then
+    y = -duals[D] >= 0 the obedience row; ``separation`` gets them as
+    integers over their common denominator.  One ``separation`` sweep then
     returns, per state, a column maximizing (minimizing) the reduced cost,
     and the violated ones join the LP.  With none violated, (x, y) is
     feasible for the full dual with the restricted LP's value, so that LP is
@@ -353,6 +387,7 @@ def solve_cce_exact(view: CCEInstanceView) -> SolveResult:
     inst = view.instance
     D = inst.num_states
     columns = {(t, view.prior_best) for t in range(D)}
+    memo: dict = {}
     pivots = 0
     rounds = 0
     while True:
@@ -363,7 +398,10 @@ def solve_cce_exact(view: CCEInstanceView) -> SolveResult:
         obedience = [inst.prior[t] * inst.receiver.value(t, S) for t, S in ordered]
         scheme, res = scheme_lp(inst, ordered, [(obedience, view.C)])
         pivots += res.pivots
-        rows, _ = separation(view, res.duals[:D], -res.duals[D])
+        point = [*res.duals[:D], -res.duals[D]]
+        den = lcm(*(p.denominator for p in point))
+        X = [p.numerator * (den // p.denominator) for p in point]
+        rows, _ = separation(view, X[:D], X[D], den, memo)
         if not rows:
             break
         stale = columns.intersection(rows)
@@ -380,7 +418,9 @@ def solve_cce_exact(view: CCEInstanceView) -> SolveResult:
     )
 
 
-def _ellipsoid_run(view: CCEInstanceView, v: Fraction, v_min: Fraction, v_max: Fraction) -> tuple[bool, set, int]:
+def _ellipsoid_run(
+    view: CCEInstanceView, v: Fraction, v_min: Fraction, v_max: Fraction, memo: dict | None = None
+) -> tuple[bool, set, int]:
     """Search {dual rows, y >= 0, objective <= v} inside the parameter box
     that the bracket (v_min, v_max) sizes; returns (feasible, the oracle's
     proposals, iterations).
@@ -389,16 +429,21 @@ def _ellipsoid_run(view: CCEInstanceView, v: Fraction, v_min: Fraction, v_max: F
     ran out.  All cuts are exact; only the centers and shape matrix are
     rounded down to multiples of 2^-B, B = ``CENTER_DENOM_BITS``, in
     fixed-point integers: center C / 2^B, matrix Q / den, and each cut
-    scaled to integers A = L * a by the lcm L of its denominators.  Each
+    a sparse integer row A = L * a, L the lcm of a's denominators.  Each
     rounded value is one floor division of integers, equal to the rounded
-    rational, so the iterates are those of the rational computation.  More
-    than 400 * N^2 * (binary-search rounds + 64) iterations raise
+    rational, so the iterates are those of the rational computation.  The
+    center's tests run on C itself, in the rational order: y < 0; the box
+    as C_j > floor(h_j * 2^B), which for an integer C_j is C_j / 2^B > h_j;
+    the objective and ``separation``'s rows times positive denominators;
+    so each verdict is the rational one.  ``memo`` goes to ``separation``.
+    More than 400 * N^2 * (binary-search rounds + 64) iterations raise
     ``IterationCap``.
     """
     inst = view.instance
     D = inst.num_states
     N = D + 1
     mu = inst.prior
+    memo = {} if memo is None else memo
 
     big_r, _ = _action_value_bounds(inst.receiver, D, inst.num_elements)
     x0 = v_max * max(mu)
@@ -408,6 +453,7 @@ def _ellipsoid_run(view: CCEInstanceView, v: Fraction, v_min: Fraction, v_max: F
 
     shift = 1 << CENTER_DENOM_BITS
     center = [h.numerator * shift // (2 * h.denominator) for h in box_hi]
+    box = [h.numerator * shift // h.denominator for h in box_hi]
     radius_sq = sum((h / 2) ** 2 for h in box_hi)
     Q = [[radius_sq.numerator if i == j else 0 for j in range(N)] for i in range(N)]
     den = radius_sq.denominator
@@ -421,45 +467,33 @@ def _ellipsoid_run(view: CCEInstanceView, v: Fraction, v_min: Fraction, v_max: F
 
     proposals: set = set()
     sense_max = inst.sense is Sense.MAX
+    sign = 1 if sense_max else -1
+    c_num, c_den = view.C.numerator, view.C.denominator
+    # objective = sum(x) - C y > v (max) reads (c_den sum(X) - c_num Y) v.den > v.num c_den 2^B
+    obj_bound = v.numerator * c_den * shift
+    obj_cut = ([(t, sign * c_den) for t in range(D)] + ([(D, -sign * c_num)] if c_num else []), c_den)
 
-    def find_cut(z: list[Fraction]):
-        """A row a.z' <= b violated at z, as (a, reason), or None."""
-        x, y = z[:D], z[D]
-        if y < 0:
-            a = [ZERO] * N
-            a[D] = -ONE  # -y <= 0
-            return a
+    def find_cut(z: list[int]):
+        """A row a.z' <= b violated at z / 2^B, as (A, L), or None."""
+        if z[D] < 0:
+            return [(D, -1)], 1  # -y <= 0
         for j in range(N):
-            if z[j] > box_hi[j]:
-                a = [ZERO] * N
-                a[j] = ONE
-                return a
+            if z[j] > box[j]:
+                return [(j, 1)], 1
             if z[j] < 0 and j < D:
-                a = [ZERO] * N
-                a[j] = -ONE
-                return a
-        objective = sum(x, ZERO) - view.C * y
-        if sense_max:
-            if objective > v:
-                return [ONE] * D + [-view.C]
-        else:
-            if objective < v:
-                return [-ONE] * D + [view.C]
-        rows, prop = separation(view, x, y)
+                return [(j, -1)], 1
+        objective = (c_den * sum(z[:D]) - c_num * z[D]) * v.denominator
+        if objective > obj_bound if sense_max else objective < obj_bound:
+            return obj_cut
+        rows, prop = separation(view, z[:D], z[D], shift, memo)
         proposals.update(prop)
-        if rows:
-            t, S = rows[0]
-            a = [ZERO] * N
-            # violated: x_t >= mu(s + y r) fails (max) / <= fails (min)
-            coeff = mu[t] * inst.receiver.value(t, S)
-            if sense_max:
-                a[t] = -ONE
-                a[D] = coeff
-            else:
-                a[t] = ONE
-                a[D] = -coeff
-            return a
-        return None
+        if not rows:
+            return None
+        # violated: x_t >= mu(s + y r) fails (max) / <= fails (min)
+        t = rows[0][0]
+        _, b, K = memo[rows[0]]
+        g = gcd(b, K)
+        return [(t, -sign * K // g)] + ([(D, sign * b // g)] if b else []), K // g
 
     iterations = 0
     while True:
@@ -468,7 +502,7 @@ def _ellipsoid_run(view: CCEInstanceView, v: Fraction, v_min: Fraction, v_max: F
         iterations += 1
         # The center is rounded itself, so every cut passes exactly through
         # the point it was validated at; the matrix inflation absorbs the shift.
-        cut = find_cut([Fraction(c, shift) for c in center])
+        cut = find_cut(center)
         if cut is None:
             return True, proposals, iterations
 
@@ -479,8 +513,7 @@ def _ellipsoid_run(view: CCEInstanceView, v: Fraction, v_min: Fraction, v_max: F
         ):
             return False, proposals, iterations
 
-        L = lcm(*(c.denominator for c in cut))
-        A = [(j, c.numerator * (L // c.denominator)) for j, c in enumerate(cut) if c]
+        A, L = cut
         QA = [sum(row[j] * a for j, a in A) for row in Q]  # P a = QA / (den L)
         M = sum(QA[j] * a for j, a in A)  # a P a = M / (den L^2)
         if M <= 0:
@@ -541,9 +574,10 @@ def solve_cce_approx(view: CCEInstanceView) -> SolveResult:
     v_l, v_u = ZERO, v_max
     v = (v_l + v_u) / 2
     columns: set = {(t, view.prior_best) for t in range(inst.num_states)}
+    memo: dict = {}
     iters_total = 0
     for _ in range(total_rounds):
-        feasible, proposals, iterations = _ellipsoid_run(view, v, v_min, v_max)
+        feasible, proposals, iterations = _ellipsoid_run(view, v, v_min, v_max, memo)
         iters_total += iterations
         columns.update(proposals)
         if feasible:

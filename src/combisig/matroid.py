@@ -138,12 +138,15 @@ def greedy_max_weight(oracle: MatroidOracle, weights: Sequence) -> ActionSet:
     return greedy(oracle, (e for e in order if weights[e] >= 0))
 
 
-def max_weight_action(constraint: Constraint, weights: Sequence, sense=None) -> ActionSet:
+def max_weight_action(
+    constraint: Constraint, weights: Sequence, sense=None, oracle: MatroidOracle | None = None
+) -> ActionSet:
     """Dispatch to the exact optimizer for the constraint family.
 
-    Matroid kinds maximize via greedy; path constraints minimize via
-    Dijkstra.  An explicit ``sense`` that disagrees with the family raises
-    UnsupportedSense.
+    Matroid kinds maximize via greedy, on ``oracle`` when the caller built
+    it once for many calls (else ``oracle_for``); path constraints minimize
+    via Dijkstra.  An explicit ``sense`` that disagrees with the family
+    raises UnsupportedSense.
     """
     from .model import Sense
 
@@ -155,5 +158,4 @@ def max_weight_action(constraint: Constraint, weights: Sequence, sense=None) -> 
         return shortest_path(constraint, weights)
     if sense is Sense.MIN:
         raise UnsupportedSense("minimization over matroids is not supported")
-    oracle = oracle_for(constraint, len(weights))
-    return greedy_max_weight(oracle, weights)
+    return greedy_max_weight(oracle or oracle_for(constraint, len(weights)), weights)

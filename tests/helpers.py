@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from math import isqrt, sqrt
+from math import isqrt, lcm, sqrt
 
 from combisig import cce, lp, matroid
 from combisig.jsonio import format_rational
@@ -675,6 +675,45 @@ def _sqrt_up(value: Fraction, bits: int) -> Fraction:
     return F(root, shift)
 
 
+def fraction_separation(view, x, y: Fraction):
+    """``cce.separation`` in ``Fraction`` arithmetic at the point (x, y):
+    state t's oracle answer S is a violated row when
+    x_t < mu_t * (s_t(S) + y * r_t(S)) (``>`` for minimize).  Returns
+    (rows, proposals)."""
+    inst = view.instance
+    rows, proposals = [], []
+    for t in range(inst.num_states):
+        S = view.oracle.fn(t, y)
+        proposals.append((t, S))
+        lhs = inst.prior[t] * (inst.sender.value(t, S) + y * inst.receiver.value(t, S))
+        if (x[t] < lhs) if inst.sense is Sense.MAX else (x[t] > lhs):
+            rows.append((t, S))
+    return rows, proposals
+
+
+def fraction_half_greedy(instance: Instance, state: int, y: Fraction) -> tuple[ActionSet, int]:
+    """The half-greedy oracle's answer with ``Fraction`` keys: repeatedly add
+    the element that keeps the set independent with the largest sender gain
+    plus y * r_e, the least such e among ties.  Returns (action, the number
+    of steps whose largest key was tied)."""
+    oracle = matroid.oracle_for(instance.constraint, instance.num_elements)
+    s, r = instance.sender.value, instance.receiver.linear[state]
+    chosen: ActionSet = ()
+    ties = 0
+    while True:
+        keys = {}
+        for e in range(instance.num_elements):
+            cand = tuple(sorted((*chosen, e)))
+            if e not in chosen and oracle.is_independent(cand):
+                keys[e] = s(state, cand) - s(state, chosen) + y * r[e]
+        if not keys:
+            return chosen, ties
+        top = max(keys.values())
+        best = [e for e, k in keys.items() if k == top]
+        ties += len(best) > 1
+        chosen = tuple(sorted((*chosen, best[0])))
+
+
 def fraction_ellipsoid_run(view, v: Fraction, v_min: Fraction, v_max: Fraction):
     """``cce._ellipsoid_run`` computed in ``Fraction`` arithmetic: a
     ``Fraction`` shape matrix and center, each rounded down to a multiple of
@@ -717,7 +756,9 @@ def fraction_ellipsoid_run(view, v: Fraction, v_min: Fraction, v_max: Fraction):
             return [one] * D + [-view.C]
         if not sense_max and objective < v:
             return [-one] * D + [view.C]
-        rows, prop = cce.separation(view, x, y)
+        den = lcm(*(c.denominator for c in z))
+        X = [c.numerator * (den // c.denominator) for c in z]
+        rows, prop = cce.separation(view, X[:D], X[D], den)
         proposals.update(prop)
         if not rows:
             return None

@@ -2,10 +2,11 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
-from combisig import cce, jsonio, lp, persuasion
+from combisig import cce, jsonio, lp, matroid, persuasion
 from combisig.errors import (
     CertificateError,
     DegenerateBounds,
@@ -30,6 +31,9 @@ from helpers import (
     follow_value,
     fraction_det,
     fraction_ellipsoid_run,
+    fraction_half_greedy,
+    fraction_separation,
+    grid_path_instance,
     rand_instance,
     replace_fields,
 )
@@ -234,8 +238,106 @@ def test_separation_flags_infeasible_point():
     inst = rand_instance(random.Random(9), 2, 4, "uniform")
     view = cce.make_view(inst)
     # the all-zero dual point violates every (state, action) row with s > 0
-    rows, proposals = cce.separation(view, (F(0), F(0)), F(0))
+    rows, proposals = cce.separation(view, (0, 0), 0, 1)
     assert rows and proposals
+
+
+def _thinned(rng: random.Random, inst: Instance) -> Instance:
+    """``inst`` with every linear utility value divided by 1..4, so that
+    states' rows have different denominators."""
+
+    def thin(util):
+        return UtilitySpec.from_linear([[v / rng.randint(1, 4) for v in row] for row in util.linear])
+
+    return replace_fields(inst, sender=thin(inst.sender), receiver=thin(inst.receiver))
+
+
+def test_integer_separation_matches_the_fraction_reference():
+    """``separation`` on integers over one denominator (reduced or not)
+    against ``helpers.fraction_separation`` at the same point: max-sense
+    matroids and min-sense paths, linear and tabular utilities, the exact
+    and half-greedy oracles, y = 0, and points exactly on an oracle
+    answer's row, which are not violated."""
+    rng = random.Random(1717)
+    cases = []
+    for kind in ("uniform", "partition", "graphic"):
+        inst = _thinned(rng, rand_instance(rng, 2, 4, kind, lo=0, hi=6))
+        cases += [(inst, "exact"), (as_tables(inst), "exact"), (inst, "half-greedy")]
+    for inst in (rand_instance(rng, 3, 4, sense=Sense.MIN, lo=0), grid_path_instance(rng, 2, 3, 2)):
+        inst = _thinned(rng, inst)
+        cases += [(inst, "exact"), (as_tables(inst), "exact")]
+    cases += [(coverage_instance(rng, 4, 2), "half-greedy"), (coverage_instance(rng, 5, 3), "half-greedy")]
+    on_row = zero_y = violated = clean = 0
+    for inst, oracle in cases:
+        view = cce.make_view(inst, oracle=oracle, epsilon=F(1, 10))
+        D, mu = inst.num_states, inst.prior
+        memo: dict = {}
+        for k in range(30):
+            y = F(0) if k % 5 == 0 else F(rng.randint(0, 40), rng.randint(1, 6))
+            x = [F(rng.randint(0, 30), rng.randint(1, 6)) for _ in range(D)]
+            if k % 2:
+                t = rng.randrange(D)
+                S = view.oracle.fn(t, y)
+                x[t] = mu[t] * (inst.sender.value(t, S) + y * inst.receiver.value(t, S))
+            den = lcm(*(c.denominator for c in (*x, y))) * rng.randint(1, 3)
+            X = [c.numerator * (den // c.denominator) for c in x]
+            got = cce.separation(view, X, y.numerator * (den // y.denominator), den, memo)
+            assert got == fraction_separation(view, x, y), (inst, oracle, x, y)
+            if k % 2:
+                on_row += 1
+                assert (t, S) not in got[0]
+            zero_y += y == 0
+            violated += bool(got[0])
+            clean += not got[0]
+    assert on_row >= 150 and zero_y >= 60 and violated >= 100 and clean >= 20
+
+
+def test_half_greedy_integer_key_picks_the_fraction_keys_action():
+    """The half-greedy oracle's integer key against the ``Fraction`` key of
+    ``helpers.fraction_half_greedy``: same action, first of ties included,
+    with linear senders (fractional rows) and tabular coverage senders."""
+    rng = random.Random(1818)
+    ties = calls = 0
+    for trial in range(12):
+        if trial % 2:
+            inst = coverage_instance(rng, 5, 2)
+        else:
+            inst = _thinned(rng, rand_instance(rng, 2, 5, ("uniform", "partition")[trial % 4 // 2], lo=0, hi=3))
+        oracle = cce.half_greedy_submodular_oracle(inst)
+        for k in range(12):
+            y = F(0) if k == 0 else F(rng.randint(0, 12), rng.randint(1, 4))
+            for t in range(inst.num_states):
+                expected, tied = fraction_half_greedy(inst, t, y)
+                assert oracle.fn(t, y) == expected, (inst, t, y)
+                ties += tied
+                calls += 1
+    assert calls == 12 * 12 * 2 and ties >= 50
+
+
+def test_exact_oracle_builds_its_matroid_oracle_once(monkeypatch):
+    """The exact oracle builds a matroid's independence oracle once per view
+    and hands it to the ``matroid.max_weight_action`` call of every sweep,
+    so sweeps build none."""
+    built, passed = [], []
+    genuine_for, genuine_max = matroid.oracle_for, matroid.max_weight_action
+    monkeypatch.setattr(matroid, "oracle_for", lambda *a: built.append(genuine_for(*a)) or built[-1])
+    monkeypatch.setattr(matroid, "max_weight_action", lambda *a: passed.append(a[3:]) or genuine_max(*a))
+    inst = rand_instance(random.Random(5), 2, 5, "graphic")
+    cce.exact_oracle(inst)
+    assert len(built) == 1
+    built.clear()
+    view = cce.make_view(inst, oracle="exact")
+    from_view = len(built)
+    passed.clear()
+    for k in range(25):
+        cce.separation(view, (0, 0), k, 3)
+    assert len(built) == from_view
+    result = cce.solve_cce_exact(view)
+    sweeps = 25 + result.lp_stats["cut_rounds"]
+    prebuilt = [args[0] for args in passed if args]
+    assert result.lp_stats["cut_rounds"] >= 2
+    assert len(prebuilt) == sweeps * inst.num_states
+    assert len({id(o) for o in prebuilt}) == 1 and prebuilt[0] in built[:from_view]
 
 
 def test_relaxed_solve_enumerates_a_tabular_instance_once(monkeypatch):
@@ -311,9 +413,9 @@ def test_integer_ellipsoid_matches_the_fraction_reference(monkeypatch):
     points = []
     genuine = cce.separation
 
-    def spy(view, x, y):
-        points.append((*x, y))
-        return genuine(view, x, y)
+    def spy(view, X, Y, den, *memo):
+        points.append((*(F(c, den) for c in X), F(Y, den)))
+        return genuine(view, X, Y, den, *memo)
 
     monkeypatch.setattr(cce, "separation", spy)
     rng = random.Random(1414)

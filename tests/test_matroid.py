@@ -99,6 +99,7 @@ def test_greedy_matches_brute_force():
         weights = [F(rng.randint(-5, 9)) for _ in range(n)]
         got = matroid.max_weight_action(constraint, weights, Sense.MAX)
         oracle = matroid.oracle_for(constraint, n)
+        assert matroid.max_weight_action(constraint, weights, Sense.MAX, oracle) == got
         best = max(
             (
                 sum((weights[e] for e in S), start=F(0))
