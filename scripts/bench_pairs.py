@@ -19,9 +19,12 @@ standard library's cache is read, as in a user's process.  The result goes to
 run, each side's median and quartiles of every metric and, for every
 end-to-end metric of ``BENCHMARK.json``, the change/ref ratio of the
 medians, the pairs the change wins in the direction that file gives (ties
-count for neither side), and whether the medians differ by more than the
-ref's quartile spread.  A gain may be claimed only when the change wins at
-least nine tenths of the pairs and that spread is exceeded.  Stdlib only.
+count for neither side), whether the medians differ by more than the
+ref's quartile spread, and how far the change's median is worse than the
+ref's, as a share of the ref's, against that metric's ``bound``.  A gain may
+be claimed only when the change wins at least nine tenths of the pairs and
+that spread is exceeded; a metric worse by more than its bound fails the
+benchmark.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -97,9 +100,11 @@ def summary(runs: list[dict]) -> dict:
     return out
 
 
-def judge(pairs: list[dict], better: dict[str, str]) -> dict:
-    """Medians, change/ref ratios, wins and the quartile test of ``pairs``;
-    ``better`` maps each end-to-end metric to "higher" or "lower"."""
+def judge(pairs: list[dict], better: dict[str, str], bounds: dict[str, float] | None = None) -> dict:
+    """Medians, change/ref ratios, wins, the quartile test and the bound
+    test of ``pairs``; ``better`` maps each end-to-end metric to "higher" or
+    "lower", and ``bounds`` some of them to the share of the ref's median by
+    which the change's may be worse."""
     medians = {side: summary([p[side] for p in pairs]) for side in ("ref", "change")}
     ref = medians["ref"]
     names = [name for name in better if name in ref]
@@ -109,6 +114,16 @@ def judge(pairs: list[dict], better: dict[str, str]) -> dict:
         gap = values["change"] - values["ref"]
         return gap if better[name] == "higher" else -gap
 
+    def worse_by(name: str) -> float | None:
+        """The change's loss over the ref's median; None for a loss from a zero median."""
+        base = ref[name]["median"]
+        loss = base - medians["change"][name]["median"]
+        loss = loss if better[name] == "higher" else -loss
+        if not base:
+            return None if loss > 0 else 0.0
+        return loss / abs(base)
+
+    losses = {name: worse_by(name) for name in names if name in (bounds or {})}
     return {
         "medians": medians,
         "change_over_ref": {
@@ -119,6 +134,10 @@ def judge(pairs: list[dict], better: dict[str, str]) -> dict:
         "gap_exceeds_ref_iqr": {
             name: abs(medians["change"][name]["median"] - ref[name]["median"]) > ref[name]["q3"] - ref[name]["q1"]
             for name in names
+        },
+        "bounds": {
+            name: {"bound": bounds[name], "worse_by": loss, "beyond": loss is None or loss > bounds[name]}
+            for name, loss in losses.items()
         },
     }
 
@@ -151,6 +170,7 @@ def main(argv=None) -> int:
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     report = {
         "workload": args.workload,
         "ref": args.ref,
@@ -159,7 +179,7 @@ def main(argv=None) -> int:
         "env": bytecode_env(),
         "seeds": [p["seed"] for p in pairs],
         "pairs": pairs,
-        **judge(pairs, better),
+        **judge(pairs, better, bounds),
     }
     out = ROOT / f"BENCH_{args.workload}_{args.tag}.json"
     out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n", encoding="utf-8")

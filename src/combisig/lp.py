@@ -14,15 +14,27 @@ integers; the slack then stands for s_i times the unscaled one.  With d > 0
 the determinant of the current basis, the tableau holds d * B^-1 [A | b] in
 integers, and a pivot on entry p replaces every other entry by the exact
 quotient (p * T[i][j] - T[i][c] * T[r][j]) / d, then sets d = |p| (a
-negative p, possible only when a leftover artificial is driven out after
-phase 1, negates every row).  The reduced costs are one more such row, kept
+negative p, from a dual pivot below or a leftover artificial driven out
+after phase 1, negates every row).  The reduced costs are one more such row, kept
 as d * L times their values, L the objective's scale, and the ratio test
 compares rhs_i / T[i][c] by cross-multiplication.  Scaling rows leaves the
 structural columns of B^-1 A unchanged and scales a slack's reduced cost
 by 1/s_i > 0.  Phase 1 gives artificial i the cost -1/s_i, which is -1 for
 the unscaled artificial.  So every reduced cost has the sign, and every
-ratio test the order, of the unscaled Fraction tableau: Bland's rule takes
-the same pivots.
+ratio test the order, of the unscaled Fraction tableau: on a cold solve,
+Bland's rule takes the same pivots.
+
+A model keeps its last optimal tableau.  When the only change since is
+appended ``<=``/``>=`` rows, ``solve`` resumes it (the dual simplex, Lemke
+1954): each new row, a ``>=`` row negated, is written in the current basis
+by one elimination of the basic structural columns, and its slack becomes
+basic, so d and the reduced costs are unchanged and stay dual feasible.
+While a right-hand side is negative, the least basic column among those
+rows leaves and the least ratio enters, ties to the least column; a
+leaving row with no negative entry admits no x >= 0 (infeasible).  This is
+Bland's rule on the dual program, so no basis repeats and the pivots end
+(Bland 1977).  Any other change (objective, sense, an ``==`` row, a
+replaced row) solves cold.
 
 Dual values are read off the final reduced costs (slack, surplus or
 artificial columns carry +/- the row prices), mapped back through s_i and
@@ -99,6 +111,7 @@ class LPModel:
         self.cost: list[int] = [0] * num_vars
         self.cost_scale = 1
         self.rows: list[LPRow] = []
+        self._warm: _Tableau | None = None  # the last optimal tableau, which ``solve`` may resume
 
     @property
     def objective(self) -> list[Fraction]:
@@ -154,6 +167,7 @@ class _Tableau:
         self.m = len(rows)
         self.pivot_cap = pivot_cap
         self.pivots = 0
+        self.flips = flips
         cols = n_struct
         self.slack_col: list[int | None] = [None] * self.m
         self.surplus_col: list[int | None] = [None] * self.m
@@ -187,6 +201,32 @@ class _Tableau:
             self.basis.append(self.art_col[i] if self.art_col[i] is not None else self.slack_col[i])
         self.artificial = {c for c in self.art_col if c is not None}
 
+    def append(self, n_struct, rows: list[LPRow]) -> None:
+        """Write appended ``<=``/``>=`` rows in the current basis, a ``>=`` row
+        negated to ``<=``, each with its new slack basic.  The basis gains a
+        row (a_B, 1) below a zero column, so det B and d are unchanged, and
+        the new tableau row is d times the row minus each old row times the
+        row's coefficient at that row's basic structural column."""
+        k, cols = len(rows), self.ncols
+        self.ncols += k
+        self.tab = [row[:-1] + [0] * k + row[-1:] for row in self.tab]
+        for r, row in enumerate(rows):
+            sign = -1 if row.rel == GE else 1
+            new = [sign * self.d * v for v in row.a] + [0] * (self.ncols - n_struct) + [sign * self.d * row.b]
+            new[cols + r] = self.d
+            for bv, trow in zip(self.basis[: self.m], self.tab):
+                if bv < n_struct and row.a[bv]:
+                    f = sign * row.a[bv]
+                    new = [v - f * t for v, t in zip(new, trow)]
+            self.tab.append(new)
+            self.basis.append(cols + r)
+            self.slack_col.append(cols + r)
+            self.surplus_col.append(None)
+            self.art_col.append(None)
+            self.scale.append(row.scale)
+            self.flips.append(sign < 0)
+        self.m += k
+
     def _pivot(self, row: int, col: int) -> None:
         self.pivots += 1
         if self.pivots > self.pivot_cap:
@@ -195,6 +235,9 @@ class _Tableau:
         prow = tab[row]
         p = prow[col]
         d = self.d
+        if p < 0:  # a dual pivot or a phase-1 drive-out: negate the pivot row, so d stays positive
+            p, prow = -p, [-a for a in prow]
+            tab[row] = prow
         for r, other in enumerate(tab):
             if r == row:
                 continue
@@ -203,10 +246,19 @@ class _Tableau:
                 tab[r] = [(p * a - f * b) // d for a, b in zip(other, prow)]
             elif p != d:
                 tab[r] = [p * a // d for a in other]
-        if p < 0:  # only a phase-1 drive-out pivots on a negative entry
-            self.tab = [[-a for a in other] for other in tab]
-        self.d = abs(p)
+        self.d = p
         self.basis[row] = col
+
+    def resumes(self, model: LPModel) -> bool:
+        """Whether ``model`` differs from the one this tableau last solved
+        only by appended ``<=``/``>=`` rows."""
+        rows = model.rows
+        return (
+            self.objective == (model.sense, model.cost_scale, model.cost)
+            and len(rows) >= self.m
+            and all(map(operator.is_, self.rows, rows))
+            and all(row.rel != EQ for row in rows[self.m :])
+        )
 
     def _reduced_costs(self, costs: list[int]) -> list[int]:
         # d * (C_j - C_B . (B^-1 A)_j) for integer costs C, from the tableau.
@@ -219,34 +271,51 @@ class _Tableau:
         return zrow
 
     def _bland(self, costs: list[int], allowed: list[int]) -> str:
-        """Run simplex to optimality with Bland's rule; returns 'optimal'/'unbounded'."""
+        """Run simplex to optimality with Bland's rule; returns 'optimal',
+        'unbounded' or, from a negative right-hand side, 'infeasible'."""
         zrow = self._reduced_costs(costs)
         while True:
-            enter = -1
-            for j in allowed:
-                if zrow[j] > 0:
-                    enter = j
-                    break
-            if enter < 0:
-                return OPTIMAL
-            # Least ratio rhs_i / T[i][enter] over T[i][enter] > 0, compared
-            # by cross-multiplication; ties go to the least basic column.
+            # Dual simplex while a right-hand side is negative, which only
+            # appended rows make, under dual-feasible reduced costs: the least
+            # basic column leaves, and the least ratio zrow_j / T[r][j] over
+            # T[r][j] < 0 enters, ties to the least column.
             leave = -1
             for i, row in enumerate(self.tab):
-                a = row[enter]
-                if a > 0:
-                    if leave < 0:
-                        leave, num, den = i, row[-1], a
-                        continue
-                    lhs, rhs = row[-1] * den, num * a
-                    if lhs < rhs or (lhs == rhs and self.basis[i] < self.basis[leave]):
-                        leave, num, den = i, row[-1], a
-            if leave < 0:
-                return UNBOUNDED
-            # The reduced-cost row takes the same update as a tableau row.
-            prow, p, f, d = self.tab[leave], self.tab[leave][enter], zrow[enter], self.d
-            zrow = [(p * z - f * b) // d for z, b in zip(zrow, prow)]
+                if row[-1] < 0 and (leave < 0 or self.basis[i] < self.basis[leave]):
+                    leave = i
+            if leave >= 0:
+                prow, enter = self.tab[leave], -1
+                for j in allowed:
+                    a = prow[j]
+                    if a < 0 and (enter < 0 or zrow[j] * den < num * a):
+                        enter, num, den = j, zrow[j], a
+                if enter < 0:
+                    return INFEASIBLE
+            else:
+                for j in allowed:
+                    if zrow[j] > 0:
+                        enter = j
+                        break
+                else:
+                    return OPTIMAL
+                # Least ratio rhs_i / T[i][enter] over T[i][enter] > 0, compared
+                # by cross-multiplication; ties go to the least basic column.
+                for i, row in enumerate(self.tab):
+                    a = row[enter]
+                    if a > 0:
+                        if leave < 0:
+                            leave, num, den = i, row[-1], a
+                            continue
+                        lhs, rhs = row[-1] * den, num * a
+                        if lhs < rhs or (lhs == rhs and self.basis[i] < self.basis[leave]):
+                            leave, num, den = i, row[-1], a
+                if leave < 0:
+                    return UNBOUNDED
+            f, d = zrow[enter], self.d
             self._pivot(leave, enter)
+            # The reduced-cost row takes the same update as a tableau row.
+            p, prow = self.d, self.tab[leave]
+            zrow = [(p * z - f * b) // d for z, b in zip(zrow, prow)]
 
     def solution(self) -> list[Fraction]:
         z = [ZERO] * self.ncols
@@ -259,43 +328,47 @@ class _Tableau:
 
 
 def solve(model: LPModel, pivot_cap: int = DEFAULT_PIVOT_CAP) -> LPResult:
-    """Solve the model exactly; returns status optimal/infeasible/unbounded."""
+    """Solve the model exactly; returns status optimal/infeasible/unbounded.
+    Resumes the model's last optimal tableau when the model has changed
+    since only by appended ``<=``/``>=`` rows, else solves cold."""
     n = model.num_vars
     maximize = model.sense == MAX
-
-    # Standard form: every right-hand side nonnegative, rows flipped to match.
-    flips = [row.b < 0 for row in model.rows]
-    tab = _Tableau(n, model.rows, flips, pivot_cap)
-
-    # Phase 1: drive artificials to zero.  Artificial i stands for s_i times
-    # the unscaled one, so its cost is -1/s_i, times L to make it integral.
-    if tab.artificial:
-        scale = lcm(*(tab.scale[i] for i, c in enumerate(tab.art_col) if c is not None))
-        costs1 = [0] * tab.ncols
-        for i, c in enumerate(tab.art_col):
-            if c is not None:
-                costs1[c] = -(scale // tab.scale[i])
-        allowed = [j for j in range(tab.ncols) if j not in tab.artificial]
-        status = tab._bland(costs1, allowed)
-        if status != OPTIMAL:
-            raise CertificateError(f"phase-1 objective is bounded by construction, yet ended {status}")
-        z = tab.solution()
-        if any(z[c] != 0 for c in tab.artificial):
-            return LPResult(status=INFEASIBLE, pivots=tab.pivots)
-        # Pivot leftover artificials out of the basis where possible.
-        for i in range(tab.m):
-            if tab.basis[i] in tab.artificial:
-                for j in allowed:
-                    if tab.tab[i][j] != 0:
-                        tab._pivot(i, j)
-                        break
+    tab, model._warm = model._warm, None  # a solve that fails leaves nothing to resume
+    if tab is not None and tab.resumes(model):
+        tab.pivots, tab.pivot_cap = 0, pivot_cap
+        tab.append(n, model.rows[tab.m :])
+    else:
+        # Standard form: every right-hand side nonnegative, rows flipped to match.
+        tab = _Tableau(n, model.rows, [row.b < 0 for row in model.rows], pivot_cap)
+        # Phase 1: drive artificials to zero.  Artificial i stands for s_i times
+        # the unscaled one, so its cost is -1/s_i, times L to make it integral.
+        if tab.artificial:
+            scale = lcm(*(tab.scale[i] for i, c in enumerate(tab.art_col) if c is not None))
+            costs1 = [0] * tab.ncols
+            for i, c in enumerate(tab.art_col):
+                if c is not None:
+                    costs1[c] = -(scale // tab.scale[i])
+            allowed = [j for j in range(tab.ncols) if j not in tab.artificial]
+            status = tab._bland(costs1, allowed)
+            if status != OPTIMAL:
+                raise CertificateError(f"phase-1 objective is bounded by construction, yet ended {status}")
+            z = tab.solution()
+            if any(z[c] != 0 for c in tab.artificial):
+                return LPResult(status=INFEASIBLE, pivots=tab.pivots)
+            # Pivot leftover artificials out of the basis where possible.
+            for i in range(tab.m):
+                if tab.basis[i] in tab.artificial:
+                    for j in allowed:
+                        if tab.tab[i][j] != 0:
+                            tab._pivot(i, j)
+                            break
 
     scale = model.cost_scale
     costs2 = (model.cost if maximize else [-c for c in model.cost]) + [0] * (tab.ncols - n)
     allowed = [j for j in range(tab.ncols) if j not in tab.artificial]
     status = tab._bland(costs2, allowed)
-    if status == UNBOUNDED:
-        return LPResult(status=UNBOUNDED, pivots=tab.pivots)
+    if status != OPTIMAL:
+        return LPResult(status=status, pivots=tab.pivots)
 
     x = tab.solution()[:n]
     value = Fraction(sum(model.cost[bv] * row[-1] for row, bv in zip(tab.tab, tab.basis) if bv < n), tab.d * scale)
@@ -312,13 +385,15 @@ def solve(model: LPModel, pivot_cap: int = DEFAULT_PIVOT_CAP) -> LPResult:
             y = zrow[tab.surplus_col[i]]
         else:
             y = -zrow[tab.art_col[i]]
-        if flips[i]:
+        if tab.flips[i]:
             y = -y
         if not maximize:
             y = -y
         duals.append(Fraction(y * tab.scale[i], den) if y else ZERO)
 
     _certify(model, x, duals, value)
+    tab.objective, tab.rows = (model.sense, model.cost_scale, list(model.cost)), list(model.rows)
+    model._warm = tab
     return LPResult(status=OPTIMAL, value=value, x=x, duals=duals, pivots=tab.pivots)
 
 

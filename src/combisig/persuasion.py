@@ -15,7 +15,8 @@ shortest path / table scan); violated pair rows are added until none
 remain, at which point the relaxed optimum is feasible for - and therefore
 equal to - the full LP optimum.  One model is kept across the rounds: its
 objective and state rows are built once, and each round appends its new
-pair rows.
+pair rows, so ``lp.solve`` resumes the last round's optimal tableau and
+pays only the dual simplex pivots that the new rows need.
 
 The reduced solver recommends only best-response catalog members;
 deviations still range over every feasible action.

@@ -42,6 +42,30 @@ def test_gap_must_exceed_the_refs_quartile_spread():
     assert bench_pairs.judge(far, BETTER)["wins"] == {"ops_per_s": 5, "latency_s.p50": 5}
 
 
+def test_bound_verdict_measures_the_loss_against_each_metrics_bound():
+    """The change's median loss as a share of the ref's, in each metric's
+    direction, is beyond its bound only when larger; gains are negative
+    losses, and metrics without a bound get no verdict."""
+    bounds = {"ops_per_s": 0.25, "latency_s.p50": 0.1}
+    ref = [(10, 0.50), (10, 0.50), (10, 0.50)]
+    within = bench_pairs.judge(pairs_of(ref, [(8, 0.54)] * 3), BETTER, bounds)["bounds"]
+    assert within["ops_per_s"] == {"bound": 0.25, "worse_by": 0.2, "beyond": False}
+    assert within["latency_s.p50"]["beyond"] is False
+    assert abs(within["latency_s.p50"]["worse_by"] - 0.08) < 1e-12
+    beyond = bench_pairs.judge(pairs_of(ref, [(7, 0.56)] * 3), BETTER, bounds)["bounds"]
+    assert {name: v["beyond"] for name, v in beyond.items()} == {"ops_per_s": True, "latency_s.p50": True}
+    assert abs(beyond["ops_per_s"]["worse_by"] - 0.3) < 1e-12
+    gain = bench_pairs.judge(pairs_of(ref, [(15, 0.25)] * 3), BETTER, bounds)["bounds"]
+    assert gain["ops_per_s"]["worse_by"] == -0.5 and gain["latency_s.p50"]["worse_by"] == -0.5
+    assert not any(v["beyond"] for v in gain.values())
+    only_ops = bench_pairs.judge(pairs_of(ref, [(7, 0.56)] * 3), BETTER, {"ops_per_s": 0.25})["bounds"]
+    assert set(only_ops) == {"ops_per_s"}
+    from_zero = bench_pairs.judge(pairs_of([(0, 0.5)], [(0, 0.5)]), BETTER, bounds)["bounds"]
+    assert from_zero["ops_per_s"] == {"bound": 0.25, "worse_by": 0.0, "beyond": False}
+    lost_from_zero = bench_pairs.judge(pairs_of([(10, 0)], [(10, 0.1)]), BETTER, bounds)["bounds"]
+    assert lost_from_zero["latency_s.p50"] == {"bound": 0.1, "worse_by": None, "beyond": True}
+
+
 def test_both_sides_run_without_a_bytecode_cache(monkeypatch, tmp_path):
     """Neither side writes bytecode, and neither hides the standard
     library's cache behind a ``PYTHONPYCACHEPREFIX``, not even one set by

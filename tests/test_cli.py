@@ -470,6 +470,16 @@ def test_gen_lineq_targets_roundtrip(capsys, tmp_path, target):
     assert any("n_var" in w for w in report["warnings"])
 
 
+def test_full_mode_on_the_lineq_path_target_resumes_its_tableau(capsys, tmp_path):
+    """Twenty lazy-row rounds solved cold took 2,279 pivots; resuming the
+    tableau after each round's pair rows must at least halve that."""
+    out = str(tmp_path / "path.json")
+    report_of(capsys, "gen", LINEQ, "--from", "lineq", "--target", "path", "--out", out)
+    report = report_of(capsys, "solve", out, "--mode", "full")
+    assert report["value"] == "4/591"
+    assert report["effort"]["pivots"] <= 2279 // 2
+
+
 def test_gen_public_partition(capsys, tmp_path):
     out = str(tmp_path / "partition.json")
     report = report_of(

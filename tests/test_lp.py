@@ -1,22 +1,25 @@
 """Exact simplex: known optima, duals, degeneracy, an independent
 Fourier-Motzkin feasibility oracle on random systems, the integer tableau
-against a ``Fraction`` reference pivot for pivot, and the certificate
-under ``python -O`` (with no ``assert`` in the package)."""
+against a ``Fraction`` reference pivot for pivot, warm solves after
+appended rows against cold ones, and the certificate under ``python -O``
+(with no ``assert`` in the package)."""
 
 import ast
+import gc
 import itertools
 import os
 import random
 import subprocess
 import sys
 import textwrap
+import weakref
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
 import pytest
 
-from combisig import lp
+from combisig import jsonio, lp, persuasion
 from combisig.errors import CertificateError, IterationCap
 from helpers import fraction_simplex
 
@@ -200,6 +203,170 @@ def test_iteration_cap():
     model.add_row({0: F(1), 1: F(1)}, lp.LE, F(1))
     with pytest.raises(IterationCap):
         lp.solve(model, pivot_cap=0)
+
+
+# ---------------------------------------------------------------------------
+# appended rows: the kept tableau against a cold solve
+# ---------------------------------------------------------------------------
+
+
+def _cold(model):
+    """``model``'s objective and rows in a fresh model, solved cold."""
+    fresh = _model(model.objective, [(row.coeffs, row.rel, row.rhs) for row in model.rows], model.sense)
+    return lp.solve(fresh)
+
+
+def _count_starts(monkeypatch):
+    """Counts cold tableaux built and warm ones resumed by ``lp.solve``."""
+    counts = {"cold": 0, "warm": 0}
+    init, append = lp._Tableau.__init__, lp._Tableau.append
+
+    def cold(self, *args):
+        counts["cold"] += 1
+        init(self, *args)
+
+    def warm(self, *args):
+        counts["warm"] += 1
+        append(self, *args)
+
+    monkeypatch.setattr(lp._Tableau, "__init__", cold)
+    monkeypatch.setattr(lp._Tableau, "append", warm)
+    return counts
+
+
+def _row_batch(rng, model, q):
+    """One to three ``<=``/``>=`` rows: random ones with right-hand sides of
+    either sign, duplicates of an inequality row, looser multiples of one
+    (redundant), and now and then a zero row that no x satisfies."""
+    n = model.num_vars
+    inequalities = [row for row in model.rows if row.rel != lp.EQ]
+    batch = []
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.random()
+        if kind < 0.2 and inequalities:
+            row = rng.choice(inequalities)
+            batch.append((row.coeffs, row.rel, row.rhs))
+        elif kind < 0.35 and inequalities:
+            row, k = rng.choice(inequalities), q(1, 4) + 1
+            looser = k * row.rhs + (1 if row.rel == lp.LE else -1)
+            batch.append(([k * v for v in row.coeffs], row.rel, looser))
+        elif kind < 0.4:
+            batch.append(([F(0)] * n, rng.choice([lp.LE, lp.GE]), F(-1) if rng.random() < 0.5 else F(1)))
+        else:
+            coeffs = [q(-6, 6) if rng.random() < 0.7 else F(0) for _ in range(n)]
+            batch.append((coeffs, rng.choice([lp.LE, lp.GE]), q(-6, 6)))
+    if batch[-1] in batch[:-1] or rng.random() < 0.1:
+        batch.append(batch[-1])  # the same row twice in one batch
+    return batch
+
+
+def test_warm_solves_after_appended_rows_match_cold_solves(monkeypatch):
+    """Random bounded LPs of both senses, with == rows among the first
+    ones, get batches of rows between solves; every solve resumes the last
+    optimal tableau, and its status and value equal a cold solve of a fresh
+    model with the same rows, under the certificate, until a batch makes
+    the LP infeasible.  A resumed solve keeps the reduced costs dual
+    feasible, so it pivots only on negative entries: no primal pivot."""
+    rng = random.Random(1954)
+
+    def q(lo, hi):
+        return F(rng.randint(lo, hi), rng.choice(DENOMINATORS))
+
+    counts = _count_starts(monkeypatch)
+    entries = []
+    genuine = lp._Tableau._pivot
+
+    def spy(self, row, col):
+        entries.append(self.tab[row][col])
+        genuine(self, row, col)
+
+    monkeypatch.setattr(lp._Tableau, "_pivot", spy)
+    seen = {"dual pivots": 0, "warm infeasible": 0, lp.MAX: 0, lp.MIN: 0}
+    for _ in range(300):
+        obj, rows = _random_lp(rng)
+        rows.append(([F(1)] * len(obj), lp.LE, q(1, 20)))  # bounded, so each sense has an optimum
+        model = _model(obj, rows, rng.choice([lp.MAX, lp.MIN]))
+        if lp.solve(model).status != lp.OPTIMAL:
+            continue
+        for _ in range(rng.randint(1, 4)):
+            for coeffs, rel, rhs in _row_batch(rng, model, q):
+                model.add_row(coeffs, rel, rhs)
+            before = dict(counts)
+            entries.clear()
+            warm = lp.solve(model)
+            assert len(entries) == warm.pivots and all(e < 0 for e in entries)
+            cold = _cold(model)
+            assert counts["warm"] == before["warm"] + 1 and counts["cold"] == before["cold"] + 1
+            assert (warm.status, warm.value) == (cold.status, cold.value)
+            seen["dual pivots"] += warm.pivots > 0
+            if warm.status != lp.OPTIMAL:
+                assert warm.status == lp.INFEASIBLE
+                seen["warm infeasible"] += 1
+                break
+            lp._certify(model, warm.x, warm.duals, warm.value)
+            seen[model.sense] += 1
+    assert min(seen.values()) >= 20, seen
+
+
+@pytest.mark.parametrize("change", ["objective", "sense", "equality row", "replaced row", "after infeasible"])
+def test_a_model_changed_otherwise_is_solved_cold(monkeypatch, change):
+    """After a solve, anything but appended inequality rows gives the cold
+    result, pivot for pivot, from a new tableau."""
+    obj, rows = [F(3), F(2), F(-1)], [
+        ([F(1), F(1), F(1)], lp.LE, F(4)),
+        ([F(1), F(-1, 3), F(0)], lp.GE, F(-1, 2)),
+        ([F(0), F(1), F(1)], lp.EQ, F(5, 2)),
+    ]
+    model = _model(obj, rows)
+    if change == "after infeasible":
+        model.add_row([F(1), F(1), F(0)], lp.GE, F(5))
+    first = lp.solve(model)
+    assert first.status == (lp.INFEASIBLE if change == "after infeasible" else lp.OPTIMAL)
+    model.add_row([F(1), F(0), F(0)], lp.LE, F(1, 7))  # alone, this would resume
+    if change == "objective":
+        model.set_objective([F(1), F(5), F(0)])
+    elif change == "sense":
+        model.sense = lp.MIN
+    elif change == "equality row":
+        model.add_row([F(0), F(1), F(0)], lp.EQ, F(1, 3))
+    elif change == "replaced row":
+        other = _model(obj, [([F(1), F(1), F(1)], lp.LE, F(3))])
+        model.rows[0] = other.rows[0]
+    counts = _count_starts(monkeypatch)
+    got = lp.solve(model)
+    assert counts == {"cold": 1, "warm": 0}
+    want = _cold(model)
+    assert (got.status, got.value, got.x, got.duals, got.pivots) == (
+        want.status, want.value, want.x, want.duals, want.pivots,
+    )
+
+
+def test_tableaux_are_freed_with_their_models(monkeypatch):
+    """A model holds its last optimal tableau and the tableau holds no path
+    back to the model, so with the cycle collector off every tableau is
+    freed once the operation that built it returns."""
+    refs = []
+    init = lp._Tableau.__init__
+
+    def spy(self, *args):
+        init(self, *args)
+        refs.append(weakref.ref(self))
+
+    monkeypatch.setattr(lp._Tableau, "__init__", spy)
+    weather = jsonio.instance_from_json(jsonio.load_json(str(SRC.parent / "instances" / "weather_pair.json")))
+    gc.disable()
+    try:
+        result = persuasion.solve_full(weather)
+        assert result.lp_stats["cut_rounds"] > 1 and len(refs) == 1
+        model = _model(*DRIVE_OUT)
+        lp.solve(model)
+        model.add_row([F(1), F(0)], lp.LE, F(1))
+        assert lp.solve(model).value == 1
+        assert refs[-1]() is not None
+        del model
+        assert all(ref() is None for ref in refs)
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------
