@@ -100,13 +100,16 @@ def summary(runs: list[dict]) -> dict:
     return out
 
 
-def judge(pairs: list[dict], better: dict[str, str], bounds: dict[str, float] | None = None) -> dict:
+def judge(pairs: list[dict], end_to_end: list[dict]) -> dict:
     """Medians, change/ref ratios, wins, the quartile test and the bound
-    test of ``pairs``; ``better`` maps each end-to-end metric to "higher" or
-    "lower", and ``bounds`` some of them to the share of the ref's median by
-    which the change's may be worse."""
+    test of ``pairs``; ``end_to_end`` lists the metrics as ``BENCHMARK.json``
+    does, each with its direction ``better`` ("higher" or "lower") and its
+    ``bound``, the share of the ref's median by which the change's may be
+    worse."""
     medians = {side: summary([p[side] for p in pairs]) for side in ("ref", "change")}
     ref = medians["ref"]
+    better = {m["name"]: m["better"] for m in end_to_end}
+    bounds = {m["name"]: m["bound"] for m in end_to_end}
     names = [name for name in better if name in ref]
 
     def gain(pair: dict, name: str) -> float:
@@ -123,7 +126,7 @@ def judge(pairs: list[dict], better: dict[str, str], bounds: dict[str, float] | 
             return None if loss > 0 else 0.0
         return loss / abs(base)
 
-    losses = {name: worse_by(name) for name in names if name in (bounds or {})}
+    losses = {name: worse_by(name) for name in names}
     return {
         "medians": medians,
         "change_over_ref": {
@@ -169,8 +172,6 @@ def main(argv=None) -> int:
             pairs.append(pair)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     report = {
         "workload": args.workload,
         "ref": args.ref,
@@ -179,7 +180,7 @@ def main(argv=None) -> int:
         "env": bytecode_env(),
         "seeds": [p["seed"] for p in pairs],
         "pairs": pairs,
-        **judge(pairs, better, bounds),
+        **judge(pairs, spec["end_to_end"]),
     }
     out = ROOT / f"BENCH_{args.workload}_{args.tag}.json"
     out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n", encoding="utf-8")

@@ -24,17 +24,14 @@ the unscaled artificial.  So every reduced cost has the sign, and every
 ratio test the order, of the unscaled Fraction tableau: on a cold solve,
 Bland's rule takes the same pivots.
 
-A model keeps its last optimal tableau.  When the only change since is
-appended ``<=``/``>=`` rows, ``solve`` resumes it (the dual simplex, Lemke
-1954): each new row, a ``>=`` row negated, is written in the current basis
-by one elimination of the basic structural columns, and its slack becomes
-basic, so d and the reduced costs are unchanged and stay dual feasible.
-While a right-hand side is negative, the least basic column among those
-rows leaves and the least ratio enters, ties to the least column; a
-leaving row with no negative entry admits no x >= 0 (infeasible).  This is
-Bland's rule on the dual program, so no basis repeats and the pivots end
-(Bland 1977).  Any other change (objective, sense, an ``==`` row, a
-replaced row) solves cold.
+A model keeps its last optimal tableau.  When only ``<=``/``>=`` rows were
+appended since, ``solve`` resumes it with the dual simplex (Lemke 1954): each
+new row, a ``>=`` row negated, is written in the current basis with its slack
+basic, so d and the dual-feasible reduced costs stay.  While a right-hand
+side is negative, the least basic column among those rows leaves and the
+least ratio enters, ties to the least column: Bland's rule on the dual, so
+no basis repeats and the pivots end (Bland 1977).  Any other change solves
+cold.
 
 Dual values are read off the final reduced costs (slack, surplus or
 artificial columns carry +/- the row prices), mapped back through s_i and
@@ -203,28 +200,25 @@ class _Tableau:
 
     def append(self, n_struct, rows: list[LPRow]) -> None:
         """Write appended ``<=``/``>=`` rows in the current basis, a ``>=`` row
-        negated to ``<=``, each with its new slack basic.  The basis gains a
-        row (a_B, 1) below a zero column, so det B and d are unchanged, and
-        the new tableau row is d times the row minus each old row times the
-        row's coefficient at that row's basic structural column."""
+        negated, each with its new slack basic: det B and d are unchanged."""
         k, cols = len(rows), self.ncols
         self.ncols += k
         self.tab = [row[:-1] + [0] * k + row[-1:] for row in self.tab]
         for r, row in enumerate(rows):
             sign = -1 if row.rel == GE else 1
-            new = [sign * self.d * v for v in row.a] + [0] * (self.ncols - n_struct) + [sign * self.d * row.b]
+            a = [sign * v for v in row.a]
+            new = [self.d * v for v in a] + [0] * (self.ncols - n_struct) + [sign * self.d * row.b]
             new[cols + r] = self.d
             for bv, trow in zip(self.basis[: self.m], self.tab):
-                if bv < n_struct and row.a[bv]:
-                    f = sign * row.a[bv]
-                    new = [v - f * t for v, t in zip(new, trow)]
+                if bv < n_struct and a[bv]:
+                    new = [v - a[bv] * t for v, t in zip(new, trow)]
             self.tab.append(new)
-            self.basis.append(cols + r)
-            self.slack_col.append(cols + r)
-            self.surplus_col.append(None)
-            self.art_col.append(None)
             self.scale.append(row.scale)
             self.flips.append(sign < 0)
+        self.basis += range(cols, self.ncols)
+        self.slack_col += range(cols, self.ncols)
+        self.surplus_col += [None] * k
+        self.art_col += [None] * k
         self.m += k
 
     def _pivot(self, row: int, col: int) -> None:
@@ -250,14 +244,12 @@ class _Tableau:
         self.basis[row] = col
 
     def resumes(self, model: LPModel) -> bool:
-        """Whether ``model`` differs from the one this tableau last solved
-        only by appended ``<=``/``>=`` rows."""
-        rows = model.rows
+        """Whether ``model`` has changed since this tableau's solve only by appended ``<=``/``>=`` rows."""
         return (
             self.objective == (model.sense, model.cost_scale, model.cost)
-            and len(rows) >= self.m
-            and all(map(operator.is_, self.rows, rows))
-            and all(row.rel != EQ for row in rows[self.m :])
+            and len(model.rows) >= self.m
+            and all(map(operator.is_, self.rows, model.rows))
+            and all(row.rel != EQ for row in model.rows[self.m :])
         )
 
     def _reduced_costs(self, costs: list[int]) -> list[int]:
@@ -270,15 +262,13 @@ class _Tableau:
                 zrow = [z - cb * a for z, a in zip(zrow, row)]
         return zrow
 
-    def _bland(self, costs: list[int], allowed: list[int]) -> str:
-        """Run simplex to optimality with Bland's rule; returns 'optimal',
-        'unbounded' or, from a negative right-hand side, 'infeasible'."""
+    def _bland(self, costs: list[int], allowed: list[int]) -> tuple[str, list[int]]:
+        """Bland's rule to optimality, dual pivots while a right-hand side is
+        negative; returns the status and the final reduced-cost row."""
         zrow = self._reduced_costs(costs)
         while True:
-            # Dual simplex while a right-hand side is negative, which only
-            # appended rows make, under dual-feasible reduced costs: the least
-            # basic column leaves, and the least ratio zrow_j / T[r][j] over
-            # T[r][j] < 0 enters, ties to the least column.
+            # Dual: the least basic column with a negative rhs leaves, the least
+            # ratio zrow_j / T[r][j] over T[r][j] < 0 enters, ties to the least j.
             leave = -1
             for i, row in enumerate(self.tab):
                 if row[-1] < 0 and (leave < 0 or self.basis[i] < self.basis[leave]):
@@ -290,14 +280,14 @@ class _Tableau:
                     if a < 0 and (enter < 0 or zrow[j] * den < num * a):
                         enter, num, den = j, zrow[j], a
                 if enter < 0:
-                    return INFEASIBLE
+                    return INFEASIBLE, zrow
             else:
                 for j in allowed:
                     if zrow[j] > 0:
                         enter = j
                         break
                 else:
-                    return OPTIMAL
+                    return OPTIMAL, zrow
                 # Least ratio rhs_i / T[i][enter] over T[i][enter] > 0, compared
                 # by cross-multiplication; ties go to the least basic column.
                 for i, row in enumerate(self.tab):
@@ -310,7 +300,7 @@ class _Tableau:
                         if lhs < rhs or (lhs == rhs and self.basis[i] < self.basis[leave]):
                             leave, num, den = i, row[-1], a
                 if leave < 0:
-                    return UNBOUNDED
+                    return UNBOUNDED, zrow
             f, d = zrow[enter], self.d
             self._pivot(leave, enter)
             # The reduced-cost row takes the same update as a tableau row.
@@ -329,8 +319,7 @@ class _Tableau:
 
 def solve(model: LPModel, pivot_cap: int = DEFAULT_PIVOT_CAP) -> LPResult:
     """Solve the model exactly; returns status optimal/infeasible/unbounded.
-    Resumes the model's last optimal tableau when the model has changed
-    since only by appended ``<=``/``>=`` rows, else solves cold."""
+    Resumes the model's last optimal tableau where ``_Tableau.resumes`` allows."""
     n = model.num_vars
     maximize = model.sense == MAX
     tab, model._warm = model._warm, None  # a solve that fails leaves nothing to resume
@@ -349,7 +338,7 @@ def solve(model: LPModel, pivot_cap: int = DEFAULT_PIVOT_CAP) -> LPResult:
                 if c is not None:
                     costs1[c] = -(scale // tab.scale[i])
             allowed = [j for j in range(tab.ncols) if j not in tab.artificial]
-            status = tab._bland(costs1, allowed)
+            status, _ = tab._bland(costs1, allowed)
             if status != OPTIMAL:
                 raise CertificateError(f"phase-1 objective is bounded by construction, yet ended {status}")
             z = tab.solution()
@@ -366,7 +355,7 @@ def solve(model: LPModel, pivot_cap: int = DEFAULT_PIVOT_CAP) -> LPResult:
     scale = model.cost_scale
     costs2 = (model.cost if maximize else [-c for c in model.cost]) + [0] * (tab.ncols - n)
     allowed = [j for j in range(tab.ncols) if j not in tab.artificial]
-    status = tab._bland(costs2, allowed)
+    status, zrow = tab._bland(costs2, allowed)
     if status != OPTIMAL:
         return LPResult(status=status, pivots=tab.pivots)
 
@@ -375,7 +364,6 @@ def solve(model: LPModel, pivot_cap: int = DEFAULT_PIVOT_CAP) -> LPResult:
 
     # Row prices from the final reduced costs, mapped back through the row
     # scales and the objective's lcm to the model's row orientation and sense.
-    zrow = tab._reduced_costs(costs2)
     den = tab.d * scale
     duals: list[Fraction] = []
     for i in range(tab.m):
@@ -385,9 +373,7 @@ def solve(model: LPModel, pivot_cap: int = DEFAULT_PIVOT_CAP) -> LPResult:
             y = zrow[tab.surplus_col[i]]
         else:
             y = -zrow[tab.art_col[i]]
-        if tab.flips[i]:
-            y = -y
-        if not maximize:
+        if tab.flips[i] == maximize:  # a flipped row negates, and so does a minimization
             y = -y
         duals.append(Fraction(y * tab.scale[i], den) if y else ZERO)
 

@@ -369,10 +369,11 @@ class SignalingScheme(Record):
 
     ``phi`` maps (state index, action) to a probability; missing pairs are
     zero.  ``support`` lists every action that receives positive probability
-    under some state.
+    under some state.  Stored densely, ``probs[k * num_states + t]`` is the
+    probability of ``support[k]`` in state t; ``phi`` is rebuilt on access.
     """
 
-    __slots__ = ("num_states", "support", "phi")
+    __slots__ = ("num_states", "support", "probs")
 
     def __init__(
         self,
@@ -380,29 +381,40 @@ class SignalingScheme(Record):
         support: tuple[ActionSet, ...],
         phi: Mapping[tuple[int, ActionSet], Fraction],
     ):
-        object.__setattr__(self, "num_states", num_states)
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "phi", phi)
-        support_set = set(self.support)
-        if len(support_set) != len(self.support):
+        index = {action: k for k, action in enumerate(support)}
+        if len(index) != len(support):
             raise InstanceFormatError("scheme support contains duplicates")
-        totals = [ZERO] * self.num_states
-        for (state, action), prob in self.phi.items():
-            if not 0 <= state < self.num_states:
+        probs = [ZERO] * (len(support) * num_states)
+        for (state, action), prob in phi.items():
+            if not 0 <= state < num_states:
                 raise InstanceFormatError(f"state index {state} out of range")
-            if action not in support_set:
+            if action not in index:
                 raise InstanceFormatError(f"phi entry for non-support action {action}")
             if prob < 0:
                 raise InstanceFormatError("scheme probabilities must be nonnegative")
-            totals[state] += prob
-        for state, total in enumerate(totals):
+            probs[index[action] * num_states + state] = prob
+        for state in range(num_states):
+            total = sum(probs[state::num_states], ZERO)
             if total != ONE:
-                raise InstanceFormatError(
-                    f"probabilities for state {state} sum to {total}, expected 1"
-                )
+                raise InstanceFormatError(f"probabilities for state {state} sum to {total}, expected 1")
+        object.__setattr__(self, "num_states", num_states)
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "probs", tuple(probs))
 
-    def prob(self, state: int, action: ActionSet) -> Fraction:
-        return self.phi.get((state, action), ZERO)
+    def __reduce__(self):
+        return type(self), (self.num_states, self.support, self.phi)
+
+    @property
+    def phi(self) -> dict[tuple[int, ActionSet], Fraction]:
+        T = self.num_states
+        return {(i % T, self.support[i // T]): p for i, p in enumerate(self.probs) if p}
+
+    def column(self, action: ActionSet) -> tuple[Fraction, ...]:
+        """Per state, the probability that ``action`` is recommended."""
+        if action not in self.support:
+            return (ZERO,) * self.num_states
+        k = self.support.index(action)
+        return self.probs[k * self.num_states : (k + 1) * self.num_states]
 
     @classmethod
     def from_phi(cls, num_states: int, phi: Mapping[tuple[int, ActionSet], Fraction]):
@@ -420,10 +432,7 @@ def deterministic_scheme(num_states: int, action: ActionSet) -> SignalingScheme:
 
 def signal_mass(instance: Instance, scheme: SignalingScheme, action: ActionSet) -> Fraction:
     """Total prior probability that ``action`` is recommended."""
-    return sum(
-        (instance.prior[s] * scheme.prob(s, action) for s in range(instance.num_states)),
-        ZERO,
-    )
+    return sum((q * p for q, p in zip(instance.prior, scheme.column(action))), ZERO)
 
 
 def posterior(instance: Instance, scheme: SignalingScheme, action: ActionSet) -> Posterior:
@@ -431,9 +440,7 @@ def posterior(instance: Instance, scheme: SignalingScheme, action: ActionSet) ->
     mass = signal_mass(instance, scheme, action)
     if mass == 0:
         raise ZeroMassSignal(f"action {action} is recommended with probability zero")
-    xi = tuple(
-        instance.prior[s] * scheme.prob(s, action) / mass for s in range(instance.num_states)
-    )
+    xi = tuple(q * p / mass for q, p in zip(instance.prior, scheme.column(action)))
     return Posterior(xi=xi)
 
 

@@ -74,9 +74,12 @@ __all__ = [
 
 
 class SolveResult(Record):
-    """``method`` is "full-lp", "reduced-lp", "cce-cutting-plane" or "cce-ellipsoid"."""
+    """``method`` is "full-lp", "reduced-lp", "cce-cutting-plane" or "cce-ellipsoid".
+    ``lp_stats``, the effort counters by name, is rebuilt on access from
+    ``stats`` and a names tuple that results with the same counters share."""
 
-    __slots__ = ("scheme", "sender_value", "method", "catalog_size", "lp_stats")
+    __slots__ = ("scheme", "sender_value", "method", "catalog_size", "stat_names", "stats")
+    _names: dict[tuple[str, ...], tuple[str, ...]] = {}  # one shared tuple per set of counter names
 
     def __init__(
         self,
@@ -90,7 +93,16 @@ class SolveResult(Record):
         object.__setattr__(self, "sender_value", sender_value)
         object.__setattr__(self, "method", method)
         object.__setattr__(self, "catalog_size", catalog_size)
-        object.__setattr__(self, "lp_stats", {} if lp_stats is None else lp_stats)
+        names = tuple(lp_stats or ())
+        object.__setattr__(self, "stat_names", self._names.setdefault(names, names))
+        object.__setattr__(self, "stats", tuple((lp_stats or {}).values()))
+
+    def __reduce__(self):
+        return type(self), (self.scheme, self.sender_value, self.method, self.catalog_size, self.lp_stats)
+
+    @property
+    def lp_stats(self) -> dict:
+        return dict(zip(self.stat_names, self.stats))
 
 
 class PersuasivenessReport(Record):
@@ -242,13 +254,14 @@ def scheme_lp(
 
 
 def _solve_scheme_lp(
-    instance: Instance, actions: list[ActionSet], method: str, catalog_size: int | None, pool=None
+    instance: Instance, actions: list[ActionSet], method: str, catalog_size: int | None, pool=None, **stats
 ) -> SolveResult:
     """``scheme_lp`` recommending ``actions``, with persuasiveness rows added
     lazily to one model.  Each round's scheme goes to ``certify``, whose
     obedience pass names the new pair rows when it fails and ends the loop
     when it holds, so the returned scheme is audited once.  ``pool`` is every
-    feasible action, if the caller holds them, for a tabular receiver's passes."""
+    feasible action, if the caller holds them, for a tabular receiver's passes.
+    ``stats`` are more counters for ``lp_stats``."""
     columns = [(t, S) for t in range(instance.num_states) for S in actions]
     index = {col: j for j, col in enumerate(columns)}
     r_value = instance.receiver.value
@@ -288,6 +301,7 @@ def _solve_scheme_lp(
             "cut_rounds": rounds,
             "pair_rows": len(added),
             "columns": len(columns),
+            **stats,
         },
     )
 
@@ -313,9 +327,7 @@ def solve_reduced(instance: Instance) -> SolveResult:
 
     catalog = enumerate_best_responses(instance)
     actions = list(catalog.actions)
-    result = _solve_scheme_lp(instance, actions, "reduced-lp", len(actions))
-    result.lp_stats["perturbed"] = catalog.perturbed
-    return result
+    return _solve_scheme_lp(instance, actions, "reduced-lp", len(actions), perturbed=catalog.perturbed)
 
 
 def _check_scheme(instance: Instance, scheme: SignalingScheme) -> None:
@@ -383,8 +395,7 @@ def certify(
 def _scheme_value(instance: Instance, scheme: SignalingScheme, utility) -> Fraction:
     total = ZERO
     for (t, S), p in scheme.phi.items():
-        if p != 0:
-            total += instance.prior[t] * p * utility.value(t, S)
+        total += instance.prior[t] * p * utility.value(t, S)
     return total
 
 

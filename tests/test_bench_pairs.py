@@ -12,6 +12,11 @@ bench_pairs = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench_pairs)
 
 BETTER = {"ops_per_s": "higher", "latency_s.p50": "lower"}
+BOUNDS = {"ops_per_s": 0.25, "latency_s.p50": 0.1}
+
+
+def end_to_end(bounds: dict = BOUNDS) -> list[dict]:
+    return [{"name": name, "better": BETTER[name], "bound": bounds[name]} for name in BETTER]
 
 
 def run(ops: float, p50: float) -> dict:
@@ -26,7 +31,7 @@ def pairs_of(ref: list[tuple], change: list[tuple]) -> list[dict]:
 def test_wins_follow_each_metrics_direction_and_ties_count_for_neither():
     ref = [(10, 0.5), (10, 0.5), (10, 0.5), (10, 0.5)]
     change = [(12, 0.4), (10, 0.5), (9, 0.6), (11, 0.5)]
-    verdict = bench_pairs.judge(pairs_of(ref, change), BETTER)
+    verdict = bench_pairs.judge(pairs_of(ref, change), end_to_end())
     assert verdict["wins"] == {"ops_per_s": 2, "latency_s.p50": 1}
     assert set(verdict["gap_exceeds_ref_iqr"]) == set(BETTER)  # per-layer counts are not judged
     assert verdict["change_over_ref"]["ops_per_s"] == 10.5 / 10
@@ -37,32 +42,31 @@ def test_gap_must_exceed_the_refs_quartile_spread():
     ref = [(8, 0.5), (9, 0.5), (10, 0.5), (11, 0.5), (12, 0.5)]
     near = pairs_of(ref, [(v + 2, 0.5) for v, _ in ref])  # medians 2 apart
     far = pairs_of(ref, [(v + 4, 0.1) for v, _ in ref])  # medians 4 apart
-    assert bench_pairs.judge(near, BETTER)["gap_exceeds_ref_iqr"] == {"ops_per_s": False, "latency_s.p50": False}
-    assert bench_pairs.judge(far, BETTER)["gap_exceeds_ref_iqr"] == {"ops_per_s": True, "latency_s.p50": True}
-    assert bench_pairs.judge(far, BETTER)["wins"] == {"ops_per_s": 5, "latency_s.p50": 5}
+    assert bench_pairs.judge(near, end_to_end())["gap_exceeds_ref_iqr"] == {"ops_per_s": False, "latency_s.p50": False}
+    assert bench_pairs.judge(far, end_to_end())["gap_exceeds_ref_iqr"] == {"ops_per_s": True, "latency_s.p50": True}
+    assert bench_pairs.judge(far, end_to_end())["wins"] == {"ops_per_s": 5, "latency_s.p50": 5}
 
 
 def test_bound_verdict_measures_the_loss_against_each_metrics_bound():
     """The change's median loss as a share of the ref's, in each metric's
     direction, is beyond its bound only when larger; gains are negative
-    losses, and metrics without a bound get no verdict."""
-    bounds = {"ops_per_s": 0.25, "latency_s.p50": 0.1}
+    losses."""
     ref = [(10, 0.50), (10, 0.50), (10, 0.50)]
-    within = bench_pairs.judge(pairs_of(ref, [(8, 0.54)] * 3), BETTER, bounds)["bounds"]
+    within = bench_pairs.judge(pairs_of(ref, [(8, 0.54)] * 3), end_to_end())["bounds"]
     assert within["ops_per_s"] == {"bound": 0.25, "worse_by": 0.2, "beyond": False}
     assert within["latency_s.p50"]["beyond"] is False
     assert abs(within["latency_s.p50"]["worse_by"] - 0.08) < 1e-12
-    beyond = bench_pairs.judge(pairs_of(ref, [(7, 0.56)] * 3), BETTER, bounds)["bounds"]
+    beyond = bench_pairs.judge(pairs_of(ref, [(7, 0.56)] * 3), end_to_end())["bounds"]
     assert {name: v["beyond"] for name, v in beyond.items()} == {"ops_per_s": True, "latency_s.p50": True}
     assert abs(beyond["ops_per_s"]["worse_by"] - 0.3) < 1e-12
-    gain = bench_pairs.judge(pairs_of(ref, [(15, 0.25)] * 3), BETTER, bounds)["bounds"]
+    gain = bench_pairs.judge(pairs_of(ref, [(15, 0.25)] * 3), end_to_end())["bounds"]
     assert gain["ops_per_s"]["worse_by"] == -0.5 and gain["latency_s.p50"]["worse_by"] == -0.5
     assert not any(v["beyond"] for v in gain.values())
-    only_ops = bench_pairs.judge(pairs_of(ref, [(7, 0.56)] * 3), BETTER, {"ops_per_s": 0.25})["bounds"]
-    assert set(only_ops) == {"ops_per_s"}
-    from_zero = bench_pairs.judge(pairs_of([(0, 0.5)], [(0, 0.5)]), BETTER, bounds)["bounds"]
+    loose = bench_pairs.judge(pairs_of(ref, [(7, 0.56)] * 3), end_to_end({"ops_per_s": 0.5, "latency_s.p50": 0.2}))
+    assert not any(v["beyond"] for v in loose["bounds"].values())
+    from_zero = bench_pairs.judge(pairs_of([(0, 0.5)], [(0, 0.5)]), end_to_end())["bounds"]
     assert from_zero["ops_per_s"] == {"bound": 0.25, "worse_by": 0.0, "beyond": False}
-    lost_from_zero = bench_pairs.judge(pairs_of([(10, 0)], [(10, 0.1)]), BETTER, bounds)["bounds"]
+    lost_from_zero = bench_pairs.judge(pairs_of([(10, 0)], [(10, 0.1)]), end_to_end())["bounds"]
     assert lost_from_zero["latency_s.p50"] == {"bound": 0.1, "worse_by": None, "beyond": True}
 
 

@@ -53,8 +53,7 @@ def test_records_compare_hash_print_and_refuse_assignment():
         del scheme.phi
     with pytest.raises(AttributeError):
         scheme.extra = 1
-    with pytest.raises(TypeError):
-        hash(scheme)  # phi is a dict
+    assert hash(scheme) == hash(deterministic_scheme(2, (0,)))  # stored as tuples, not as a dict
 
 
 def test_prior_must_sum_to_one():
