@@ -13,12 +13,21 @@ hyperplanes coalesce (opposite-scaling copies are canonicalized with a
 recorded sign flip).  For one- and two-dimensional charts the cells are
 found geometrically and without any LP: the simplex facets join the
 functionals, and every vertex of that combined arrangement lying in the
-closed simplex is probed by stepping a rational epsilon into each angular
-sector around it.  A cell meets the open simplex iff one of its probes lands
-strictly inside; its closure touches the simplex iff some probe reaches it
-at all, because a vertex of the closure's intersection with the simplex is
-one of the probed vertices; the probed vertices on the simplex boundary are
-reported as the cell's boundary beliefs.  In higher dimension a
+closed simplex is probed once in each angular sector around it.  A cell
+meets the open simplex iff one of its probes lands strictly inside; its
+closure touches the simplex iff some probe reaches it at all, because a
+vertex of the closure's intersection with the simplex is one of the probed
+vertices; the probed vertices on the simplex boundary are reported as the
+cell's boundary beliefs.  A probe is the vertex v stepped a rational epsilon
+along a direction d inside the sector (``_step_point``), epsilon small
+enough that no functional nonzero at v changes sign.  So a functional's
+sign at the probe is its sign at v where that is nonzero, else the sign of
+its slope a . d: the symbolic perturbation of Edelsbrunner & Muecke (1990).
+Vertices are held as integers over one positive denominator, so every probe
+is decided by integer signs; the rational witness is stepped only when a
+probe finds a new cell, or first lands inside a touching one, and each
+witness's signs are rechecked against its probe's in integers before the
+walk returns.  In higher dimension a
 breadth-first flood over single-sign flips of a bounding box meeting every
 cell is used, certifying each candidate sign pattern with an exact
 strict-feasibility LP, and each box cell is classified with
@@ -31,6 +40,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 from itertools import combinations
 from math import factorial, gcd, lcm
+from operator import mul
 
 from . import lp
 from .errors import CertificateError, DimensionTooSmall, TooLarge
@@ -157,14 +167,11 @@ def _box_context(dim: int, cutting) -> list[tuple]:
     return out
 
 
-def _solve_2x2(a1, a2, b1, b2) -> tuple[Fraction, Fraction] | None:
-    det = Fraction(a1[0]) * a2[1] - Fraction(a1[1]) * a2[0]
-    if det == 0:
-        return None
-    # Solve a1 . y = -b1, a2 . y = -b2 by Cramer's rule.
-    y0 = (Fraction(-b1) * a2[1] - Fraction(a1[1]) * (-b2)) / det
-    y1 = (Fraction(a1[0]) * (-b2) - Fraction(-b1) * a2[0]) / det
-    return (y0, y1)
+def _vertex(nums, den: int) -> tuple[tuple[int, ...], int]:
+    """The point ``nums / den`` as integers over a positive denominator, with
+    no common factor, so that equal points have equal forms."""
+    g = gcd(*nums, den) * (1 if den > 0 else -1)
+    return tuple(v // g for v in nums), den // g
 
 
 def _sign(v) -> int:
@@ -330,20 +337,6 @@ def enumerate_cells(hyperplanes, num_states: int) -> list[Cell]:
     return [_make_cell(recipes, key, *entry) for key, entry in sorted(found.items())]
 
 
-def _store(found: dict, key, y, inside: bool) -> list:
-    """Record a probe y of cell ``key``: the first witness is kept, and
-    replaced once by a witness inside the open simplex.  Returns the cell's
-    entry [witness, witness is inside, {support: boundary point}]."""
-    known = found.get(key)
-    if known is None:
-        if len(found) >= DEFAULT_CELL_CAP:
-            raise TooLarge("arrangement has more cells than allowed", DEFAULT_CELL_CAP)
-        known = found[key] = [y, inside, {}]
-    elif inside and not known[1]:
-        known[0], known[1] = y, True
-    return known
-
-
 def _walk(cutting, simplex) -> dict:
     """Cells probed around the vertices in the closed simplex (chart dim <= 2).
 
@@ -351,50 +344,51 @@ def _walk(cutting, simplex) -> dict:
     vertices probed into the cell keyed by which facets are positive there].
     """
     funcs = cutting + simplex
-    dim = len(simplex) - 1
-    found: dict[tuple[int, ...], list] = {}
-
-    def probe(vertex, direction) -> None:
-        y = _step_point(vertex, direction, funcs)
-        inside = all(_evaluate(f, y) > 0 for f in simplex)
-        key = tuple(_sign(_evaluate(f, y)) for f in cutting)
-        entry = _store(found, key, y, inside)
-        support = tuple(_evaluate(f, vertex) > 0 for f in simplex)
-        if not all(support):
-            entry[2].setdefault(support, vertex)
-
+    m, dim = len(cutting), len(simplex) - 1
+    vertices: dict[tuple, None] = {}  # (numerators, denominator), first found first
     if dim == 1:
-        seen_roots: set[Fraction] = set()
-        for a, b in funcs:
-            root = Fraction(-b, a[0])
-            if root in seen_roots:
-                continue
-            seen_roots.add(root)
-            if any(_evaluate(f, (root,)) < 0 for f in simplex):
-                continue
-            for direction in ((1,), (-1,)):
-                probe((root,), direction)
-        return found
-    vertices: dict[tuple[Fraction, Fraction], None] = {}
-    for (a1, b1), (a2, b2) in combinations(funcs, 2):
-        v = _solve_2x2(a1, a2, b1, b2)
-        if v is None:
-            continue
-        if any(_evaluate(f, v) < 0 for f in simplex):
-            continue
-        vertices.setdefault(v)
-    # probing the edge midpoints records an edge as a boundary belief of the
-    # cells whose closure holds all of it, when no plane crosses the edge
-    half = Fraction(1, 2)
-    for v in ((half, ZERO), (ZERO, half), (half, half)):
-        vertices.setdefault(v)
-    for v in vertices:
-        rays: list[tuple[int, int]] = []
-        for a, b in funcs:
-            if _evaluate((a, b), v) == 0:
-                rays.extend((_primitive_ray((-a[1], a[0])), _primitive_ray((a[1], -a[0]))))
-        for direction in _sector_directions(rays):
-            probe(v, direction)
+        for (a0,), b in funcs:
+            vertices.setdefault(_vertex((-b,), a0))
+    else:
+        for (a1, b1), (a2, b2) in combinations(funcs, 2):
+            # a1 . y = -b1 and a2 . y = -b2, by Cramer's rule
+            det = a1[0] * a2[1] - a1[1] * a2[0]
+            if det:
+                vertices.setdefault(_vertex((a1[1] * b2 - b1 * a2[1], b1 * a2[0] - a1[0] * b2), det))
+        # probing the edge midpoints records an edge as a boundary belief of the
+        # cells whose closure holds all of it, when no plane crosses the edge
+        for v in (((1, 0), 2), ((0, 1), 2), ((1, 1), 2)):
+            vertices.setdefault(v)
+    found: dict[tuple[int, ...], list] = {}
+    for nums, den in vertices:
+        if min(nums) < 0 or sum(nums) > den:
+            continue  # outside the closed simplex
+        vals = [sum(map(mul, a, nums)) + b * den for a, b in funcs]
+        support = tuple(v > 0 for v in vals[m:])
+        point = tuple(Fraction(v, den) for v in nums)
+        if dim == 1:
+            directions = [(1,), (-1,)]
+        else:
+            zero = [a for (a, _), v in zip(funcs, vals) if v == 0]
+            directions = _sector_directions([_primitive_ray((s * a[1], -s * a[0])) for a in zero for s in (-1, 1)])
+        for d in directions:
+            # _step_point keeps every nonzero sign; a zero one takes the slope's
+            signs = [_sign(v or sum(map(mul, a, d))) for (a, _), v in zip(funcs, vals)]
+            key, inside = tuple(signs[:m]), min(signs[m:]) > 0
+            entry = found.get(key)
+            if entry is None:
+                if len(found) >= DEFAULT_CELL_CAP:
+                    raise TooLarge("arrangement has more cells than allowed", DEFAULT_CELL_CAP)
+                entry = found[key] = [_step_point(point, d, funcs), inside, {}]
+            elif inside and not entry[1]:
+                entry[0], entry[1] = _step_point(point, d, funcs), True
+            if not all(support):
+                entry[2].setdefault(support, point)
+    for key, (y, inside, _) in found.items():
+        nums, den = lp._common(y)
+        signs = [_sign(sum(map(mul, a, nums)) + b * den) for a, b in funcs]
+        if tuple(signs[:m]) != key or (min(signs[m:]) > 0) != inside:
+            raise CertificateError("cell witness has other signs than its probe")
     return found
 
 

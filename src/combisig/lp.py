@@ -27,11 +27,12 @@ Bland's rule takes the same pivots.
 A model keeps its last optimal tableau.  When only ``<=``/``>=`` rows were
 appended since, ``solve`` resumes it with the dual simplex (Lemke 1954): each
 new row, a ``>=`` row negated, is written in the current basis with its slack
-basic, so d and the dual-feasible reduced costs stay.  While a right-hand
-side is negative, the least basic column among those rows leaves and the
-least ratio enters, ties to the least column: Bland's rule on the dual, so
-no basis repeats and the pivots end (Bland 1977).  Any other change solves
-cold.
+basic, so d and the dual-feasible reduced costs stay: the tableau keeps its
+final reduced-cost row, which gains a zero per new slack, and the resumed
+solve starts from it.  While a right-hand side is negative, the least basic
+column among those rows leaves and the least ratio enters, ties to the
+least column: Bland's rule on the dual, so no basis repeats and the pivots
+end (Bland 1977).  Any other change solves cold.
 
 Dual values are read off the final reduced costs (slack, surplus or
 artificial columns carry +/- the row prices), mapped back through s_i and
@@ -200,10 +201,12 @@ class _Tableau:
 
     def append(self, n_struct, rows: list[LPRow]) -> None:
         """Write appended ``<=``/``>=`` rows in the current basis, a ``>=`` row
-        negated, each with its new slack basic: det B and d are unchanged."""
+        negated, each with its new slack basic: det B and d are unchanged, and
+        so is the kept reduced-cost row ``zrow``, but for a zero per slack."""
         k, cols = len(rows), self.ncols
         self.ncols += k
         self.tab = [row[:-1] + [0] * k + row[-1:] for row in self.tab]
+        self.zrow += [0] * k
         for r, row in enumerate(rows):
             sign = -1 if row.rel == GE else 1
             a = [sign * v for v in row.a]
@@ -262,10 +265,10 @@ class _Tableau:
                 zrow = [z - cb * a for z, a in zip(zrow, row)]
         return zrow
 
-    def _bland(self, costs: list[int], allowed: list[int]) -> tuple[str, list[int]]:
-        """Bland's rule to optimality, dual pivots while a right-hand side is
-        negative; returns the status and the final reduced-cost row."""
-        zrow = self._reduced_costs(costs)
+    def _bland(self, zrow: list[int], allowed: list[int]) -> tuple[str, list[int]]:
+        """Bland's rule to optimality from the reduced-cost row ``zrow``, dual
+        pivots while a right-hand side is negative; returns the status and
+        the final reduced-cost row."""
         while True:
             # Dual: the least basic column with a negative rhs leaves, the least
             # ratio zrow_j / T[r][j] over T[r][j] < 0 enters, ties to the least j.
@@ -323,7 +326,8 @@ def solve(model: LPModel, pivot_cap: int = DEFAULT_PIVOT_CAP) -> LPResult:
     n = model.num_vars
     maximize = model.sense == MAX
     tab, model._warm = model._warm, None  # a solve that fails leaves nothing to resume
-    if tab is not None and tab.resumes(model):
+    warm = tab is not None and tab.resumes(model)
+    if warm:
         tab.pivots, tab.pivot_cap = 0, pivot_cap
         tab.append(n, model.rows[tab.m :])
     else:
@@ -338,7 +342,7 @@ def solve(model: LPModel, pivot_cap: int = DEFAULT_PIVOT_CAP) -> LPResult:
                 if c is not None:
                     costs1[c] = -(scale // tab.scale[i])
             allowed = [j for j in range(tab.ncols) if j not in tab.artificial]
-            status, _ = tab._bland(costs1, allowed)
+            status, _ = tab._bland(tab._reduced_costs(costs1), allowed)
             if status != OPTIMAL:
                 raise CertificateError(f"phase-1 objective is bounded by construction, yet ended {status}")
             z = tab.solution()
@@ -355,7 +359,7 @@ def solve(model: LPModel, pivot_cap: int = DEFAULT_PIVOT_CAP) -> LPResult:
     scale = model.cost_scale
     costs2 = (model.cost if maximize else [-c for c in model.cost]) + [0] * (tab.ncols - n)
     allowed = [j for j in range(tab.ncols) if j not in tab.artificial]
-    status, zrow = tab._bland(costs2, allowed)
+    status, zrow = tab._bland(tab.zrow if warm else tab._reduced_costs(costs2), allowed)
     if status != OPTIMAL:
         return LPResult(status=status, pivots=tab.pivots)
 
@@ -378,7 +382,7 @@ def solve(model: LPModel, pivot_cap: int = DEFAULT_PIVOT_CAP) -> LPResult:
         duals.append(Fraction(y * tab.scale[i], den) if y else ZERO)
 
     _certify(model, x, duals, value)
-    tab.objective, tab.rows = (model.sense, model.cost_scale, list(model.cost)), list(model.rows)
+    tab.objective, tab.rows, tab.zrow = (model.sense, model.cost_scale, list(model.cost)), list(model.rows), zrow
     model._warm = tab
     return LPResult(status=OPTIMAL, value=value, x=x, duals=duals, pivots=tab.pivots)
 

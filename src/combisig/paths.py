@@ -54,29 +54,30 @@ def enumerate_paths(spec: PathGraph, cap: int = DEFAULT_PATH_CAP) -> list[Action
     for e, (u, _) in enumerate(spec.edges):
         out_edges.setdefault(u, []).append(e)
     paths: list[ActionSet] = []
-    stack_edges: list[int] = []
-    visited = {spec.source}
-
-    def dfs(u: int) -> None:
-        if u == spec.sink:
-            paths.append(make_action(stack_edges))
-            if len(paths) > cap:
-                raise TooLarge(f"more than {cap} source-sink paths", bound=cap)
-            return
-        for e in out_edges.get(u, ()):
-            v = spec.edges[e][1]
-            if v in visited:
-                continue
-            visited.add(v)
-            stack_edges.append(e)
-            dfs(v)
-            stack_edges.pop()
-            visited.remove(v)
-
-    dfs(spec.source)
+    _dfs(spec, out_edges, cap, spec.source, {spec.source}, [], paths)
     if not paths:
         raise NoPath("no source-sink path exists")
     return paths
+
+
+def _dfs(spec: PathGraph, out_edges: dict, cap: int, u: int, visited: set, stack_edges: list, paths: list) -> None:
+    """Append every simple path from ``u`` to the sink that extends the
+    edges ``stack_edges`` through the ``visited`` nodes.  (A module-level
+    recursion: a recursive closure is a reference cycle.)"""
+    if u == spec.sink:
+        paths.append(make_action(stack_edges))
+        if len(paths) > cap:
+            raise TooLarge(f"more than {cap} source-sink paths", bound=cap)
+        return
+    for e in out_edges.get(u, ()):
+        v = spec.edges[e][1]
+        if v in visited:
+            continue
+        visited.add(v)
+        stack_edges.append(e)
+        _dfs(spec, out_edges, cap, v, visited, stack_edges, paths)
+        stack_edges.pop()
+        visited.remove(v)
 
 
 def is_path_action(spec: PathGraph, action: ActionSet) -> bool:

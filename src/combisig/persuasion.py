@@ -134,22 +134,23 @@ def enumerate_actions(constraint, n: int, max_actions: int | None = None) -> lis
         raise TooLarge(
             f"ground set of {n} elements is too large to enumerate", MATROID_ENUM_LIMIT
         )
-    oracle = matroid.oracle_for(constraint, n)
     out: list[ActionSet] = []
-    prefix: list[int] = []
-
-    def extend(start: int) -> None:
-        out.append(tuple(prefix))
-        if max_actions is not None and len(out) > max_actions:
-            raise TooLarge("more actions than the requested cap", max_actions)
-        for e in range(start, n):
-            prefix.append(e)
-            if oracle.is_independent(tuple(prefix)):
-                extend(e + 1)
-            prefix.pop()
-
-    extend(0)
+    _extend(matroid.oracle_for(constraint, n), n, max_actions, 0, [], out)
     return out
+
+
+def _extend(oracle, n: int, max_actions: int | None, start: int, prefix: list[int], out: list) -> None:
+    """Append the independent set ``prefix`` and, depth first, each of its
+    extensions by elements from ``start`` on.  (A module-level recursion:
+    a recursive closure is a reference cycle, left to the cyclic collector.)"""
+    out.append(tuple(prefix))
+    if max_actions is not None and len(out) > max_actions:
+        raise TooLarge("more actions than the requested cap", max_actions)
+    for e in range(start, n):
+        prefix.append(e)
+        if oracle.is_independent(tuple(prefix)):
+            _extend(oracle, n, max_actions, e + 1, prefix, out)
+        prefix.pop()
 
 
 def _atoms(utility, xi: tuple[Fraction, ...]) -> list[Fraction]:
@@ -314,8 +315,10 @@ def solve_full(instance: Instance, max_actions: int | None = None) -> SolveResul
 
 def solve_reduced(instance: Instance) -> SolveResult:
     """Exact optimum over the best-response catalog (matroid, linear, max):
-    the catalog's actions are the recommendations, and each is checked
-    against the receiver's exact best deviation.
+    the catalog's actions, and the uninformative scheme's, are the
+    recommendations, and each is checked against the receiver's exact best
+    deviation.  That scheme is feasible in the LP, so the value is never
+    below the uninformative one.
 
     Matches ``solve_full`` exactly on clean instances.  On degenerate
     instances the catalog comes from the tie-broken (perturbed) utilities and
@@ -326,7 +329,7 @@ def solve_reduced(instance: Instance) -> SolveResult:
     from .best_response import enumerate_best_responses
 
     catalog = enumerate_best_responses(instance)
-    actions = list(catalog.actions)
+    actions = sorted({*catalog.actions, tie_broken_response(instance, Posterior(xi=instance.prior))})
     return _solve_scheme_lp(instance, actions, "reduced-lp", len(actions), perturbed=catalog.perturbed)
 
 

@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 from math import isqrt, lcm, sqrt
 
-from combisig import cce, lp, matroid
+from combisig import arrangement, cce, lp, matroid
 from combisig.jsonio import format_rational
 from combisig.model import (
     ActionSet,
@@ -633,6 +633,76 @@ def fraction_simplex(model: lp.LPModel) -> lp.LPResult:
         duals.append(y if maximize else -y)
     value = sum((c * v for c, v in zip(model.objective, x)), ZERO)
     return lp.LPResult(status=lp.OPTIMAL, value=value, x=x, duals=duals, pivots=tab.pivots)
+
+
+# ---------------------------------------------------------------------------
+# reference cell walk for `combisig.arrangement`
+# ---------------------------------------------------------------------------
+
+
+def _fraction_solve_2x2(a1, a2, b1, b2) -> tuple[Fraction, Fraction] | None:
+    det = F(a1[0]) * a2[1] - F(a1[1]) * a2[0]
+    if det == 0:
+        return None
+    # Solve a1 . y = -b1, a2 . y = -b2 by Cramer's rule.
+    y0 = (F(-b1) * a2[1] - F(a1[1]) * (-b2)) / det
+    y1 = (F(a1[0]) * (-b2) - F(-b1) * a2[0]) / det
+    return (y0, y1)
+
+
+def fraction_walk(cutting, simplex) -> dict:
+    """``arrangement._walk`` with every probe stepped and evaluated in
+    ``Fraction`` arithmetic: vertices from ``Fraction`` Cramer solves, and
+    each probe's signs, inside flag and boundary support read off the
+    stepped point itself.  The integer walk must return the same cells,
+    witnesses, flags and boundary beliefs, in the same order."""
+    evaluate, step, sign = arrangement._evaluate, arrangement._step_point, arrangement._sign
+    funcs = cutting + simplex
+    dim = len(simplex) - 1
+    found: dict[tuple[int, ...], list] = {}
+
+    def probe(vertex, direction) -> None:
+        y = step(vertex, direction, funcs)
+        inside = all(evaluate(f, y) > 0 for f in simplex)
+        key = tuple(sign(evaluate(f, y)) for f in cutting)
+        known = found.get(key)
+        if known is None:
+            known = found[key] = [y, inside, {}]
+        elif inside and not known[1]:
+            known[0], known[1] = y, True
+        support = tuple(evaluate(f, vertex) > 0 for f in simplex)
+        if not all(support):
+            known[2].setdefault(support, vertex)
+
+    if dim == 1:
+        seen_roots: set[Fraction] = set()
+        for a, b in funcs:
+            root = F(-b, a[0])
+            if root in seen_roots:
+                continue
+            seen_roots.add(root)
+            if any(evaluate(f, (root,)) < 0 for f in simplex):
+                continue
+            for direction in ((1,), (-1,)):
+                probe((root,), direction)
+        return found
+    vertices: dict[tuple[Fraction, Fraction], None] = {}
+    for (a1, b1), (a2, b2) in itertools.combinations(funcs, 2):
+        v = _fraction_solve_2x2(a1, a2, b1, b2)
+        if v is None or any(evaluate(f, v) < 0 for f in simplex):
+            continue
+        vertices.setdefault(v)
+    half = F(1, 2)
+    for v in ((half, ZERO), (ZERO, half), (half, half)):
+        vertices.setdefault(v)
+    for v in vertices:
+        rays: list[tuple[int, int]] = []
+        for a, b in funcs:
+            if evaluate((a, b), v) == 0:
+                rays.extend((arrangement._primitive_ray((-a[1], a[0])), arrangement._primitive_ray((a[1], -a[0]))))
+        for direction in arrangement._sector_directions(rays):
+            probe(v, direction)
+    return found
 
 
 # ---------------------------------------------------------------------------

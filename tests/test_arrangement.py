@@ -9,6 +9,7 @@ import pytest
 
 from combisig import arrangement, lp
 from combisig.errors import CertificateError, DimensionTooSmall
+from helpers import fraction_walk
 
 F = Fraction
 
@@ -235,3 +236,48 @@ def test_forged_lp_result_raises_certificate_error(monkeypatch):
     monkeypatch.setattr(arrangement.lp, "solve", lambda model: lp.LPResult(status=lp.UNBOUNDED))
     with pytest.raises(CertificateError):
         arrangement.strict_simplex_point((1,), planes, 3)
+
+
+def tangled_planes(rng, num_states):
+    """Random planes with small coefficients, among them repeats, copies
+    scaled by a negative or fractional factor, planes through a corner of
+    the simplex, and planes through the meeting point of two earlier ones."""
+    planes = rand_planes(rng, rng.randint(1, 4), num_states, coef=3)
+    for _ in range(rng.randint(0, 4)):
+        kind = rng.random()
+        base = rng.choice(planes).normal
+        if kind < 0.25:
+            normal = base
+        elif kind < 0.5:
+            normal = tuple(rng.choice((-2, -1, F(1, 3), F(-3, 2))) * v for v in base)
+        elif kind < 0.7:
+            corner = rng.randrange(num_states)
+            normal = tuple(F(0) if t == corner else F(rng.randint(-3, 3)) for t in range(num_states))
+        else:
+            other = rng.choice(planes).normal
+            k1, k2 = rng.choice((-2, -1, 1, 2)), rng.choice((-1, 1, 3))
+            normal = tuple(k1 * u + k2 * v for u, v in zip(base, other))
+        if any(v != 0 for v in normal):
+            planes.append(arrangement.make_hyperplane(normal))
+    rng.shuffle(planes)
+    return planes
+
+
+def test_integer_walk_matches_the_fraction_reference(monkeypatch):
+    """On random two- and three-state arrangements with repeated,
+    opposite-scaled and vertex-crossing planes, ``enumerate_cells`` returns
+    the cells of the ``Fraction`` probe walk: the same signs, witnesses,
+    interior flags and boundary beliefs, in the same order."""
+    rng = random.Random(1990)
+    cells = touching = 0
+    for _ in range(200):
+        num_states = rng.choice((2, 3, 3))
+        planes = tangled_planes(rng, num_states)
+        got = arrangement.enumerate_cells(planes, num_states)
+        with monkeypatch.context() as patch:
+            patch.setattr(arrangement, "_walk", fraction_walk)
+            want = arrangement.enumerate_cells(planes, num_states)
+        assert got == want
+        cells += len(got)
+        touching += sum(not cell.interior for cell in got)
+    assert cells >= 800 and touching >= 100, (cells, touching)

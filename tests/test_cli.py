@@ -480,6 +480,18 @@ def test_full_mode_on_the_lineq_path_target_resumes_its_tableau(capsys, tmp_path
     assert report["effort"]["pivots"] <= 2279 // 2
 
 
+def test_reduced_mode_on_the_lineq_uniform_target_is_worth_the_uninformative_scheme(capsys, tmp_path):
+    """The perturbed catalog of this target lacks the receiver's best
+    response at the prior; ``reduced`` recommends it as well, so its value
+    is the uninformative scheme's 1/3 or more, where it used to be 0."""
+    out = str(tmp_path / "uniform.json")
+    report_of(capsys, "gen", LINEQ, "--from", "lineq", "--target", "uniform", "--out", out)
+    _, base = persuasion.uninformative_scheme(jsonio.instance_from_json(jsonio.load_json(out)))
+    report = report_of(capsys, "solve", out, "--mode", "reduced")
+    assert base == Fraction(1, 3) and Fraction(report["value"]) >= base
+    assert report["catalog_size"] == 9 and report["effort"]["perturbed"] is True
+
+
 def test_gen_public_partition(capsys, tmp_path):
     out = str(tmp_path / "partition.json")
     report = report_of(

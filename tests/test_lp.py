@@ -266,13 +266,25 @@ def test_warm_solves_after_appended_rows_match_cold_solves(monkeypatch):
     optimal tableau, and its status and value equal a cold solve of a fresh
     model with the same rows, under the certificate, until a batch makes
     the LP infeasible.  A resumed solve keeps the reduced costs dual
-    feasible, so it pivots only on negative entries: no primal pivot."""
+    feasible, so it pivots only on negative entries: no primal pivot.  The
+    reduced-cost row it starts from, the last solve's final row with a zero
+    per appended slack, equals the row rebuilt from the tableau."""
     rng = random.Random(1954)
 
     def q(lo, hi):
         return F(rng.randint(lo, hi), rng.choice(DENOMINATORS))
 
     counts = _count_starts(monkeypatch)
+    kept = []
+    counted_append = lp._Tableau.append
+
+    def checked_append(self, *args):
+        counted_append(self, *args)
+        sense, _, cost = self.objective
+        costs = (cost if sense == lp.MAX else [-c for c in cost]) + [0] * (self.ncols - len(cost))
+        kept.append(self.zrow == self._reduced_costs(costs))
+
+    monkeypatch.setattr(lp._Tableau, "append", checked_append)
     entries = []
     genuine = lp._Tableau._pivot
 
@@ -293,7 +305,9 @@ def test_warm_solves_after_appended_rows_match_cold_solves(monkeypatch):
                 model.add_row(coeffs, rel, rhs)
             before = dict(counts)
             entries.clear()
+            kept.clear()
             warm = lp.solve(model)
+            assert kept == [True]
             assert len(entries) == warm.pivots and all(e < 0 for e in entries)
             cold = _cold(model)
             assert counts["warm"] == before["warm"] + 1 and counts["cold"] == before["cold"] + 1
@@ -561,13 +575,14 @@ def test_package_does_not_import_dataclasses():
 def test_certificate_survives_python_O():
     """Under ``python -O`` a forged simplex solution still raises
     CertificateError, both from lp.solve and from a solver built on it, and
-    so do forged row prices under column generation, which reads them, and
-    an oracle's infeasible action in either relaxed engine."""
+    so do forged row prices under column generation, which reads them, an
+    oracle's infeasible action in either relaxed engine, and a cell witness
+    stepped nowhere off its vertex."""
     script = textwrap.dedent(
         """
         import sys
         from fractions import Fraction
-        from combisig import cce, jsonio, lp, persuasion
+        from combisig import arrangement, cce, jsonio, lp, persuasion
         from combisig.errors import CertificateError
         from combisig.model import Instance, Uniform, UtilitySpec
 
@@ -625,6 +640,11 @@ def test_certificate_survives_python_O():
         both = cce.ApproxOracle("custom", Fraction(1), lambda state, y: (0, 1))
         attempt(lambda: cce.solve_cce_exact(cce.make_view(single_pick, oracle=both)))
         attempt(lambda: cce.solve_cce_approx(cce.make_view(single_pick, oracle=both)))
+
+        # A witness left on its vertex lies on a plane or a facet: its signs
+        # are not those its probe found, which only the recheck notices.
+        arrangement._step_point = lambda vertex, direction, funcs: vertex
+        attempt(lambda: arrangement.enumerate_cells([arrangement.make_hyperplane((1, -1, 0))], 3))
         """
     )
     toy = Path(__file__).resolve().parents[1] / "instances" / "two_state_toy.json"
@@ -635,4 +655,4 @@ def test_certificate_survives_python_O():
     )
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
-    assert len(lines) == 5 and all(line.startswith("caught") for line in lines), done.stdout
+    assert len(lines) == 6 and all(line.startswith("caught") for line in lines), done.stdout
