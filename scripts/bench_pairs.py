@@ -24,7 +24,9 @@ ref's quartile spread, and how far the change's median is worse than the
 ref's, as a share of the ref's, against that metric's ``bound``.  A gain may
 be claimed only when the change wins at least nine tenths of the pairs and
 that spread is exceeded; a metric worse by more than its bound fails the
-benchmark.  Stdlib only.
+benchmark.  After writing the file the script prints that verdict on
+stderr, one line per end-to-end metric, and flags each metric beyond its
+bound and each run whose outputs were not all correct.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -145,6 +147,28 @@ def judge(pairs: list[dict], end_to_end: list[dict]) -> dict:
     }
 
 
+def verdict_lines(verdict: dict, pairs: list[dict]) -> list[str]:
+    """The verdict in words: one line per end-to-end metric (its change/ref
+    ratio, the pairs won and its loss against its bound, flagged when beyond
+    it), then one line per run whose outputs were not all correct."""
+    lines = []
+    for name, test in verdict["bounds"].items():
+        ratio, loss = verdict["change_over_ref"][name], test["worse_by"]
+        lines.append(
+            f"{name}: change/ref {'n/a' if ratio is None else f'{ratio:.3f}'}, "
+            f"won {verdict['wins'][name]}/{len(pairs)}, "
+            f"worse_by {'n/a' if loss is None else f'{loss:+.3f}'} (bound {test['bound']})"
+            + (" BEYOND BOUND" if test["beyond"] else "")
+        )
+    for k, pair in enumerate(pairs):
+        for side in ("ref", "change"):
+            result = pair[side]["result"]
+            if result.get("correct") is False:
+                failed, attempted = result["failed"], result["attempted"]
+                lines.append(f"pair {k} {side}: NOT CORRECT, {failed} of {attempted} outputs failed")
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--ref", required=True, help="git ref to compare the working tree against")
@@ -185,6 +209,8 @@ def main(argv=None) -> int:
     out = ROOT / f"BENCH_{args.workload}_{args.tag}.json"
     out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(out)
+    for line in verdict_lines(report, pairs):
+        print(line, file=sys.stderr)
     return 0
 
 

@@ -8,25 +8,26 @@ running greedy once per cell therefore yields every action that can be a
 best response at some belief.
 
 Degenerate utility data (collinear difference vectors) is audited by
-``check_nondegeneracy``; when violations are found the catalog is built
-under a symbolic perturbation: element i's weight carries an extra
-eps^(i+1) bump on state i mod D.  No numeric eps is ever picked: the
-perturbed order of two elements is the order of their exact weights, then
-of the signs of their bumps (``greedy_at_point``).
-Inside the open simplex every bump is strictly positive, so the perturbed
-comparison reduces to the exact weights with ties broken by ascending
-element index, and pairs of identical elements (whose perturbed comparison
-never vanishes on the interior) simply drop out of the hyperplane family.
-On a face of the simplex the bumps of the states outside the face vanish,
-which can reverse such a tie; the catalog evaluates those tie-breaks at the
-boundary beliefs the cell enumeration reports.
+``check_nondegeneracy`` with fraction-free (Bareiss) rank tests; when
+violations are found the catalog is built under a symbolic perturbation:
+element i's weight carries an extra eps^(i+1) bump on state i mod D.  No
+numeric eps is ever picked: the perturbed order of two elements is the
+order of their exact weights, then of the signs of their bumps
+(``greedy_at_point``).  Inside the open simplex every bump is strictly
+positive, so the perturbed comparison reduces to the exact weights with
+ties broken by ascending element index, and pairs of identical elements
+(whose perturbed comparison never vanishes on the interior) simply drop out
+of the hyperplane family.  On a face of the simplex the bumps of the states
+outside the face vanish, which can reverse such a tie; the catalog
+evaluates those tie-breaks at the boundary beliefs the cell enumeration
+reports.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from . import arrangement, matroid
 from .errors import NonLinearReceiver, TooLarge, UnsupportedCombination, UnsupportedSense
@@ -41,8 +42,9 @@ from .model import (
 )
 from .rationals import ZERO
 
-# Linear forests the non-degeneracy audit may check: about 50 s of exact
-# rank tests (273,000 families of a 16-element, 3-state instance take 13.5 s).
+# Linear forests the non-degeneracy audit may check: about 7 s of integer rank
+# tests with 3 states, 25 s with 5 (802,332 families of a 19-element, 3-state
+# instance take 5.4 s, 643,545 of a 10-element, 5-state one 15 s; 2 vCPU VM).
 AUDIT_FAMILY_CAP = 1_000_000
 
 
@@ -97,6 +99,14 @@ def _psi(instance: Instance) -> list[tuple[Fraction, ...]]:
     return [tuple(values[t][e] for t in range(len(instance.state_names))) for e in range(n)]
 
 
+def _int_psi(instance: Instance) -> list[tuple[int, ...]]:
+    """``_psi`` times the lcm of its denominators: one positive scaling of
+    every entry, which changes no family's linear dependence."""
+    psi = _psi(instance)
+    scale = lcm(*(v.denominator for vector in psi for v in vector))
+    return [tuple(v.numerator * (scale // v.denominator) for v in vector) for vector in psi]
+
+
 def _pair_iter(instance: Instance):
     n = len(instance.element_names)
     constraint = instance.constraint
@@ -125,22 +135,27 @@ def receiver_hyperplanes(instance: Instance) -> list[arrangement.Hyperplane]:
     return planes
 
 
-def _independent(vectors: list[tuple[Fraction, ...]]) -> bool:
-    """Exact rank check: True iff the family is linearly independent.
+def _independent(vectors: list[tuple[int, ...]]) -> bool:
+    """Exact rank check of integer vectors: True iff the family is linearly
+    independent.
 
-    Row echelon elimination: each vector's first nonzero entry is cleared
-    from the vectors after it, and a vector reduced to zero is dependent.
+    Fraction-free (Bareiss) row echelon elimination: with p a row's first
+    nonzero entry, each later row a whose entry there is f becomes
+    (p·a − f·row) // prev, prev being the previous pivot (1 at first).  Every
+    entry is a minor of the column-permuted matrix, so each division is
+    exact, and a vector reduced to zero is dependent.
     """
     m = [list(v) for v in vectors]
+    prev = 1
     for r, row in enumerate(m):
-        col = next((c for c, a in enumerate(row) if a != 0), None)
+        col = next((c for c, a in enumerate(row) if a), None)
         if col is None:
             return False
-        inv = row[col]
+        p = row[col]
         for k in range(r + 1, len(m)):
-            factor = m[k][col] / inv
-            if factor != 0:
-                m[k] = [a - factor * b for a, b in zip(m[k], row)]
+            f = m[k][col]
+            m[k] = [(p * a - f * b) // prev for a, b in zip(m[k], row)] if f else [p * a // prev for a in m[k]]
+        prev = p
     return True
 
 
@@ -224,7 +239,9 @@ def check_nondegeneracy(instance: Instance) -> NondegeneracyReport:
     on the elements (concatenating the paths and the remaining elements
     gives a permutation), so the forests are enumerated directly and the
     audit is exact for every n.  Each violation is reported as a
-    permutation holding the forest and the positions of its pairs.
+    permutation holding the forest and the positions of its pairs.  The
+    differences are taken of ``_int_psi``'s integer vectors, so every rank
+    test runs in integers (``_independent``).
 
     When d = n - 1 every family is a Hamiltonian path, and the differences
     along any of them span the direction space of the columns' affine hull:
@@ -234,7 +251,7 @@ def check_nondegeneracy(instance: Instance) -> NondegeneracyReport:
     """
     if instance.receiver.kind is not UtilityKind.LINEAR:
         raise NonLinearReceiver("non-degeneracy audit needs linear receiver utility")
-    psi = _psi(instance)
+    psi = _int_psi(instance)
     n = len(psi)
     d = min(len(instance.state_names), n - 1)
     diff = {

@@ -371,6 +371,7 @@ def cmd_check_nondegeneracy(args) -> int:
     instance = _load_instance(args.instance)
     _log(args, f"auditing utility families for {args.instance}")
     report = best_response.check_nondegeneracy(instance)
+    found = len(report.violations)
     body = {
         "command": "check-nondegeneracy",
         "instance": args.instance,
@@ -382,7 +383,7 @@ def cmd_check_nondegeneracy(args) -> int:
             {"permutation": list(perm), "positions": list(pos)}
             for perm, pos in report.violations[:10]
         ],
-        "warnings": [],
+        "warnings": [f"{found} violations; the first 10 are listed"] if found > 10 else [],
     }
     _emit_report(body, args)
     return 0

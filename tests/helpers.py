@@ -706,6 +706,28 @@ def fraction_walk(cutting, simplex) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# reference rank test for `combisig.best_response`
+# ---------------------------------------------------------------------------
+
+
+def fraction_independent(vectors) -> bool:
+    """``best_response._independent`` in ``Fraction`` arithmetic: row echelon
+    elimination, each vector's first nonzero entry cleared from the vectors
+    after it; a vector reduced to zero is dependent."""
+    m = [[F(a) for a in v] for v in vectors]
+    for r, row in enumerate(m):
+        col = next((c for c, a in enumerate(row) if a != 0), None)
+        if col is None:
+            return False
+        inv = row[col]
+        for k in range(r + 1, len(m)):
+            factor = m[k][col] / inv
+            if factor != 0:
+                m[k] = [a - factor * b for a, b in zip(m[k], row)]
+    return True
+
+
+# ---------------------------------------------------------------------------
 # reference ellipsoid for `combisig.cce`
 # ---------------------------------------------------------------------------
 

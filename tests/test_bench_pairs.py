@@ -112,3 +112,42 @@ def test_the_change_side_runs_from_a_clean_export(monkeypatch, tmp_path):
     exported = sorted(str(f.relative_to(tmp_path / "change")) for f in (tmp_path / "change").rglob("*") if f.is_file())
     assert exported == [".gitignore", "src/kept.py", "src/new.py"]
     assert (tmp_path / "change" / "src" / "kept.py").read_text() == "edited\n"
+
+
+def test_verdict_lines_flag_metrics_beyond_their_bound_and_incorrect_runs():
+    ref = [(10, 0.50), (10, 0.50), (10, 0.50)]
+    pairs = pairs_of(ref, [(7, 0.52), (7, 0.52), (8, 0.52)])
+    pairs[1]["change"]["result"].update(correct=False, attempted=40, failed=3)
+    pairs[2]["ref"]["result"].update(correct=True, attempted=40, failed=0)
+    lines = bench_pairs.verdict_lines(bench_pairs.judge(pairs, end_to_end()), pairs)
+    assert lines == [
+        "ops_per_s: change/ref 0.700, won 0/3, worse_by +0.300 (bound 0.25) BEYOND BOUND",
+        "latency_s.p50: change/ref 1.040, won 0/3, worse_by +0.040 (bound 0.1)",
+        "pair 1 change: NOT CORRECT, 3 of 40 outputs failed",
+    ]
+    from_zero = pairs_of([(10, 0)], [(10, 0.1)])
+    assert bench_pairs.verdict_lines(bench_pairs.judge(from_zero, end_to_end()), from_zero)[1] == (
+        "latency_s.p50: change/ref n/a, won 0/1, worse_by n/a (bound 0.1) BEYOND BOUND"
+    )
+
+
+def test_main_prints_the_verdict_after_writing_the_file(monkeypatch, tmp_path, capsys):
+    """Every end-to-end metric of ``BENCHMARK.json`` gets its line on stderr,
+    once the BENCH file is written."""
+    spec = {"end_to_end": end_to_end()}
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
+    runs = iter([run(10, 0.5), run(15, 0.4), run(16, 0.4), run(10, 0.5)])
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_pairs, "extract", lambda ref, into: "0" * 40)
+    monkeypatch.setattr(bench_pairs, "export_worktree", lambda into: None)
+    monkeypatch.setattr(bench_pairs, "run_bench", lambda *args: next(runs))
+    argv = ["--ref", "HEAD", "--workload", "catalog", "--pairs", "2", "--seed", "1", "--seconds", "1", "--tag", "t"]
+    assert bench_pairs.main(argv) == 0
+    out, err = capsys.readouterr()
+    written = tmp_path / "BENCH_catalog_t.json"
+    assert out.strip() == str(written)
+    assert json.loads(written.read_text())["wins"] == {"ops_per_s": 2, "latency_s.p50": 2}
+    assert err.splitlines()[-2:] == [
+        "ops_per_s: change/ref 1.550, won 2/2, worse_by -0.550 (bound 0.25)",
+        "latency_s.p50: change/ref 0.800, won 2/2, worse_by -0.200 (bound 0.1)",
+    ]

@@ -24,6 +24,7 @@ from combisig.model import (
 )
 from helpers import (
     brute_weak_optimal_actions,
+    fraction_independent,
     lex_weights_order,
     nondegeneracy_by_permutations,
     rand_clean_instance,
@@ -245,6 +246,135 @@ def test_nondegeneracy_matches_permutation_walk():
         for perm, positions in report.violations:
             assert sorted(perm) == list(range(n)) and len(positions) == min(n_states, n - 1)
     assert degenerate >= 3
+
+
+def test_integer_rank_test_matches_the_fraction_reference():
+    """Random integer families, fewer rows than columns and square ones,
+    with zero rows, repeated and scaled rows, forced dependencies and
+    entries near 2^64: the fraction-free test decides each as rational
+    elimination does."""
+    rng = random.Random(2020)
+    seen = {"square": 0, "wide": 0, "dependent": 0}
+    for trial in range(4000):
+        width = rng.randint(1, 5)
+        k = rng.randint(1, width)
+        big = trial % 4 == 0
+
+        def entry():
+            if rng.random() < 0.3:
+                return 0
+            if big:
+                return rng.choice((1, -1)) * (2**64 - rng.randint(0, 9))
+            return rng.randint(-9, 9)
+
+        rows = [[entry() for _ in range(width)] for _ in range(k)]
+        shape = trial % 5
+        if shape == 1:
+            rows[rng.randrange(k)] = [0] * width
+        elif shape == 2 and k > 1:
+            a, b = rng.sample(range(k), 2)
+            scale = rng.choice((1, -1, 2, -3))
+            rows[b] = [scale * v for v in rows[a]]
+        elif shape == 3 and k > 2:
+            a, b, c = rng.sample(range(k), 3)
+            p, q = rng.randint(-3, 3), rng.randint(-3, 3)
+            rows[c] = [p * x + q * y for x, y in zip(rows[a], rows[b])]
+        family = [tuple(row) for row in rows]
+        expected = fraction_independent(family)
+        assert best_response._independent(family) == expected, family
+        seen["square" if k == width else "wide"] += 1
+        seen["dependent"] += not expected
+    assert min(seen.values()) >= 500, seen
+
+
+def _fractional_receiver(rng: random.Random, inst: Instance) -> Instance:
+    """``inst`` with receiver utilities drawn from a few fractions of mixed
+    denominators, so that equal and parallel differences occur."""
+    values = (F(0), F(1, 2), F(1, 3), F(2, 3), F(3, 4), F(5, 6), F(1), F(7, 5))
+    rows = [[rng.choice(values) for _ in range(inst.num_elements)] for _ in range(inst.num_states)]
+    return replace_fields(inst, receiver=UtilitySpec.from_linear(rows))
+
+
+def test_nondegeneracy_with_fractional_utilities_matches_the_references(monkeypatch):
+    """Mixed-denominator receiver utilities: the integer audit agrees with
+    the definition (the permutation walk), and its whole report equals the
+    audit run in ``Fraction`` arithmetic on the unscaled vectors."""
+    rng = random.Random(7171)
+    degenerate = 0
+    for trial in range(24):
+        n_states = 1 + trial % 3
+        n = rng.randint(2, 6)
+        inst = _fractional_receiver(rng, rand_instance(rng, n_states, n, "uniform"))
+        assert any(v.denominator > 1 for row in inst.receiver.linear for v in row)
+        report = best_response.check_nondegeneracy(inst)
+        assert (report.clean, report.families_checked) == nondegeneracy_by_permutations(inst), trial
+        with monkeypatch.context() as patch:
+            patch.setattr(best_response, "_int_psi", best_response._psi)
+            patch.setattr(best_response, "_independent", fraction_independent)
+            assert best_response.check_nondegeneracy(inst) == report, trial
+        degenerate += not report.clean
+    assert 3 <= degenerate <= 21
+
+
+def _violation_edges(report) -> set:
+    return {frozenset(frozenset(perm[i : i + 2]) for i in positions) for perm, positions in report.violations}
+
+
+def test_nondegeneracy_report_is_invariant_under_rescaling_and_relabelling():
+    """Scaling one state's receiver row, adding a constant to one state's
+    row, or scaling every utility by c > 0 leaves the whole report as it
+    is.  Relabelling the elements keeps ``clean`` and ``families_checked``
+    and maps the violating edge sets under the relabelling (with
+    d = n - 1 the one witness is a representative path, so only its count
+    is kept)."""
+    rng = random.Random(9090)
+    degenerate = 0
+    for trial in range(36):
+        n_states = 1 + trial % 3
+        n = rng.randint(3, 7)
+        inst = rand_instance(rng, n_states, n, "uniform", lo=0, hi=rng.choice((2, 4, 9)))
+        if trial % 2:
+            inst = _fractional_receiver(rng, inst)
+        rows = [list(row) for row in inst.receiver.linear]
+        report = best_response.check_nondegeneracy(inst)
+        degenerate += not report.clean
+        t = rng.randrange(n_states)
+        c = F(rng.randint(1, 9), rng.randint(1, 9))
+
+        def with_row(t, row, base=inst, rows=rows):
+            changed = [list(r) for r in rows]
+            changed[t] = row
+            return replace_fields(base, receiver=UtilitySpec.from_linear(changed))
+
+        def scaled(util, c=c):
+            return UtilitySpec.from_linear([[c * v for v in row] for row in util.linear])
+
+        variants = (
+            with_row(t, [c * v for v in rows[t]]),
+            with_row(t, [v + c for v in rows[t]]),
+            replace_fields(inst, sender=scaled(inst.sender), receiver=scaled(inst.receiver)),
+        )
+        for changed in variants:
+            assert best_response.check_nondegeneracy(changed) == report, trial
+
+        sigma = list(range(n))
+        rng.shuffle(sigma)  # element e becomes element sigma[e]
+        moved = [[None] * n for _ in range(n_states)]
+        for s in range(n_states):
+            for e in range(n):
+                moved[s][sigma[e]] = rows[s][e]
+        relabelled = best_response.check_nondegeneracy(
+            replace_fields(inst, receiver=UtilitySpec.from_linear(moved))
+        )
+        assert (relabelled.clean, relabelled.families_checked) == (report.clean, report.families_checked)
+        assert len(relabelled.violations) == len(report.violations)
+        if min(n_states, n - 1) < n - 1:
+            mapped = {
+                frozenset(frozenset(sigma[e] for e in edge) for edge in family)
+                for family in _violation_edges(report)
+            }
+            assert _violation_edges(relabelled) == mapped, trial
+    assert 5 <= degenerate <= 31
 
 
 def test_guards():

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from combisig import cli, jsonio, persuasion
-from combisig.model import SignalingScheme
+from combisig.model import Instance, SignalingScheme, Uniform, UtilitySpec
 from helpers import as_tables, grid_path_instance, validate_sampling_reference, wide_uniform_instance
 
 INSTANCES = Path(__file__).resolve().parents[1] / "instances"
@@ -447,6 +447,36 @@ def test_check_nondegeneracy_clean_and_degenerate(capsys, tmp_path):
     dirty = report_of(capsys, "check-nondegeneracy", gen_out)
     assert dirty["clean"] is False
     assert dirty["violations"]
+
+
+def _write_instance(path: Path, receiver_rows: list, k: int) -> str:
+    n = len(receiver_rows[0])
+    inst = Instance(
+        state_names=tuple(f"s{t}" for t in range(len(receiver_rows))),
+        prior=(Fraction(1, len(receiver_rows)),) * len(receiver_rows),
+        element_names=tuple(f"e{i}" for i in range(n)),
+        sender=UtilitySpec.from_linear([[1] * n for _ in receiver_rows]),
+        receiver=UtilitySpec.from_linear(receiver_rows),
+        constraint=Uniform(k),
+    )
+    path.write_text(json.dumps(jsonio.instance_to_json(inst)))
+    return str(path)
+
+
+def test_check_nondegeneracy_warns_when_the_violations_are_cut(capsys, tmp_path):
+    """The report lists at most 10 violations; a cut list comes with a
+    warning that gives the full count, and a whole list with none."""
+    columns = [1, 1, 1, 2, 2, 3]
+    many = report_of(capsys, "check-nondegeneracy", _write_instance(tmp_path / "many.json", [columns] * 2, 2))
+    assert many["clean"] is False and len(many["violations"]) == 10
+    assert many["warnings"] == ["105 violations; the first 10 are listed"]
+    # two differences are parallel in exactly two families (0-1 = 6-7, 0-6 = 1-7)
+    second = [2**e for e in range(7)] + [65]
+    few = report_of(
+        capsys, "check-nondegeneracy", _write_instance(tmp_path / "few.json", [list(range(1, 9)), second], 3)
+    )
+    assert few["clean"] is False and len(few["violations"]) == 2
+    assert few["warnings"] == []
 
 
 # ---------------------------------------------------------------------------
