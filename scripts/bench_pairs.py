@@ -26,7 +26,8 @@ be claimed only when the change wins at least nine tenths of the pairs and
 that spread is exceeded; a metric worse by more than its bound fails the
 benchmark.  After writing the file the script prints that verdict on
 stderr, one line per end-to-end metric, and flags each metric beyond its
-bound and each run whose outputs were not all correct.  Stdlib only.
+bound and each run whose outputs were not all correct; a last line gives
+the rss each extra operation cost (``rss_per_op_line``).  Stdlib only.
 """
 
 from __future__ import annotations
@@ -169,6 +170,27 @@ def verdict_lines(verdict: dict, pairs: list[dict]) -> list[str]:
     return lines
 
 
+def rss_per_op_line(pairs: list[dict]) -> str:
+    """The change-minus-ref medians of ``attempted`` and of ``peak_rss_mb``,
+    and their ratio in KiB per extra operation.  ``bench/run.py`` keeps
+    every output until its timer stops, about 0.6 KiB per ``full-lp``
+    result: a ratio near that says an rss rise is the harness keeping the
+    outputs of a faster solver, a larger one that the solver itself grew."""
+
+    def gap(read) -> float | None:
+        try:
+            return statistics.median(read(p["change"]) for p in pairs) - statistics.median(read(p["ref"]) for p in pairs)
+        except KeyError:
+            return None
+
+    ops = gap(lambda side: side["result"]["attempted"])
+    rss = gap(lambda side: side["result"]["metrics"]["peak_rss_mb"]["value"])
+    if ops is None or rss is None:
+        return "rss per extra op: n/a (no attempted or peak_rss_mb)"
+    ratio = f"{rss * 1024 / ops:+.3f} KiB per extra op" if ops else "n/a KiB per extra op"
+    return f"rss per extra op: attempted {ops:+g}, peak_rss_mb {rss:+.3f}, {ratio}"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--ref", required=True, help="git ref to compare the working tree against")
@@ -211,6 +233,7 @@ def main(argv=None) -> int:
     print(out)
     for line in verdict_lines(report, pairs):
         print(line, file=sys.stderr)
+    print(rss_per_op_line(pairs), file=sys.stderr)
     return 0
 
 

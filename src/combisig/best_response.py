@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import comb, factorial, lcm
+from math import comb, factorial
 
 from . import arrangement, matroid
 from .errors import NonLinearReceiver, TooLarge, UnsupportedCombination, UnsupportedSense
@@ -100,11 +100,10 @@ def _psi(instance: Instance) -> list[tuple[Fraction, ...]]:
 
 
 def _int_psi(instance: Instance) -> list[tuple[int, ...]]:
-    """``_psi`` times the lcm of its denominators: one positive scaling of
-    every entry, which changes no family's linear dependence."""
-    psi = _psi(instance)
-    scale = lcm(*(v.denominator for vector in psi for v in vector))
-    return [tuple(v.numerator * (scale // v.denominator) for v in vector) for vector in psi]
+    """``_psi`` read off the receiver's integer view: every entry times the
+    view's denominator, one positive scaling, which changes no family's
+    linear dependence."""
+    return list(zip(*instance.receiver.ints[0]))
 
 
 def _pair_iter(instance: Instance):

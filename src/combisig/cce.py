@@ -66,7 +66,7 @@ from .persuasion import (
     scheme_lp,
     uninformative_scheme,
 )
-from .rationals import ONE, ZERO, as_fraction
+from .rationals import ONE, ZERO, as_fraction, over_one_denominator
 
 ROUND_CAP = 10_000  # column-generation rounds in solve_cce_exact
 DEFAULT_EPSILON = Fraction(1, 10)
@@ -120,37 +120,18 @@ def prior_best_value(instance: Instance, pool: list[ActionSet] | None = None) ->
     return best_deviation(instance, Posterior(xi=instance.prior), pool)
 
 
-def _utility_values(util, num_states: int, n: int) -> list[Fraction]:
-    """Every atomic value: singletons (linear) or all table entries (tabular)."""
-    if util.kind is UtilityKind.LINEAR:
-        return [util.singleton(t, e) for t in range(num_states) for e in range(n)]
-    return [v for table in util.tabular for v in table.values()]
-
-
-def _action_value_bounds(util, num_states: int, n: int) -> tuple[Fraction, Fraction | None]:
+def _action_value_bounds(util, n: int) -> tuple[Fraction, Fraction | None]:
     """(upper bound on any action's value, min positive value or None).
 
     Linear: any action's value is at most |E| times the largest singleton,
     and a positive action value is at least the smallest positive singleton.
-    Tabular: scan the tables directly.
+    Tabular: scan the tables directly.  Both read the integer view.
     """
-    values = _utility_values(util, num_states, n)
+    rows, den = util.ints
+    linear = util.kind is UtilityKind.LINEAR
+    values = [v for row in rows for v in (row if linear else row.values())]
     positive = [v for v in values if v > 0]
-    mn = min(positive) if positive else None
-    mx = max(values, default=ZERO)
-    upper = Fraction(n) * mx if util.kind is UtilityKind.LINEAR else mx
-    return upper, mn
-
-
-def _rational_gcd(values) -> Fraction:
-    nums = [v for v in values if v != 0]
-    if not nums:
-        return ZERO
-    den = lcm(*[v.denominator for v in nums]) if len(nums) > 1 else nums[0].denominator
-    g = 0
-    for v in nums:
-        g = gcd(g, int(v * den))
-    return Fraction(g, den)
+    return Fraction(max(values) * (n if linear else 1), den), Fraction(min(positive), den) if positive else None
 
 
 def compute_v_bounds(instance: Instance, pool: list[ActionSet] | None = None) -> tuple[Fraction, Fraction]:
@@ -163,23 +144,22 @@ def compute_v_bounds(instance: Instance, pool: list[ActionSet] | None = None) ->
     the smallest positive singleton sender value.  Vertex coordinates are
     ratios whose numerator lies on the lattice generated by the prior
     masses (after clearing receiver denominators) and whose denominator is
-    at most |E| times the largest receiver singleton.  ``pool`` goes to
-    ``prior_best_value``.
+    at most |E| times the largest receiver singleton, all read off the
+    integer views.  ``pool`` goes to ``prior_best_value``.
     """
     n = instance.num_elements
-    D = instance.num_states
-    s_bound, s_min = _action_value_bounds(instance.sender, D, n)
+    s_bound, s_min = _action_value_bounds(instance.sender, n)
     if s_min is None:
         raise DegenerateBounds("all sender utility values are zero; optimum is zero")
     v_max = s_bound + 1
 
-    r_bound, _ = _action_value_bounds(instance.receiver, D, n)
+    r_bound, _ = _action_value_bounds(instance.receiver, n)
     if r_bound == 0:
         phi_min = ONE  # obedience row is vacuous; vertices are 0-1 vectors
     else:
-        r_values = _utility_values(instance.receiver, D, n)
-        scale = lcm(*[v.denominator for v in r_values])
-        g = _rational_gcd(instance.prior)
+        scale = instance.receiver.ints[1]
+        masses, mass_den = instance.masses
+        g = Fraction(gcd(*masses), mass_den)
         C, _ = prior_best_value(instance, pool)
         c_scaled = C * scale
         rem = c_scaled - g * floor(c_scaled / g)
@@ -198,9 +178,10 @@ def exact_oracle(instance: Instance, pool: list[ActionSet] | None = None) -> App
     every feasible action (enumerated here, once, if not given), ties going
     to the lexicographically least.  Linear utilities: one greedy or Dijkstra call
     on best_action's weights y * r_e + s_e times the positive integer
-    y.denominator * L_t (L_t clears state t's denominators, in ``rows``),
-    which keeps greedy's order and Dijkstra's comparisons, so the answer.
-    A matroid's independence oracle is built once, here, for every call."""
+    y.denominator * D_r * D_s, read off the integer views (denominators D_r
+    and D_s), which keeps greedy's order and Dijkstra's comparisons, so the
+    answer.  A matroid's independence oracle is built once, here, for every
+    call."""
     D = instance.num_states
     if UtilityKind.TABULAR in (instance.sender.kind, instance.receiver.kind):
         if pool is None:
@@ -211,14 +192,11 @@ def exact_oracle(instance: Instance, pool: list[ActionSet] | None = None) -> App
     independence = None
     if isinstance(instance.constraint, MATROID_KINDS):
         independence = matroid.oracle_for(instance.constraint, instance.num_elements)
-    rows = []
-    for r, s in zip(instance.receiver.linear, instance.sender.linear):
-        L = lcm(*(w.denominator for w in (*r, *s)))
-        rows.append([(a.numerator * (L // a.denominator), b.numerator * (L // b.denominator)) for a, b in zip(r, s)])
+    (receiver, r_den), (sender, s_den) = instance.receiver.ints, instance.sender.ints
 
     def fn(state: int, y: Fraction) -> ActionSet:
-        num, den = y.numerator, y.denominator
-        weights = [num * a + den * b for a, b in rows[state]]
+        a, b = y.numerator * s_den, y.denominator * r_den
+        weights = [a * r + b * s for r, s in zip(receiver[state], sender[state])]
         return matroid.max_weight_action(instance.constraint, weights, instance.sense, independence)
 
     return ApproxOracle("exact", ONE, fn)
@@ -228,12 +206,11 @@ def half_greedy_submodular_oracle(instance: Instance) -> ApproxOracle:
     """Marginal-gain greedy: 1/2-approximation for monotone submodular
     sender value plus the linear receiver part over a matroid.
 
-    In integers: state t's gains and receiver values are multiplied by
-    L_t, the lcm of the denominators of its receiver row and its sender
-    values (linear row or table), and the key of element e at y is
-    g_e * y.denominator + y.numerator * L_t * r_e, the gain plus y * r_e
-    times the positive L_t * y.denominator, so the argmax and its first
-    of ties (least e) are the ``Fraction`` key's."""
+    In integers, on the integer views (denominators D_r and D_s): the key
+    of element e at y is G_e * y.denominator * D_r + y.numerator * D_s *
+    R_e, G_e the sender gain times D_s and R_e the view's r_e, which is the
+    gain plus y * r_e times the positive y.denominator * D_r * D_s, so the
+    argmax and its first of ties (least e) are the ``Fraction`` key's."""
     if instance.sense is not Sense.MAX:
         raise UnsupportedSense("half-greedy oracle handles the maximize sense only")
     if not isinstance(instance.constraint, MATROID_KINDS):
@@ -242,31 +219,28 @@ def half_greedy_submodular_oracle(instance: Instance) -> ApproxOracle:
         raise NonLinearReceiver("half-greedy oracle needs a linear receiver utility")
     n = instance.num_elements
     oracle = matroid.oracle_for(instance.constraint, n)
-    senders = instance.sender.linear
-    if instance.sender.kind is not UtilityKind.LINEAR:
-        senders = [table.values() for table in instance.sender.tabular]
-    scales = [lcm(*(w.denominator for w in (*r, *s))) for r, s in zip(instance.receiver.linear, senders)]
-    receiver = [[w.numerator * (L // w.denominator) for w in r] for L, r in zip(scales, instance.receiver.linear)]
+    (receiver, r_den), s_den = instance.receiver.ints, instance.sender.ints[1]
+    value = instance.sender.int_value
 
     @cache
     def gains(state: int, chosen: ActionSet) -> tuple[tuple[int, int], ...]:
-        """(e, L_t times the sender gain of adding e) for each e that keeps
+        """(e, D_s times the sender gain of adding e) for each e that keeps
         ``chosen`` independent, ascending: they do not depend on y."""
-        value = instance.sender.value(state, chosen)
+        base = value(state, chosen)
         out = []
         for e in range(n):
             if e in chosen:
                 continue
             cand = tuple(sorted((*chosen, e)))
             if oracle.is_independent(cand):
-                out.append((e, ((instance.sender.value(state, cand) - value) * scales[state]).numerator))
+                out.append((e, value(state, cand) - base))
         return tuple(out)
 
     def fn(state: int, y: Fraction) -> ActionSet:
-        num, den, r = y.numerator, y.denominator, receiver[state]
+        a, b, r = y.numerator * s_den, y.denominator * r_den, receiver[state]
         chosen: ActionSet = ()
         while options := gains(state, chosen):
-            best = max(options, key=lambda eg: eg[1] * den + num * r[eg[0]])  # first of ties: least e
+            best = max(options, key=lambda eg: eg[1] * b + a * r[eg[0]])  # first of ties: least e
             chosen = tuple(sorted((*chosen, best[0])))
         return chosen
 
@@ -398,9 +372,7 @@ def solve_cce_exact(view: CCEInstanceView) -> SolveResult:
         obedience = [inst.prior[t] * inst.receiver.value(t, S) for t, S in ordered]
         scheme, res = scheme_lp(inst, ordered, [(obedience, view.C)])
         pivots += res.pivots
-        point = [*res.duals[:D], -res.duals[D]]
-        den = lcm(*(p.denominator for p in point))
-        X = [p.numerator * (den // p.denominator) for p in point]
+        X, den = over_one_denominator([*res.duals[:D], -res.duals[D]])
         rows, _ = separation(view, X[:D], X[D], den, memo)
         if not rows:
             break
@@ -445,7 +417,7 @@ def _ellipsoid_run(
     mu = inst.prior
     memo = {} if memo is None else memo
 
-    big_r, _ = _action_value_bounds(inst.receiver, D, inst.num_elements)
+    big_r, _ = _action_value_bounds(inst.receiver, inst.num_elements)
     x0 = v_max * max(mu)
     Y = (v_max + D * x0) / max(view.C, v_min)
     box_hi = [mu[t] * (v_max + Y * big_r) for t in range(D)] + [Y]

@@ -36,6 +36,8 @@ from .rationals import ZERO
 USAGE_EXIT = 1
 SOLVER_EXIT = 2
 DEFAULT_SAMPLES = 10_000
+PERTURBED = ("catalog built from perturbed weights: actions optimal only on ties may be missing, "
+             "and the value of --mode reduced may be below --mode full")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -155,7 +157,7 @@ def cmd_solve(args) -> int:
         "method": result.method,
         "catalog_size": result.catalog_size,
         "effort": dict(sorted(result.lp_stats.items())),
-        "warnings": [],
+        "warnings": [PERTURBED] if result.lp_stats.get("perturbed") else [],
     }
     if args.out:
         jsonio.save_json(args.out, scheme_json)
@@ -193,7 +195,7 @@ def cmd_enumerate(args) -> int:
             "method": catalog.degeneracy.method,
             "families_checked": catalog.degeneracy.families_checked,
         },
-        "warnings": [],
+        "warnings": [PERTURBED] if catalog.perturbed else [],
     }
     if args.out:
         jsonio.save_json(args.out, body)

@@ -3,12 +3,20 @@
 States and ground-set elements are dense 0-based indices everywhere in the
 library; human-readable names are kept alongside purely for serialization.
 Actions are canonically represented as sorted tuples of element indices.
+
+Every public quantity is an exact ``Fraction``; the hot loops read an
+integer view, built on first use so parsing pays nothing: the utilities'
+rows or tables (``UtilitySpec.ints``) and the prior (``Instance.masses``)
+as integer numerators over one positive denominator, the lcm of their
+entries' denominators.  Weights and comparisons made of it are the
+``Fraction`` ones times a positive integer, so no order, tie or verdict moves.
 """
 
 from __future__ import annotations
 
 import enum
 from fractions import Fraction
+from math import lcm
 from typing import Mapping
 
 from .errors import (
@@ -17,7 +25,7 @@ from .errors import (
     NoPath,
     ZeroMassSignal,
 )
-from .rationals import ONE, ZERO, as_fraction
+from .rationals import ONE, ZERO, as_fraction, over_one_denominator
 
 ActionSet = tuple[int, ...]
 
@@ -37,13 +45,15 @@ class Record:
 
     A subclass names its fields in ``__slots__`` and sets each one in its
     ``__init__`` with ``object.__setattr__``.  Equality, hashing, ``repr``
-    and pickling follow the fields in slot order; assignment raises.
+    and pickling follow the fields in slot order; assignment raises.  A
+    slot named with a leading underscore holds a cache, not a field, and
+    all four ignore it.
     """
 
     __slots__ = ()
 
     def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+        return tuple(getattr(self, name) for name in self.__slots__ if name[0] != "_")
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -54,7 +64,7 @@ class Record:
         return hash(self._values())
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__ if name[0] != "_")
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):
@@ -85,7 +95,7 @@ class UtilitySpec(Record):
     explicit map from actions to values (tiny instances only).
     """
 
-    __slots__ = ("kind", "linear", "tabular")
+    __slots__ = ("kind", "linear", "tabular", "_ints")
 
     def __init__(
         self,
@@ -135,26 +145,38 @@ class UtilitySpec(Record):
             return len(self.linear)
         return len(self.tabular)
 
+    @property
+    def ints(self) -> tuple[tuple, int]:
+        """Per state, the row or table over one denominator (module
+        docstring): (integer rows or tables, denominator)."""
+        try:
+            return self._ints
+        except AttributeError:
+            if self.kind is UtilityKind.LINEAR:
+                den = lcm(*(v.denominator for row in self.linear for v in row))
+                rows = tuple(tuple(v.numerator * (den // v.denominator) for v in row) for row in self.linear)
+            else:
+                den = lcm(*(v.denominator for table in self.tabular for v in table.values()))
+                rows = tuple({a: v.numerator * (den // v.denominator) for a, v in t.items()} for t in self.tabular)
+            object.__setattr__(self, "_ints", (rows, den))
+            return self._ints
+
+    def int_value(self, state: int, action: ActionSet) -> int:
+        """``value`` times the view's denominator, in integers."""
+        rows, _ = self.ints
+        if self.kind is UtilityKind.LINEAR:
+            row = rows[state]
+            if action and not (0 <= min(action) and max(action) < len(row)):
+                raise InstanceFormatError(f"element index out of range in {action}")
+            return sum(map(row.__getitem__, action))
+        try:
+            return rows[state][action]
+        except KeyError:
+            raise MissingTabularEntry(f"state {state} has no tabular value for action {action}") from None
+
     def value(self, state: int, action: ActionSet) -> Fraction:
         """Utility of ``action`` in ``state``."""
-        if self.kind is UtilityKind.LINEAR:
-            row = self.linear[state]
-            total = ZERO
-            for e in action:
-                if not 0 <= e < len(row):
-                    raise InstanceFormatError(f"element index {e} out of range")
-                total += row[e]
-            return total
-        table = self.tabular[state]
-        try:
-            return table[action]
-        except KeyError:
-            raise MissingTabularEntry(
-                f"state {state} has no tabular value for action {action}"
-            ) from None
-
-    def singleton(self, state: int, element: int) -> Fraction:
-        return self.value(state, (element,))
+        return Fraction(self.int_value(state, action), self.ints[1])
 
 
 # --------------------------------------------------------------------------
@@ -287,7 +309,7 @@ def _sink_reachable(spec: PathGraph) -> bool:
 class Instance(Record):
     """A persuasion instance: prior, utilities for both players, feasible actions."""
 
-    __slots__ = ("state_names", "prior", "element_names", "sender", "receiver", "constraint", "sense")
+    __slots__ = ("state_names", "prior", "element_names", "sender", "receiver", "constraint", "sense", "_masses")
 
     def __init__(
         self,
@@ -344,6 +366,15 @@ class Instance(Record):
     @property
     def num_elements(self) -> int:
         return len(self.element_names)
+
+    @property
+    def masses(self) -> tuple[list[int], int]:
+        """The prior over one denominator: (integer masses, denominator)."""
+        try:
+            return self._masses
+        except AttributeError:
+            object.__setattr__(self, "_masses", over_one_denominator(self.prior))
+            return self._masses
 
 
 # --------------------------------------------------------------------------

@@ -15,9 +15,9 @@ DEFAULT_PATH_CAP = 100_000
 def shortest_path(spec: PathGraph, weights: Sequence[Fraction]) -> ActionSet:
     """Min-cost source-sink path under nonnegative edge weights.
 
-    Dijkstra over (cost, edge-index sequence) keys: exact rational costs,
-    ties broken by the lexicographically smallest sequence of edge indices
-    along the path, which makes the result deterministic.
+    Dijkstra over (cost, edge-index sequence) keys: exact rational or
+    integer costs, ties broken by the lexicographically smallest sequence
+    of edge indices along the path, which makes the result deterministic.
     """
     if len(weights) != len(spec.edges):
         raise InstanceFormatError("one weight per edge required")
@@ -26,9 +26,9 @@ def shortest_path(spec: PathGraph, weights: Sequence[Fraction]) -> ActionSet:
     out_edges: dict[int, list[int]] = {}
     for e, (u, _) in enumerate(spec.edges):
         out_edges.setdefault(u, []).append(e)
-    start: tuple[Fraction, tuple[int, ...]] = (Fraction(0), ())
+    start: tuple[Fraction, tuple[int, ...]] = (0, ())  # int zero: integer weights stay integers
     best: dict[int, tuple[Fraction, tuple[int, ...]]] = {spec.source: start}
-    heap: list[tuple[Fraction, tuple[int, ...], int]] = [(Fraction(0), (), spec.source)]
+    heap: list[tuple[Fraction, tuple[int, ...], int]] = [(0, (), spec.source)]
     done: set[int] = set()
     while heap:
         dist, seq, u = heapq.heappop(heap)

@@ -25,13 +25,18 @@ Every best-action question (``best_deviation``, ``tie_broken_response`` and
 the exact oracle of ``cce``) goes through ``best_action``: one greedy or
 shortest-path call for linear utilities, so a linear instance's scheme is
 audited with no action enumerated, else one scan of the feasible actions.
+It, the obedience pass and the scheme value run in integers on the integer
+view (``model``): a belief B / L over one denominator times a view row
+D * u_t gives L * D times the expected singleton values, the ``Fraction``
+weights times one positive integer.  That keeps greedy's order, ties (index
+order) and sign filter, each comparison of Dijkstra's path sums and each
+scan's argmax and ties: the same actions come back.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
-from math import lcm
 
 from . import lp, matroid, paths
 from .errors import CertificateError, InstanceFormatError, TooLarge
@@ -46,11 +51,9 @@ from .model import (
     UtilityKind,
     deterministic_scheme,
     expected_value,
-    signal_mass,
-    posterior,
 )
 from .paths import shortest_path  # unused here; bench/test_bench.py checks that the tracer wraps this binding
-from .rationals import ONE, ZERO
+from .rationals import ONE, ZERO, over_one_denominator
 
 MATROID_ENUM_LIMIT = 20
 
@@ -153,17 +156,20 @@ def _extend(oracle, n: int, max_actions: int | None, start: int, prefix: list[in
         prefix.pop()
 
 
-def _atoms(utility, xi: tuple[Fraction, ...]) -> list[Fraction]:
-    """Values that every action's expected value at the belief is a sum of:
-    each element's expected value (linear), or each table entry times its
-    state's probability (tabular)."""
-    if utility.kind is UtilityKind.LINEAR:
-        rows = utility.linear
-        return [
-            sum((xi[t] * rows[t][e] for t in range(len(xi))), ZERO)
-            for e in range(len(rows[0]))
-        ]
-    return [p * v for p, table in zip(xi, utility.tabular) for v in table.values()]
+def _int_weights(n: int, parts) -> list[int]:
+    """Per element e < n, the sum over (utility, belief) in ``parts`` of
+    ``sum_t belief[t] * (the utility's view row t)[e]``."""
+    weights = [0] * n
+    for utility, belief in parts:
+        for b, row in zip(belief, utility.ints[0]):
+            if b:
+                weights = [w + b * v for w, v in zip(weights, row)]
+    return weights
+
+
+def _int_value(utility, belief: list[int], action: ActionSet) -> int:
+    """``sum_t belief[t] * (the view)_t(action)``."""
+    return sum(b * utility.int_value(t, action) for t, b in enumerate(belief) if b)
 
 
 def best_action(
@@ -172,23 +178,26 @@ def best_action(
     """A feasible action maximizing (min sense: minimizing) ``a * R + b * S``,
     R and S the receiver's and sender's expected values at the belief.
 
-    With no ``pool`` and linear utilities wherever the coefficient is
-    nonzero: one ``matroid.max_weight_action`` call (greedy, or Dijkstra on
-    a path) on the weights ``a * r_e + b * s_e``, ties in its order.  Else
-    a scan of ``pool`` (default: every feasible action), ties going to the
-    lexicographically least action.
+    In integers: the belief as B / L and each coefficient c / D_u (D_u the
+    utility's view denominator) as k / K, each over one denominator, give
+    each utility the belief k * B, and ``a * R + b * S`` times K * L is the
+    sum of its ``_int_value``s.  With no ``pool`` and linear utilities
+    wherever the coefficient is nonzero: one ``matroid.max_weight_action``
+    call (greedy, or Dijkstra on a path) on those element weights, ties in
+    its order.  Else a scan of ``pool`` (default: every feasible action),
+    ties going to the lexicographically least action.
     """
     terms = [(c, u) for c, u in ((a, instance.receiver), (b, instance.sender)) if c != 0]
-    if pool is None and all(u.kind is UtilityKind.LINEAR for _, u in terms):
-        rows = [(c * p, u.linear[t]) for c, u in terms for t, p in enumerate(xi.xi) if p != 0]
-        weights = [
-            sum((f * row[e] for f, row in rows), ZERO) for e in range(instance.num_elements)
-        ]
+    belief, _ = over_one_denominator(xi.xi)
+    coeffs, _ = over_one_denominator([c / u.ints[1] for c, u in terms])
+    parts = [(u, [k * m for m in belief]) for k, (_, u) in zip(coeffs, terms)]
+    if pool is None and all(u.kind is UtilityKind.LINEAR for u, _ in parts):
+        weights = _int_weights(instance.num_elements, parts)
         return matroid.max_weight_action(instance.constraint, weights, instance.sense)
     if pool is None:
         pool = enumerate_actions(instance.constraint, instance.num_elements)
     sign = -1 if instance.sense is Sense.MAX else 1
-    return min(pool, key=lambda S: (sign * sum((c * expected_value(u, xi, S) for c, u in terms), ZERO), S))
+    return min(pool, key=lambda S: (sign * sum(_int_value(u, w, S) for u, w in parts), S))
 
 
 def best_deviation(
@@ -203,26 +212,45 @@ def best_deviation(
     return expected_value(instance.receiver, xi, action), action
 
 
+def _signals(instance: Instance, scheme: SignalingScheme) -> tuple[list, int]:
+    """(S, W) per recommended action S, W_t = mu_t * phi(t, S) times ``den``,
+    the product of the masses' and the probabilities' one denominators."""
+    masses, mass_den = instance.masses
+    probs, prob_den = over_one_denominator(scheme.probs)
+    T = scheme.num_states
+    weights = [[m * p for m, p in zip(masses, probs[k * T : (k + 1) * T])] for k in range(len(scheme.support))]
+    return list(zip(scheme.support, weights)), mass_den * prob_den
+
+
 def _violations(
     instance: Instance, scheme: SignalingScheme, pool: list[ActionSet] | None = None
 ) -> list[tuple[ActionSet, ActionSet, Fraction]]:
     """(recommended, best deviation, gap) for every signal the receiver
-    would rather not obey; one ``best_deviation`` call per signal.  A
-    tabular receiver's deviations are scanned from ``pool`` (default: every
-    feasible action, enumerated here); a linear receiver ignores it."""
-    if instance.receiver.kind is UtilityKind.TABULAR and pool is None:
+    would rather not obey, decided in integers: signal S's ``_signals``
+    weights W are its posterior times sum(W) * den, so ``_int_value`` of
+    (receiver, W) is the expected value there times sum(W) * den * D_r.  A
+    linear receiver's best deviation is one ``matroid.max_weight_action``
+    call on those weights, ``best_deviation``'s times a positive integer; a
+    tabular one's a scan of ``pool`` (default: every feasible action,
+    enumerated here) as in ``best_action``.  Only a gap becomes a Fraction."""
+    receiver = instance.receiver
+    linear = receiver.kind is UtilityKind.LINEAR
+    if not linear and pool is None:
         pool = enumerate_actions(instance.constraint, instance.num_elements)
-    maximize = instance.sense is Sense.MAX
+    signals, _ = _signals(instance, scheme)
+    sign = 1 if instance.sense is Sense.MAX else -1
     out = []
-    for S in scheme.support:
-        if signal_mass(instance, scheme, S) == 0:
+    for S, W in signals:
+        if not any(W):
             continue
-        xi = posterior(instance, scheme, S)
-        own = expected_value(instance.receiver, xi, S)
-        best, alt = best_deviation(instance, xi, pool)
-        gap = best - own if maximize else own - best
+        if linear:
+            weights = _int_weights(instance.num_elements, [(receiver, W)])
+            alt = matroid.max_weight_action(instance.constraint, weights, instance.sense)
+        else:
+            alt = min(pool, key=lambda A: (-sign * _int_value(receiver, W, A), A))
+        gap = sign * (_int_value(receiver, W, alt) - _int_value(receiver, W, S))
         if gap > 0:
-            out.append((S, alt, gap))
+            out.append((S, alt, Fraction(gap, sum(W) * receiver.ints[1])))
     return out
 
 
@@ -396,10 +424,8 @@ def certify(
 
 
 def _scheme_value(instance: Instance, scheme: SignalingScheme, utility) -> Fraction:
-    total = ZERO
-    for (t, S), p in scheme.phi.items():
-        total += instance.prior[t] * p * utility.value(t, S)
-    return total
+    signals, den = _signals(instance, scheme)
+    return Fraction(sum(_int_value(utility, W, S) for S, W in signals), den * utility.ints[1])
 
 
 def expected_sender_value(instance: Instance, scheme: SignalingScheme) -> Fraction:
@@ -420,18 +446,21 @@ def tie_broken_response(
     """The receiver's best action at the belief, ties resolved in the
     sender's favor: ``best_action`` with a = 1 and b = ``delta``.
 
-    ``delta = 1 / (L * (1 + M))``: L is the lcm of the denominators of the
-    receiver's ``_atoms`` at the belief, M the sum of the sender's.  Every
-    receiver value R(A) is a sum of atoms, so two are equal or at least 1/L
-    apart; utilities are nonnegative, so sender values lie in [0, M] and
-    ``delta * |S(A) - S(B)| < 1/L``.  Hence ``R + delta * S`` orders actions
-    by R, then by S: its optimum is receiver-optimal and, among those, the
-    sender's favorite.  Actions tied in both go to greedy's element order or
+    ``delta = D_s / ((1 + M) * D_r)``: with the belief B / L over one
+    denominator and D_r, D_s the view denominators, ``L * D_r * R(A)`` and
+    ``L * D_s * S(A)`` are integers, and M, every sender view entry weighted
+    by B, bounds the second for every action and edge set (utilities are
+    nonnegative).  Two receiver values are equal or 1 / (L * D_r) apart, and
+    ``delta * |S(A) - S(B)| <= M / ((1 + M) * L * D_r)`` is less, so
+    ``R + delta * S`` orders actions, elements and path prefixes by R, then
+    by S: its optimum is receiver-optimal and, among those, the sender's
+    favorite.  ``best_action``'s integer key is ``(1 + M) * L * D_r * R +
+    L * D_s * S``.  Actions tied in both go to greedy's element order or
     Dijkstra's edge sequence for linear utilities, to the lexicographically
     least action for tabular ones, scanned from ``pool`` as in
     ``best_action``.
     """
-    r = _atoms(instance.receiver, xi.xi)
-    s = _atoms(instance.sender, xi.xi)
-    delta = 1 / (lcm(*(w.denominator for w in r)) * (1 + sum(s, ZERO)))
-    return best_action(instance, xi, ONE, delta, pool)
+    belief, _ = over_one_denominator(xi.xi)
+    (_, r_den), (rows, s_den) = instance.receiver.ints, instance.sender.ints
+    M = sum(m * sum(row.values() if isinstance(row, dict) else row) for m, row in zip(belief, rows))
+    return best_action(instance, xi, ONE, Fraction(s_den, (1 + M) * r_den), pool)

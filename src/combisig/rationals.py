@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import InstanceFormatError
 
@@ -28,3 +29,8 @@ def as_fraction(value) -> Fraction:
             raise InstanceFormatError(f"bad rational literal {value!r}") from exc
     raise InstanceFormatError(f"not a rational: {value!r}")
 
+
+def over_one_denominator(values) -> tuple[list[int], int]:
+    """(integer numerators of the Fractions ``values``, their lcm denominator)."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den

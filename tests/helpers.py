@@ -21,9 +21,11 @@ from combisig.model import (
     OracleMatroid,
     Partition,
     PathGraph,
+    Posterior,
     Sense,
     SignalingScheme,
     Uniform,
+    UtilityKind,
     UtilitySpec,
     expected_value,
     posterior,
@@ -88,16 +90,29 @@ def rand_matroid(rng: random.Random, n: int, kind: str):
     raise ValueError(kind)
 
 
-def rand_utility(rng: random.Random, n_states: int, n: int, lo=1, hi=9) -> UtilitySpec:
+MIXED_DENOMINATORS = (1, 2, 3, 4, 5, 6, 7, 9)
+
+
+def _rand_rational(rng: random.Random, lo: int, hi: int, dens) -> Fraction:
+    """An integer in [lo, hi], divided by one of ``dens`` when given."""
+    value = F(rng.randint(lo, hi))
+    return value if dens is None else value / rng.choice(dens)
+
+
+def rand_utility(rng: random.Random, n_states: int, n: int, lo=1, hi=9, dens=None) -> UtilitySpec:
+    """Linear utility with entries lo..hi; with ``dens`` (e.g.
+    ``MIXED_DENOMINATORS``) each entry is divided by a random one of them."""
     return UtilitySpec.from_linear(
-        [[F(rng.randint(lo, hi)) for _ in range(n)] for _ in range(n_states)]
+        [[_rand_rational(rng, lo, hi, dens) for _ in range(n)] for _ in range(n_states)]
     )
 
 
-def rand_prior(rng: random.Random, n_states: int):
-    weights = [rng.randint(1, 9) for _ in range(n_states)]
+def rand_prior(rng: random.Random, n_states: int, dens=None):
+    """Positive weights 1..9 normalized; with ``dens`` each weight is first
+    divided by a random one of them, so the masses' denominators differ."""
+    weights = [_rand_rational(rng, 1, 9, dens) for _ in range(n_states)]
     total = sum(weights)
-    return tuple(F(w, total) for w in weights)
+    return tuple(w / total for w in weights)
 
 
 def rand_instance(
@@ -108,7 +123,9 @@ def rand_instance(
     sense: Sense = Sense.MAX,
     lo: int = 1,
     hi: int = 9,
+    dens=None,
 ) -> Instance:
+    """``dens``: see ``rand_utility`` and ``rand_prior``."""
     if sense is Sense.MIN:
         constraint = layered_path_graph(rng, n)
         n = len(constraint.edges)
@@ -118,10 +135,10 @@ def rand_instance(
             n = len(constraint.edges)
     return Instance(
         state_names=tuple(f"s{t}" for t in range(n_states)),
-        prior=rand_prior(rng, n_states),
+        prior=rand_prior(rng, n_states, dens),
         element_names=tuple(f"e{i}" for i in range(n)),
-        sender=rand_utility(rng, n_states, n, lo, hi),
-        receiver=rand_utility(rng, n_states, n, lo, hi),
+        sender=rand_utility(rng, n_states, n, lo, hi, dens),
+        receiver=rand_utility(rng, n_states, n, lo, hi, dens),
         constraint=constraint,
         sense=sense,
     )
@@ -143,17 +160,18 @@ def grid_path_graph(rows: int, cols: int) -> PathGraph:
 
 
 def grid_path_instance(
-    rng: random.Random, rows: int, cols: int, n_states: int, lo: int = 1, hi: int = 9
+    rng: random.Random, rows: int, cols: int, n_states: int, lo: int = 1, hi: int = 9, dens=None
 ) -> Instance:
-    """Min-sense instance on ``grid_path_graph`` with random linear costs."""
+    """Min-sense instance on ``grid_path_graph`` with random linear costs
+    (``dens``: see ``rand_utility``)."""
     constraint = grid_path_graph(rows, cols)
     n = len(constraint.edges)
     return Instance(
         state_names=tuple(f"s{t}" for t in range(n_states)),
-        prior=rand_prior(rng, n_states),
+        prior=rand_prior(rng, n_states, dens),
         element_names=tuple(f"e{i}" for i in range(n)),
-        sender=rand_utility(rng, n_states, n, lo, hi),
-        receiver=rand_utility(rng, n_states, n, lo, hi),
+        sender=rand_utility(rng, n_states, n, lo, hi, dens),
+        receiver=rand_utility(rng, n_states, n, lo, hi, dens),
         constraint=constraint,
         sense=Sense.MIN,
     )
@@ -177,11 +195,12 @@ def rand_clean_instance(
     max_tries: int = 200,
     lo: int = 1,
     hi: int = 9,
+    dens=None,
 ) -> Instance:
     from combisig.best_response import check_nondegeneracy
 
     for _ in range(max_tries):
-        inst = rand_instance(rng, n_states, n, kind, lo=lo, hi=hi)
+        inst = rand_instance(rng, n_states, n, kind, lo=lo, hi=hi, dens=dens)
         if check_nondegeneracy(inst).clean:
             return inst
     raise AssertionError(f"no clean instance found for kind={kind}, n={n}")
@@ -419,7 +438,7 @@ def lex_weights_order(psi, point, tie_break) -> list[int]:
 def replace_fields(record, **changes):
     """A new ``record`` of the same type with the named fields replaced; the
     constructor runs, so the result is validated like any other."""
-    fields = {name: getattr(record, name) for name in record.__slots__}
+    fields = {name: getattr(record, name) for name in record.__slots__ if name[0] != "_"}
     return type(record)(**{**fields, **changes})
 
 
@@ -820,7 +839,7 @@ def fraction_ellipsoid_run(view, v: Fraction, v_min: Fraction, v_max: Fraction):
     mu = inst.prior
     one = F(1)
 
-    big_r, _ = cce._action_value_bounds(inst.receiver, D, inst.num_elements)
+    big_r, _ = cce._action_value_bounds(inst.receiver, inst.num_elements)
     x0 = v_max * max(mu)
     Y = (v_max + D * x0) / max(view.C, v_min)
     box_hi = [max(h, one) for h in [mu[t] * (v_max + Y * big_r) for t in range(D)] + [Y]]
@@ -881,3 +900,133 @@ def fraction_ellipsoid_run(view, v: Fraction, v_min: Fraction, v_max: Fraction):
             [_round_down(scale * (P[i][j] - F(2, N + 1) * pa[i] * pa[j] / apa), bits) for j in range(N)]
             for i in range(N)
         ]
+
+
+# ---------------------------------------------------------------------------
+# Fraction references for the integer view (``model.UtilitySpec.ints``)
+# ---------------------------------------------------------------------------
+
+
+def fraction_value(utility: UtilitySpec, state: int, action: ActionSet) -> Fraction:
+    """``utility.value`` from the public ``Fraction`` fields: a sum over the
+    linear row, or the table entry."""
+    if utility.kind is UtilityKind.LINEAR:
+        return sum((utility.linear[state][e] for e in action), ZERO)
+    return utility.tabular[state][action]
+
+
+def fraction_expected(utility: UtilitySpec, xi, action: ActionSet) -> Fraction:
+    """``model.expected_value`` on ``fraction_value``."""
+    return sum((p * fraction_value(utility, t, action) for t, p in enumerate(xi.xi) if p != 0), ZERO)
+
+
+def fraction_best_action(instance: Instance, xi, a, b, pool=None) -> ActionSet:
+    """``persuasion.best_action`` on ``Fraction`` weights: with no pool and
+    linear utilities, one ``max_weight_action`` call on the weights
+    a * r_e + b * s_e at the belief; else a scan of ``pool`` (default: every
+    feasible action) on ``a * R + b * S``, ties to the least action."""
+    terms = [(c, u) for c, u in ((a, instance.receiver), (b, instance.sender)) if c != 0]
+    if pool is None and all(u.kind is UtilityKind.LINEAR for _, u in terms):
+        rows = [(c * p, u.linear[t]) for c, u in terms for t, p in enumerate(xi.xi) if p != 0]
+        weights = [sum((f * row[e] for f, row in rows), ZERO) for e in range(instance.num_elements)]
+        return matroid.max_weight_action(instance.constraint, weights, instance.sense)
+    if pool is None:
+        pool = enumerate_actions(instance.constraint, instance.num_elements)
+    sign = -1 if instance.sense is Sense.MAX else 1
+    return min(pool, key=lambda S: (sign * sum((c * fraction_expected(u, xi, S) for c, u in terms), ZERO), S))
+
+
+def _fraction_atoms(utility: UtilitySpec, xi) -> list[Fraction]:
+    """Each element's expected value (linear), or each table entry times
+    its state's probability (tabular)."""
+    if utility.kind is UtilityKind.LINEAR:
+        rows = utility.linear
+        return [sum((xi[t] * rows[t][e] for t in range(len(xi))), ZERO) for e in range(len(rows[0]))]
+    return [p * v for p, table in zip(xi, utility.tabular) for v in table.values()]
+
+
+def fraction_tie_broken_response(instance: Instance, xi, pool=None) -> ActionSet:
+    """``persuasion.tie_broken_response`` with delta = 1 / (L * (1 + M)): L
+    the lcm of the receiver atoms' denominators at the belief, M the sum of
+    the sender's atoms."""
+    r = _fraction_atoms(instance.receiver, xi.xi)
+    s = _fraction_atoms(instance.sender, xi.xi)
+    delta = 1 / (lcm(*(w.denominator for w in r)) * (1 + sum(s, ZERO)))
+    return fraction_best_action(instance, xi, F(1), delta, pool)
+
+
+def fraction_violations(instance: Instance, scheme: SignalingScheme, pool=None) -> list:
+    """``persuasion._violations`` on ``Fraction`` posteriors: per signal of
+    positive mass, the posterior, the receiver's best deviation there
+    (``fraction_best_action``; a tabular receiver scans ``pool``, default
+    every feasible action) and the gap, for each disobeyed signal."""
+    linear = instance.receiver.kind is UtilityKind.LINEAR
+    if not linear and pool is None:
+        pool = enumerate_actions(instance.constraint, instance.num_elements)
+    out = []
+    for S in scheme.support:
+        if signal_mass(instance, scheme, S) == 0:
+            continue
+        xi = posterior(instance, scheme, S)
+        alt = fraction_best_action(instance, xi, F(1), ZERO, None if linear else pool)
+        own, best = fraction_expected(instance.receiver, xi, S), fraction_expected(instance.receiver, xi, alt)
+        gap = best - own if instance.sense is Sense.MAX else own - best
+        if gap > 0:
+            out.append((S, alt, gap))
+    return out
+
+
+def fraction_scheme_value(instance: Instance, scheme: SignalingScheme, utility: UtilitySpec) -> Fraction:
+    """sum over (t, S) of mu_t * phi(t, S) * u_t(S), in ``Fraction``s."""
+    return sum((instance.prior[t] * p * fraction_value(utility, t, S) for (t, S), p in scheme.phi.items()), ZERO)
+
+
+def fraction_solve_full(instance: Instance) -> tuple[Fraction, SignalingScheme, dict]:
+    """``persuasion.solve_full``'s lazy-row loop written with ``Fraction``
+    values throughout: the objective mu_t * s_t(S), the state rows, and per
+    round the pair rows mu_t * (r_t(S) - r_t(alt)) of ``fraction_violations``
+    not yet in the one kept model.  Returns (value, scheme, lp_stats)."""
+    actions = enumerate_actions(instance.constraint, instance.num_elements)
+    columns = [(t, S) for t in range(instance.num_states) for S in actions]
+    index = {col: j for j, col in enumerate(columns)}
+    maximize = instance.sense is Sense.MAX
+    model = lp.LPModel(len(columns), sense=lp.MAX if maximize else lp.MIN)
+    model.set_objective([instance.prior[t] * fraction_value(instance.sender, t, S) for t, S in columns])
+    for state in range(instance.num_states):
+        model.add_row({j: F(1) for j, (t, _) in enumerate(columns) if t == state}, lp.EQ, F(1))
+    added: set = set()
+    pivots = rounds = 0
+    while True:
+        result = lp.solve(model)
+        assert result.status == lp.OPTIMAL
+        pivots += result.pivots
+        rounds += 1
+        phi = {col: v for col, v in zip(columns, result.x) if v != 0}
+        scheme = SignalingScheme.from_phi(instance.num_states, phi)
+        assert fraction_scheme_value(instance, scheme, instance.sender) == result.value
+        new = [(S, alt) for S, alt, _ in fraction_violations(instance, scheme, actions) if (S, alt) not in added]
+        if not new:
+            break
+        for S, alt in new:
+            added.add((S, alt))
+            r = instance.receiver
+            coeffs = {
+                index[(t, S)]: instance.prior[t] * (fraction_value(r, t, S) - fraction_value(r, t, alt))
+                for t in range(instance.num_states)
+            }
+            model.add_row(coeffs, lp.GE if maximize else lp.LE, ZERO)
+    stats = {"pivots": pivots, "cut_rounds": rounds, "pair_rows": len(added), "columns": len(columns)}
+    return result.value, scheme, stats
+
+
+def fraction_exact_view(instance: Instance):
+    """A ``cce.CCEInstanceView`` whose exact oracle, prior-best action and
+    value C come from ``fraction_best_action``: state t's oracle at y is the
+    best action at the point belief on t with a = y, b = 1."""
+    D = instance.num_states
+    points = [Posterior(tuple(F(int(s == t)) for s in range(D))) for t in range(D)]
+    oracle = cce.ApproxOracle("exact", F(1), lambda t, y: fraction_best_action(instance, points[t], y, F(1)))
+    prior = Posterior(instance.prior)
+    best = fraction_best_action(instance, prior, F(1), ZERO)
+    C = fraction_expected(instance.receiver, prior, best)
+    return cce.CCEInstanceView(instance, oracle, C, best, cce.DEFAULT_EPSILON)

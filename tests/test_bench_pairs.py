@@ -147,7 +147,28 @@ def test_main_prints_the_verdict_after_writing_the_file(monkeypatch, tmp_path, c
     written = tmp_path / "BENCH_catalog_t.json"
     assert out.strip() == str(written)
     assert json.loads(written.read_text())["wins"] == {"ops_per_s": 2, "latency_s.p50": 2}
-    assert err.splitlines()[-2:] == [
+    assert err.splitlines()[-3:] == [
         "ops_per_s: change/ref 1.550, won 2/2, worse_by -0.550 (bound 0.25)",
         "latency_s.p50: change/ref 0.800, won 2/2, worse_by -0.200 (bound 0.1)",
+        "rss per extra op: n/a (no attempted or peak_rss_mb)",
     ]
+
+
+def test_rss_per_extra_op_divides_the_median_gaps():
+    """The last stderr line: change-minus-ref medians of ``attempted`` and
+    of ``peak_rss_mb``, and their ratio in KiB per extra operation."""
+
+    def side(attempted: int, rss: float) -> dict:
+        return {"result": {"attempted": attempted, "metrics": {"peak_rss_mb": {"value": rss, "unit": "MiB"}}}}
+
+    ref = [(1000, 30.0), (1100, 30.5), (900, 29.5)]
+    change = [(1500, 30.25), (1600, 30.875), (1400, 30.0)]
+    pairs = [{"ref": side(*r), "change": side(*c)} for r, c in zip(ref, change)]
+    # medians: attempted 1000 -> 1500, peak_rss_mb 30.0 -> 30.25: 256 KiB over 500 ops
+    assert bench_pairs.rss_per_op_line(pairs) == (
+        "rss per extra op: attempted +500, peak_rss_mb +0.250, +0.512 KiB per extra op"
+    )
+    level = [{"ref": side(1000, 30.0), "change": side(1000, 31.0)}]
+    assert bench_pairs.rss_per_op_line(level) == (
+        "rss per extra op: attempted +0, peak_rss_mb +1.000, n/a KiB per extra op"
+    )

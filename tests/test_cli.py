@@ -520,6 +520,32 @@ def test_reduced_mode_on_the_lineq_uniform_target_is_worth_the_uninformative_sch
     report = report_of(capsys, "solve", out, "--mode", "reduced")
     assert base == Fraction(1, 3) and Fraction(report["value"]) >= base
     assert report["catalog_size"] == 9 and report["effort"]["perturbed"] is True
+    assert report["warnings"] == [cli.PERTURBED]
+
+
+def test_reduced_and_enumerate_warn_when_the_catalog_is_perturbed(capsys, tmp_path):
+    """A perturbed catalog may lack the actions that matter: ``reduced``
+    gives 8/3 where ``full`` gives 4 on a zero receiver (every action ties),
+    and both ``solve --mode reduced`` and ``enumerate`` say so.  Clean
+    instances keep an empty warning list."""
+    inst = Instance(
+        state_names=("s0", "s1", "s2"),
+        prior=(Fraction(1, 3),) * 3,
+        element_names=("e0", "e1", "e2"),
+        sender=UtilitySpec.from_linear([[4 * (i == j) for j in range(3)] for i in range(3)]),
+        receiver=UtilitySpec.from_linear([[0] * 3] * 3),
+        constraint=Uniform(2),
+    )
+    tied = str(tmp_path / "tied.json")
+    jsonio.save_json(tied, jsonio.instance_to_json(inst))
+    assert report_of(capsys, "solve", tied, "--mode", "full")["warnings"] == []
+    reduced = report_of(capsys, "solve", tied, "--mode", "reduced")
+    assert reduced["value"] == "8/3" and reduced["effort"]["perturbed"] is True
+    assert reduced["warnings"] == [cli.PERTURBED] and "below --mode full" in cli.PERTURBED
+    assert report_of(capsys, "enumerate", tied)["warnings"] == [cli.PERTURBED]
+    for path in (TOY, WEATHER):
+        assert report_of(capsys, "solve", path, "--mode", "reduced")["warnings"] == []
+        assert report_of(capsys, "enumerate", path)["warnings"] == []
 
 
 def test_gen_public_partition(capsys, tmp_path):

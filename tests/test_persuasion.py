@@ -18,6 +18,7 @@ from combisig.model import (
     UtilitySpec,
     deterministic_scheme,
     expected_value,
+    posterior,
 )
 from helpers import (
     as_tables,
@@ -333,7 +334,7 @@ def test_check_persuasive_names_one_best_deviation_per_signal():
     actions = persuasion.enumerate_actions(inst.constraint, inst.num_elements)
     assert [(S, alt) for S, alt, _ in report.violations] == [(A, B), (B, C), (C, B)]
     for S, alt, gap in report.violations:
-        xi = persuasion.posterior(inst, scheme, S)
+        xi = posterior(inst, scheme, S)
         best = max(expected_value(inst.receiver, xi, T) for T in actions)
         assert expected_value(inst.receiver, xi, alt) == best
         assert gap == best - expected_value(inst.receiver, xi, S) > 0
