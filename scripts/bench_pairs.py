@@ -26,8 +26,10 @@ be claimed only when the change wins at least nine tenths of the pairs and
 that spread is exceeded; a metric worse by more than its bound fails the
 benchmark.  After writing the file the script prints that verdict on
 stderr, one line per end-to-end metric, and flags each metric beyond its
-bound and each run whose outputs were not all correct; a last line gives
-the rss each extra operation cost (``rss_per_op_line``).  Stdlib only.
+bound and each run whose outputs were not all correct; then a line gives
+the rss each extra operation cost (``rss_per_op_line``), and a last one
+each side's ``src_lines`` from its runs' metadata (``src_lines_line``), so
+the package's line count stands next to the numbers.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -191,6 +193,20 @@ def rss_per_op_line(pairs: list[dict]) -> str:
     return f"rss per extra op: attempted {ops:+g}, peak_rss_mb {rss:+.3f}, {ratio}"
 
 
+def src_lines_line(pairs: list[dict]) -> str:
+    """Each side's ``src_lines``, read from every run's metadata: the count,
+    or each distinct count joined by "/", or n/a; then the change's gap
+    when each side has one count."""
+    counts = {
+        side: sorted({p[side].get("meta", {}).get("src_lines") for p in pairs} - {None}) for side in ("ref", "change")
+    }
+    shown = {side: "/".join(map(str, c)) or "n/a" for side, c in counts.items()}
+    line = f"src_lines: ref {shown['ref']}, change {shown['change']}"
+    if len(counts["ref"]) == len(counts["change"]) == 1:
+        line += f" ({counts['change'][0] - counts['ref'][0]:+d})"
+    return line
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--ref", required=True, help="git ref to compare the working tree against")
@@ -234,6 +250,7 @@ def main(argv=None) -> int:
     for line in verdict_lines(report, pairs):
         print(line, file=sys.stderr)
     print(rss_per_op_line(pairs), file=sys.stderr)
+    print(src_lines_line(pairs), file=sys.stderr)
     return 0
 
 

@@ -45,7 +45,7 @@ from operator import mul
 from . import lp
 from .errors import CertificateError, DimensionTooSmall, TooLarge
 from .model import Record
-from .rationals import ONE, ZERO, as_fraction
+from .rationals import ONE, ZERO, as_fraction, over_one_denominator
 
 DEFAULT_CELL_CAP = 100_000
 
@@ -385,7 +385,7 @@ def _walk(cutting, simplex) -> dict:
             if not all(support):
                 entry[2].setdefault(support, point)
     for key, (y, inside, _) in found.items():
-        nums, den = lp._common(y)
+        nums, den = over_one_denominator(y)
         signs = [_sign(sum(map(mul, a, nums)) + b * den) for a, b in funcs]
         if tuple(signs[:m]) != key or (min(signs[m:]) > 0) != inside:
             raise CertificateError("cell witness has other signs than its probe")

@@ -341,6 +341,12 @@ def separation(view: CCEInstanceView, X, Y: int, den: int, memo: dict | None = N
     return rows, proposals
 
 
+def _obedience_row(view: CCEInstanceView, columns: list) -> tuple[list[int], Fraction, int]:
+    """``scheme_lp``'s row sum mu_t * r_t(S) >= C (min sense: <=), from the integer view."""
+    (masses, mass_den), receiver = view.instance.masses, view.instance.receiver
+    return [masses[t] * receiver.int_value(t, S) for t, S in columns], view.C, mass_den * receiver.ints[1]
+
+
 def solve_cce_exact(view: CCEInstanceView) -> SolveResult:
     """Exact optimum by column generation (needs alpha = 1).
 
@@ -369,8 +375,7 @@ def solve_cce_exact(view: CCEInstanceView) -> SolveResult:
             raise IterationCap(f"column generation exceeded {ROUND_CAP} rounds")
         rounds += 1
         ordered = sorted(columns)
-        obedience = [inst.prior[t] * inst.receiver.value(t, S) for t, S in ordered]
-        scheme, res = scheme_lp(inst, ordered, [(obedience, view.C)])
+        scheme, res = scheme_lp(inst, ordered, [_obedience_row(view, ordered)])
         pivots += res.pivots
         X, den = over_one_denominator([*res.duals[:D], -res.duals[D]])
         rows, _ = separation(view, X[:D], X[D], den, memo)
@@ -564,8 +569,7 @@ def solve_cce_approx(view: CCEInstanceView) -> SolveResult:
         columns = set()  # the scheme comes from no LP
     else:
         ordered = sorted(columns)
-        obedience = [inst.prior[t] * inst.receiver.value(t, S) for t, S in ordered]
-        scheme, res = scheme_lp(inst, ordered, [(obedience, view.C)])
+        scheme, res = scheme_lp(inst, ordered, [_obedience_row(view, ordered)])
         value = res.value
         stats["pivots"] = res.pivots
     certify(inst, scheme, value, RELAXED, view.pool)

@@ -6,8 +6,10 @@ left at zero to test feasibility).  The solver is a dense two-phase primal
 simplex with Bland's rule throughout, so termination is guaranteed even on
 the heavily degenerate models the solvers build.  No floats ever enter it.
 
-Each row, and the objective, is stored in integers as it is added: times
-s_i, the lcm of its denominators (``LPRow``).  The tableau is fraction-free
+Each row, and the objective, comes as ints over one positive denominator
+(or as Fractions, ints or strings, put over one first) and is stored in
+integers: times s_i, the least positive integer making it integral
+(``LPRow``).  The tableau is fraction-free
 (Edmonds 1967, Bareiss 1968): it copies the stored rows, so each
 standard-form row and its slack, surplus or artificial column are
 integers; the slack then stands for s_i times the unscaled one.  With d > 0
@@ -41,23 +43,26 @@ it returns: x >= 0 satisfies every row, the duals are feasible for the
 dual program, and ``c.x == value == sum(duals[i] * rows[i].rhs)`` holds
 exactly.  Sign pattern for a maximization: duals of ``<=`` rows are >= 0,
 of ``>=`` rows are <= 0, of ``==`` rows free; for a minimization the signs
-flip.  The checks run in integers over the stored rows, with x over its
-common denominator D and the prices y_i / s_i over theirs: each relation
-is multiplied through by positive factors (s_i * D for row i), so it keeps
-its direction and the integer checks hold exactly when the rational ones
-do.  A failed check raises ``CertificateError``; the checks are plain
-code, so ``python -O`` keeps them.
+flip.  The checks run in integers over the stored rows, on the tableau's
+own integers: x as its basic values over d (``_Tableau.solution``, which
+x and the scheme read too), the prices y_i / s_i as the raw final reduced
+costs over d * L.  Each relation is multiplied through by positive factors
+(s_i * d for row i), so it keeps its direction and the integer checks hold
+exactly when the rational ones do; the dual-feasibility update touches only
+each priced row's nonzero entries.  A failed check raises
+``CertificateError``; the checks are plain code, so ``python -O`` keeps them.
 """
 
 from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from math import lcm
+from itertools import compress, count
+from math import gcd, lcm
 
 from .errors import CertificateError, InstanceFormatError, IterationCap
 from .model import Record
-from .rationals import ONE, ZERO, as_fraction
+from .rationals import ONE, ZERO, as_fraction, over_one_denominator
 
 MAX = "max"
 MIN = "min"
@@ -115,24 +120,35 @@ class LPModel:
     def objective(self) -> list[Fraction]:
         return [Fraction(c, self.cost_scale) for c in self.cost]
 
-    def _scaled(self, coeffs, rhs: Fraction) -> tuple[list[int], int, int]:
-        """``coeffs`` (dense) and ``rhs`` times their scale, and the scale."""
-        dense = [ZERO] * self.num_vars
+    def _scaled(self, coeffs, rhs, den: int) -> tuple[list[int], int, int]:
+        """``coeffs / den`` (dense) and ``rhs`` times their least scale, and the
+        scale; coefficients not all ints go over one denominator first."""
+        if type(den) is not int or den <= 0:
+            raise InstanceFormatError(f"row denominator {den!r} is not a positive integer")
+        dense = [0] * self.num_vars
         for j, v in coeffs.items() if isinstance(coeffs, dict) else enumerate(coeffs):
             if not 0 <= j < self.num_vars:
                 raise InstanceFormatError(f"variable index {j} out of range")
-            dense[j] = as_fraction(v)
-        scale = lcm(rhs.denominator, *(v.denominator for v in dense))
-        a = [v.numerator * (scale // v.denominator) for v in dense]
-        return a, rhs.numerator * (scale // rhs.denominator), scale
+            dense[j] = v
+        if not all(type(v) is int for v in dense):
+            dense, common = over_one_denominator([as_fraction(v) for v in dense])
+            den *= common
+        rhs = rhs if type(rhs) is int else as_fraction(rhs)
+        # With g = gcd(den, *dense), den / g is the least k making every k * v / den integral.
+        g = gcd(den, *dense)
+        scale = lcm(den // g, rhs.denominator)
+        k = scale * g // den
+        return [v // g * k for v in dense], rhs.numerator * (scale // rhs.denominator), scale
 
-    def set_objective(self, coeffs) -> None:
-        self.cost, _, self.cost_scale = self._scaled(coeffs, ZERO)
+    def set_objective(self, coeffs, den: int = 1) -> None:
+        """The objective ``coeffs / den``: ints over ``den``, or Fractions, ints and strings."""
+        self.cost, _, self.cost_scale = self._scaled(coeffs, 0, den)
 
-    def add_row(self, coeffs, rel: str, rhs) -> int:
+    def add_row(self, coeffs, rel: str, rhs, den: int = 1) -> int:
+        """Appends the row ``(coeffs / den) . x rel rhs``, spelled as for ``set_objective``."""
         if rel not in (LE, GE, EQ):
             raise InstanceFormatError(f"unknown relation {rel!r}")
-        a, b, scale = self._scaled(coeffs, as_fraction(rhs))
+        a, b, scale = self._scaled(coeffs, rhs, den)
         self.rows.append(LPRow(a, rel, b, scale))
         return len(self.rows) - 1
 
@@ -310,13 +326,11 @@ class _Tableau:
             p, prow = self.d, self.tab[leave]
             zrow = [(p * z - f * b) // d for z, b in zip(zrow, prow)]
 
-    def solution(self) -> list[Fraction]:
-        z = [ZERO] * self.ncols
-        d = self.d
+    def solution(self) -> list[int]:
+        """The basic solution times d: z_j is the returned integer over d."""
+        z = [0] * self.ncols
         for row, bv in zip(self.tab, self.basis):
-            v = row[-1]
-            if v:
-                z[bv] = ONE if v == d else Fraction(v, d)
+            z[bv] = row[-1]
         return z
 
 
@@ -356,20 +370,20 @@ def solve(model: LPModel, pivot_cap: int = DEFAULT_PIVOT_CAP) -> LPResult:
                             tab._pivot(i, j)
                             break
 
-    scale = model.cost_scale
     costs2 = (model.cost if maximize else [-c for c in model.cost]) + [0] * (tab.ncols - n)
     allowed = [j for j in range(tab.ncols) if j not in tab.artificial]
     status, zrow = tab._bland(tab.zrow if warm else tab._reduced_costs(costs2), allowed)
     if status != OPTIMAL:
         return LPResult(status=status, pivots=tab.pivots)
 
-    x = tab.solution()[:n]
-    value = Fraction(sum(model.cost[bv] * row[-1] for row, bv in zip(tab.tab, tab.basis) if bv < n), tab.d * scale)
+    d, den = tab.d, tab.d * model.cost_scale
+    X = tab.solution()[:n]
+    x = [ONE if v == d else Fraction(v, d) if v else ZERO for v in X]
+    value = Fraction(sum(map(operator.mul, model.cost, X)), den)
 
-    # Row prices from the final reduced costs, mapped back through the row
-    # scales and the objective's lcm to the model's row orientation and sense.
-    den = tab.d * scale
-    duals: list[Fraction] = []
+    # Row prices from the final reduced costs, over d * L, mapped to the
+    # model's row orientation and sense; the model's rows price at y_i * s_i.
+    prices: list[int] = []
     for i in range(tab.m):
         if tab.slack_col[i] is not None:
             y = -zrow[tab.slack_col[i]]
@@ -377,25 +391,23 @@ def solve(model: LPModel, pivot_cap: int = DEFAULT_PIVOT_CAP) -> LPResult:
             y = zrow[tab.surplus_col[i]]
         else:
             y = -zrow[tab.art_col[i]]
-        if tab.flips[i] == maximize:  # a flipped row negates, and so does a minimization
-            y = -y
-        duals.append(Fraction(y * tab.scale[i], den) if y else ZERO)
+        prices.append(-y if tab.flips[i] == maximize else y)  # a flipped row negates, and so does a minimization
+    duals = [Fraction(y * s, den) if y else ZERO for y, s in zip(prices, tab.scale)]
 
-    _certify(model, x, duals, value)
+    _certify(model, X, d, prices, den, value)
     tab.objective, tab.rows, tab.zrow = (model.sense, model.cost_scale, list(model.cost)), list(model.rows), zrow
     model._warm = tab
     return LPResult(status=OPTIMAL, value=value, x=x, duals=duals, pivots=tab.pivots)
 
 
-def _certify(model: LPModel, x: list[Fraction], duals: list[Fraction], value: Fraction) -> None:
+def _certify(model: LPModel, X: list[int], D: int, W: list[int], E: int, value: Fraction) -> None:
     """Exact optimality certificate: primal feasibility, dual feasibility and
     strong duality (``c.x == value == y.b``), which together imply
-    optimality by weak duality; in integers, as the module docstring says."""
+    optimality by weak duality; in integers, as the module docstring says:
+    x = X / D and row i's price over its stored row, y_i / s_i, is W_i / E."""
     sign = 1 if model.sense == MAX else -1
-    X, D = _common(x)
     if any(v < 0 for v in X):
         raise CertificateError("negative variable in certified solution")
-    W, E = _common([y / row.scale for row, y in zip(model.rows, duals)])
     reduced = [c * E for c in model.cost]  # L * E * (c_j - sum_i y_i a_ij)
     dual_value = 0  # E * y.b
     for row, w in zip(model.rows, W):
@@ -405,17 +417,12 @@ def _certify(model: LPModel, x: list[Fraction], duals: list[Fraction], value: Fr
             raise CertificateError("row price has the wrong sign")
         if w:
             dual_value += w * row.b
-            f = model.cost_scale * w
-            reduced = [r - f * a for r, a in zip(reduced, row.a)]
+            f, a = model.cost_scale * w, row.a
+            for j in compress(count(), a):
+                reduced[j] -= f * a[j]
     if any(sign * r > 0 for r in reduced):
         raise CertificateError("dual infeasibility on a column")
     if sum(map(operator.mul, model.cost, X)) * value.denominator != value.numerator * model.cost_scale * D:
         raise CertificateError("reported value is not the objective at x")
     if dual_value * value.denominator != value.numerator * E:
         raise CertificateError("strong duality failed")
-
-
-def _common(values: list[Fraction]) -> tuple[list[int], int]:
-    """Integer numerators of ``values`` over their least common denominator."""
-    den = lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den

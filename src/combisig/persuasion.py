@@ -15,8 +15,9 @@ shortest path / table scan); violated pair rows are added until none
 remain, at which point the relaxed optimum is feasible for - and therefore
 equal to - the full LP optimum.  One model is kept across the rounds: its
 objective and state rows are built once, and each round appends its new
-pair rows, so ``lp.solve`` resumes the last round's optimal tableau and
-pays only the dual simplex pivots that the new rows need.
+pair rows, all ints over one denominator from the integer view (below), so
+``lp.solve`` resumes the last round's optimal tableau and pays only the
+dual simplex pivots that the new rows need.
 
 The reduced solver recommends only best-response catalog members;
 deviations still range over every feasible action.
@@ -25,12 +26,13 @@ Every best-action question (``best_deviation``, ``tie_broken_response`` and
 the exact oracle of ``cce``) goes through ``best_action``: one greedy or
 shortest-path call for linear utilities, so a linear instance's scheme is
 audited with no action enumerated, else one scan of the feasible actions.
-It, the obedience pass and the scheme value run in integers on the integer
-view (``model``): a belief B / L over one denominator times a view row
-D * u_t gives L * D times the expected singleton values, the ``Fraction``
-weights times one positive integer.  That keeps greedy's order, ties (index
-order) and sign filter, each comparison of Dijkstra's path sums and each
-scan's argmax and ties: the same actions come back.
+It, the obedience pass and the scheme value (``certify`` builds a scheme's
+signals once for both) run in integers on the integer view (``model``): a
+belief B / L over one denominator times a view row D * u_t gives L * D
+times the expected singleton values, the ``Fraction`` weights times one
+positive integer.  That keeps greedy's order, ties (index order) and sign
+filter, each comparison of Dijkstra's path sums and each scan's argmax and
+ties: the same actions come back.
 """
 
 from __future__ import annotations
@@ -223,21 +225,22 @@ def _signals(instance: Instance, scheme: SignalingScheme) -> tuple[list, int]:
 
 
 def _violations(
-    instance: Instance, scheme: SignalingScheme, pool: list[ActionSet] | None = None
+    instance: Instance, scheme: SignalingScheme, pool: list[ActionSet] | None = None, signals=None
 ) -> list[tuple[ActionSet, ActionSet, Fraction]]:
     """(recommended, best deviation, gap) for every signal the receiver
     would rather not obey, decided in integers: signal S's ``_signals``
-    weights W are its posterior times sum(W) * den, so ``_int_value`` of
-    (receiver, W) is the expected value there times sum(W) * den * D_r.  A
-    linear receiver's best deviation is one ``matroid.max_weight_action``
-    call on those weights, ``best_deviation``'s times a positive integer; a
-    tabular one's a scan of ``pool`` (default: every feasible action,
-    enumerated here) as in ``best_action``.  Only a gap becomes a Fraction."""
+    (``signals``, if the caller built them) weights W are its posterior times
+    sum(W) * den, so ``_int_value`` of (receiver, W) is the expected value
+    there times sum(W) * den * D_r.  A linear receiver's best deviation is
+    one ``matroid.max_weight_action`` call on those weights,
+    ``best_deviation``'s times a positive integer; a tabular one's a scan of
+    ``pool`` (default: every feasible action, enumerated here) as in
+    ``best_action``.  Only a gap becomes a Fraction."""
     receiver = instance.receiver
     linear = receiver.kind is UtilityKind.LINEAR
     if not linear and pool is None:
         pool = enumerate_actions(instance.constraint, instance.num_elements)
-    signals, _ = _signals(instance, scheme)
+    signals, _ = signals or _signals(instance, scheme)
     sign = 1 if instance.sense is Sense.MAX else -1
     out = []
     for S, W in signals:
@@ -255,11 +258,13 @@ def _violations(
 
 
 def _scheme_model(instance: Instance, columns: list[tuple[int, ActionSet]]) -> lp.LPModel:
-    """``scheme_lp``'s model before any obedience row: objective, state rows."""
+    """``scheme_lp``'s model before any obedience row: objective, state rows.
+    The objective mu_t * s_t(S) comes from the integer view, over one denominator."""
+    (masses, mass_den), sender = instance.masses, instance.sender
     model = lp.LPModel(len(columns), sense=lp.MAX if instance.sense is Sense.MAX else lp.MIN)
-    model.set_objective([instance.prior[t] * instance.sender.value(t, S) for t, S in columns])
+    model.set_objective([masses[t] * sender.int_value(t, S) for t, S in columns], mass_den * sender.ints[1])
     for state in range(instance.num_states):
-        model.add_row({j: ONE for j, (t, _) in enumerate(columns) if t == state}, lp.EQ, ONE)
+        model.add_row({j: 1 for j, (t, _) in enumerate(columns) if t == state}, lp.EQ, 1)
     return model
 
 
@@ -267,14 +272,15 @@ def scheme_lp(
     instance: Instance, columns: list[tuple[int, ActionSet]], obedience_rows: list, model: lp.LPModel | None = None
 ) -> tuple[SignalingScheme, lp.LPResult]:
     """The sender's LP over the (state, action) ``columns``: rows 0 .. D - 1
-    are the state masses, then each of ``obedience_rows``, a pair (list or
-    dict of column coefficients, rhs), reads ``>=`` (min sense: ``<=``).
+    are the state masses, then each of ``obedience_rows``, a triple (list or
+    dict of integer column coefficients, rhs, their positive denominator),
+    reads ``>=`` (min sense: ``<=``).
     ``model``, this LP over the same columns from ``_scheme_model`` or an
     earlier call, keeps its rows and gets only ``obedience_rows`` appended.
     Returns the scheme and the certified solve, or raises CertificateError."""
     model = model or _scheme_model(instance, columns)
-    for coeffs, rhs in obedience_rows:
-        model.add_row(coeffs, lp.GE if instance.sense is Sense.MAX else lp.LE, rhs)
+    for coeffs, rhs, den in obedience_rows:
+        model.add_row(coeffs, lp.GE if instance.sense is Sense.MAX else lp.LE, rhs, den)
     result = lp.solve(model)
     if result.status != lp.OPTIMAL:
         raise CertificateError(f"scheme LP is bounded and feasible, yet ended {result.status}")
@@ -293,7 +299,8 @@ def _solve_scheme_lp(
     ``stats`` are more counters for ``lp_stats``."""
     columns = [(t, S) for t in range(instance.num_states) for S in actions]
     index = {col: j for j, col in enumerate(columns)}
-    r_value = instance.receiver.value
+    masses, mass_den = instance.masses
+    r_value, pair_den = instance.receiver.int_value, mass_den * instance.receiver.ints[1]
     model = _scheme_model(instance, columns)
     rows: list = []
     added: set[tuple[ActionSet, ActionSet]] = set()
@@ -315,10 +322,10 @@ def _solve_scheme_lp(
         for S, alt in new_pairs:
             added.add((S, alt))
             coeffs = {
-                index[(t, S)]: instance.prior[t] * (r_value(t, S) - r_value(t, alt))
+                index[(t, S)]: masses[t] * (r_value(t, S) - r_value(t, alt))
                 for t in range(instance.num_states)
             }
-            rows.append((coeffs, ZERO))
+            rows.append((coeffs, 0, pair_den))
 
     return SolveResult(
         scheme=scheme,
@@ -410,21 +417,23 @@ def certify(
         _check_scheme(instance, scheme)
     except InstanceFormatError as exc:
         raise CertificateError(f"solver emitted an invalid scheme: {exc}") from exc
-    worth = _scheme_value(instance, scheme, instance.sender)
+    signals = _signals(instance, scheme)
+    worth = _scheme_value(instance, scheme, instance.sender, signals)
     if worth != value:
         raise CertificateError(f"scheme is worth {worth} to the sender, not the {value} reported")
     if notion == PERSUASIVE:
-        if violations := _violations(instance, scheme, pool):
+        if violations := _violations(instance, scheme, pool, signals):
             raise _Disobeyed(violations)
     else:
         prior_best, _ = best_deviation(instance, Posterior(xi=instance.prior), pool)
-        follow = _scheme_value(instance, scheme, instance.receiver)
+        follow = _scheme_value(instance, scheme, instance.receiver, signals)
         if (follow < prior_best) if instance.sense is Sense.MAX else (follow > prior_best):
             raise CertificateError(f"following is worth {follow} to the receiver, its prior best {prior_best}")
 
 
-def _scheme_value(instance: Instance, scheme: SignalingScheme, utility) -> Fraction:
-    signals, den = _signals(instance, scheme)
+def _scheme_value(instance: Instance, scheme: SignalingScheme, utility, signals=None) -> Fraction:
+    """The scheme's expected value of ``utility``; ``signals`` as for ``_violations``."""
+    signals, den = signals or _signals(instance, scheme)
     return Fraction(sum(_int_value(utility, W, S) for S, W in signals), den * utility.ints[1])
 
 

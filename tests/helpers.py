@@ -981,19 +981,45 @@ def fraction_scheme_value(instance: Instance, scheme: SignalingScheme, utility: 
     return sum((instance.prior[t] * p * fraction_value(utility, t, S) for (t, S), p in scheme.phi.items()), ZERO)
 
 
-def fraction_solve_full(instance: Instance) -> tuple[Fraction, SignalingScheme, dict]:
-    """``persuasion.solve_full``'s lazy-row loop written with ``Fraction``
-    values throughout: the objective mu_t * s_t(S), the state rows, and per
-    round the pair rows mu_t * (r_t(S) - r_t(alt)) of ``fraction_violations``
-    not yet in the one kept model.  Returns (value, scheme, lp_stats)."""
-    actions = enumerate_actions(instance.constraint, instance.num_elements)
-    columns = [(t, S) for t in range(instance.num_states) for S in actions]
-    index = {col: j for j, col in enumerate(columns)}
-    maximize = instance.sense is Sense.MAX
-    model = lp.LPModel(len(columns), sense=lp.MAX if maximize else lp.MIN)
+def fraction_scheme_model(instance: Instance, columns: list) -> lp.LPModel:
+    """``persuasion._scheme_model`` from ``Fraction`` values: the objective
+    mu_t * s_t(S) and the state rows, every coefficient a ``Fraction``."""
+    model = lp.LPModel(len(columns), sense=lp.MAX if instance.sense is Sense.MAX else lp.MIN)
     model.set_objective([instance.prior[t] * fraction_value(instance.sender, t, S) for t, S in columns])
     for state in range(instance.num_states):
         model.add_row({j: F(1) for j, (t, _) in enumerate(columns) if t == state}, lp.EQ, F(1))
+    return model
+
+
+def fraction_relaxed_lp(instance: Instance, columns: list, obedience_rows: list):
+    """``persuasion.scheme_lp`` as cce calls it, with its one aggregate
+    obedience row, built from ``Fraction`` values: ``fraction_scheme_model``
+    and the row sum of mu_t * r_t(S) over the columns, at least (min sense:
+    at most) C, the right-hand side cce passed."""
+    ((_, C, _),) = obedience_rows
+    model = fraction_scheme_model(instance, columns)
+    coeffs = [instance.prior[t] * fraction_value(instance.receiver, t, S) for t, S in columns]
+    model.add_row(coeffs, lp.GE if instance.sense is Sense.MAX else lp.LE, C)
+    result = lp.solve(model)
+    assert result.status == lp.OPTIMAL
+    phi = {col: v for col, v in zip(columns, result.x) if v != 0}
+    return SignalingScheme.from_phi(instance.num_states, phi), result
+
+
+def fraction_solve_full(instance: Instance, actions: list | None = None) -> tuple[Fraction, SignalingScheme, dict]:
+    """``persuasion.solve_full``'s lazy-row loop written with ``Fraction``
+    values throughout: ``fraction_scheme_model``, and per round the pair
+    rows mu_t * (r_t(S) - r_t(alt)) of ``fraction_violations`` not yet in
+    the one kept model.  ``actions`` (default: every feasible action) are
+    the recommendations, as ``solve_reduced`` passes its catalog; a tabular
+    receiver's deviations scan every feasible action.  Returns (value,
+    scheme, lp_stats)."""
+    pool = enumerate_actions(instance.constraint, instance.num_elements)
+    actions = pool if actions is None else actions
+    columns = [(t, S) for t in range(instance.num_states) for S in actions]
+    index = {col: j for j, col in enumerate(columns)}
+    maximize = instance.sense is Sense.MAX
+    model = fraction_scheme_model(instance, columns)
     added: set = set()
     pivots = rounds = 0
     while True:
@@ -1004,7 +1030,7 @@ def fraction_solve_full(instance: Instance) -> tuple[Fraction, SignalingScheme, 
         phi = {col: v for col, v in zip(columns, result.x) if v != 0}
         scheme = SignalingScheme.from_phi(instance.num_states, phi)
         assert fraction_scheme_value(instance, scheme, instance.sender) == result.value
-        new = [(S, alt) for S, alt, _ in fraction_violations(instance, scheme, actions) if (S, alt) not in added]
+        new = [(S, alt) for S, alt, _ in fraction_violations(instance, scheme, pool) if (S, alt) not in added]
         if not new:
             break
         for S, alt in new:

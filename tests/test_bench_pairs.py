@@ -19,9 +19,12 @@ def end_to_end(bounds: dict = BOUNDS) -> list[dict]:
     return [{"name": name, "better": BETTER[name], "bound": bounds[name]} for name in BETTER]
 
 
-def run(ops: float, p50: float) -> dict:
+def run(ops: float, p50: float, src_lines: int = 4384) -> dict:
     metrics = {"ops_per_s": (ops, "1/s"), "latency_s.p50": (p50, "s"), "lp.pivots": (7, "count")}
-    return {"result": {"metrics": {k: {"value": v, "unit": u} for k, (v, u) in metrics.items()}}}
+    return {
+        "meta": {"src_lines": src_lines},
+        "result": {"metrics": {k: {"value": v, "unit": u} for k, (v, u) in metrics.items()}},
+    }
 
 
 def pairs_of(ref: list[tuple], change: list[tuple]) -> list[dict]:
@@ -133,10 +136,11 @@ def test_verdict_lines_flag_metrics_beyond_their_bound_and_incorrect_runs():
 
 def test_main_prints_the_verdict_after_writing_the_file(monkeypatch, tmp_path, capsys):
     """Every end-to-end metric of ``BENCHMARK.json`` gets its line on stderr,
-    once the BENCH file is written."""
+    once the BENCH file is written; the rss and line-count lines follow."""
     spec = {"end_to_end": end_to_end()}
     (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
-    runs = iter([run(10, 0.5), run(15, 0.4), run(16, 0.4), run(10, 0.5)])
+    # pair 0 runs the ref first, pair 1 the change
+    runs = iter([run(10, 0.5), run(15, 0.4, 4370), run(16, 0.4, 4370), run(10, 0.5)])
     monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
     monkeypatch.setattr(bench_pairs, "extract", lambda ref, into: "0" * 40)
     monkeypatch.setattr(bench_pairs, "export_worktree", lambda into: None)
@@ -147,10 +151,11 @@ def test_main_prints_the_verdict_after_writing_the_file(monkeypatch, tmp_path, c
     written = tmp_path / "BENCH_catalog_t.json"
     assert out.strip() == str(written)
     assert json.loads(written.read_text())["wins"] == {"ops_per_s": 2, "latency_s.p50": 2}
-    assert err.splitlines()[-3:] == [
+    assert err.splitlines()[-4:] == [
         "ops_per_s: change/ref 1.550, won 2/2, worse_by -0.550 (bound 0.25)",
         "latency_s.p50: change/ref 0.800, won 2/2, worse_by -0.200 (bound 0.1)",
         "rss per extra op: n/a (no attempted or peak_rss_mb)",
+        "src_lines: ref 4384, change 4370 (-14)",
     ]
 
 
@@ -172,3 +177,15 @@ def test_rss_per_extra_op_divides_the_median_gaps():
     assert bench_pairs.rss_per_op_line(level) == (
         "rss per extra op: attempted +0, peak_rss_mb +1.000, n/a KiB per extra op"
     )
+
+
+def test_src_lines_line_reads_each_runs_metadata():
+    """One count per side and the change's gap; runs that disagree show
+    every count, and runs without the field show n/a."""
+    pairs = pairs_of([(10, 0.5)] * 2, [(11, 0.5)] * 2)
+    assert bench_pairs.src_lines_line(pairs) == "src_lines: ref 4384, change 4384 (+0)"
+    pairs[1]["change"]["meta"]["src_lines"] = 4400
+    assert bench_pairs.src_lines_line(pairs) == "src_lines: ref 4384, change 4384/4400"
+    for pair in pairs:
+        del pair["ref"]["meta"]
+    assert bench_pairs.src_lines_line(pairs) == "src_lines: ref n/a, change 4384/4400"

@@ -1,8 +1,9 @@
 """The integer view of an instance (``UtilitySpec.ints``, ``Instance.masses``)
 and the hot paths that read it, against the ``Fraction`` references in
 ``helpers``: obedience passes with their gaps, best actions, tie-broken
-responses, scheme values and whole ``solve_full`` / ``solve_cce_exact``
-runs, on derandomized corpora with mixed denominators and ties (utilities
+responses, scheme values and whole ``solve_full`` / ``solve_reduced`` /
+``solve_cce_exact`` runs against LPs built from ``Fraction`` values, on
+derandomized corpora with mixed denominators and ties (utilities
 from 0), over uniform, partition, graphic and oracle matroids and layered
 and grid paths."""
 
@@ -14,6 +15,7 @@ from math import lcm
 import pytest
 
 from combisig import cce, jsonio, persuasion
+from combisig.best_response import enumerate_best_responses
 from combisig.errors import InstanceFormatError
 from combisig.model import TABULAR_MAX_ELEMENTS, Posterior, Sense, SignalingScheme
 from helpers import (
@@ -21,6 +23,7 @@ from helpers import (
     as_tables,
     fraction_best_action,
     fraction_exact_view,
+    fraction_relaxed_lp,
     fraction_scheme_value,
     fraction_solve_full,
     fraction_tie_broken_response,
@@ -31,7 +34,8 @@ from helpers import (
 )
 
 F = Fraction
-KINDS = ["uniform", "partition", "graphic", "oracle", "layered", "grid"]
+MATROIDS = ["uniform", "partition", "graphic", "oracle"]
+KINDS = MATROIDS + ["layered", "grid"]
 
 
 def _corpus(kind: str, count: int):
@@ -136,15 +140,31 @@ def test_integer_passes_match_the_fraction_references(kind):
         assert (result.sender_value, result.scheme, result.lp_stats) == fraction_solve_full(inst)
 
 
+@pytest.mark.parametrize("kind", MATROIDS)
+def test_reduced_solves_match_the_fraction_lp(kind):
+    """``solve_reduced``, whose objective and pair rows come from the
+    integer view, against the ``Fraction`` lazy-row loop over the same
+    recommendations: the same value, scheme and counters."""
+    for _, inst in _corpus(kind, 10):
+        got = persuasion.solve_reduced(inst)
+        catalog = enumerate_best_responses(inst)
+        actions = sorted({*catalog.actions, persuasion.tie_broken_response(inst, Posterior(inst.prior))})
+        value, scheme, stats = fraction_solve_full(inst, actions)
+        stats["perturbed"] = catalog.perturbed
+        assert (got.sender_value, got.scheme, got.lp_stats) == (value, scheme, stats)
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_relaxed_solves_match_the_fraction_oracle(kind, monkeypatch):
     """``solve_cce_exact`` against a view whose oracle and prior best are
-    the ``Fraction`` best action, with the references in ``certify``: the
-    same value, scheme and counters."""
+    the ``Fraction`` best action, with the references in ``certify`` and
+    each round's LP built from ``Fraction`` values: the same value, scheme
+    and counters."""
     for _, inst in _corpus(kind, 10):
         got = cce.solve_cce_exact(cce.make_view(inst))
         with monkeypatch.context() as patch:
             patch.setattr(persuasion, "best_action", fraction_best_action)
-            patch.setattr(persuasion, "_scheme_value", fraction_scheme_value)
+            patch.setattr(persuasion, "_scheme_value", lambda *args: fraction_scheme_value(*args[:3]))
+            patch.setattr(cce, "scheme_lp", fraction_relaxed_lp)
             want = cce.solve_cce_exact(fraction_exact_view(inst))
         assert (got.sender_value, got.scheme, got.lp_stats) == (want.sender_value, want.scheme, want.lp_stats)

@@ -20,7 +20,8 @@ from pathlib import Path
 import pytest
 
 from combisig import jsonio, lp, persuasion
-from combisig.errors import CertificateError, IterationCap
+from combisig.errors import CertificateError, InstanceFormatError, IterationCap
+from combisig.rationals import over_one_denominator
 from helpers import fraction_simplex
 
 F = Fraction
@@ -317,7 +318,7 @@ def test_warm_solves_after_appended_rows_match_cold_solves(monkeypatch):
                 assert warm.status == lp.INFEASIBLE
                 seen["warm infeasible"] += 1
                 break
-            lp._certify(model, warm.x, warm.duals, warm.value)
+            _certify(model, warm.x, warm.duals, warm.value)
             seen[model.sense] += 1
     assert min(seen.values()) >= 20, seen
 
@@ -413,6 +414,26 @@ def test_stored_rows_are_the_least_integer_multiple_of_the_fraction_rows():
         again = lp.LPModel(n)
         again.add_row(row.coeffs, row.rel, row.rhs)
         assert again.rows[0] == row
+        # The same row as ints over one denominator, times a random common
+        # factor: the same stored row and objective.
+        nums, den = over_one_denominator(dense)
+        k = rng.choice(DENOMINATORS[:7])
+        nums, den = [k * v for v in nums], k * den
+        ints = {j: v for j, v in enumerate(nums) if v} if rng.random() < 0.5 else nums
+        twin = lp.LPModel(n, sense=model.sense)
+        twin.set_objective(ints, den)
+        twin.add_row(ints, row.rel, rhs, den)
+        assert twin.rows[0] == row and (twin.cost, twin.cost_scale) == (model.cost, model.cost_scale)
+    for den in (0, -3, F(2), 2.0, True):
+        with pytest.raises(InstanceFormatError, match="denominator"):
+            lp.LPModel(1).add_row([1], lp.LE, 1, den)
+
+
+def _certify(model, x, duals, value):
+    """``lp._certify`` on ``Fraction`` x and duals: x over its one
+    denominator, and each row's price over its stored row over theirs."""
+    prices = [y / row.scale for row, y in zip(model.rows, duals)]
+    lp._certify(model, *over_one_denominator(x), *over_one_denominator(prices), value)
 
 
 def _forgery_model(sense):
@@ -434,11 +455,11 @@ def test_certificate_refuses_each_forgery(sense):
     res, want = lp.solve(model), fraction_simplex(model)
     assert res.status == lp.OPTIMAL and (res.value, res.x, res.duals) == (want.value, want.x, want.duals)
     assert len({v.denominator for v in res.x + res.duals}) > 1
-    lp._certify(model, res.x, res.duals, res.value)  # the genuine one holds
+    _certify(model, res.x, res.duals, res.value)  # the genuine one holds
 
     def refused(x, duals, value, message):
         with pytest.raises(CertificateError, match=message):
-            lp._certify(model, x, duals, value)
+            _certify(model, x, duals, value)
 
     sign = 1 if sense == lp.MAX else -1
     refused([F(-1, 3)] + res.x[1:], res.duals, res.value, "negative variable")

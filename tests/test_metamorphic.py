@@ -7,6 +7,14 @@
 * Permuting the states together with the prior, or relabelling the
   elements together with the constraint, renames the problem, so the
   value stays.
+* Splitting a state into two copies with half its prior each changes no
+  posterior a signal can induce, so the value stays.  The masses' common
+  denominator changes with it, so the LP rows built from the integer view
+  see other integers.
+* Adding an element worth 0 to both players, independent wherever the
+  matroid allows (a new edge of the graph, a member of a partition block),
+  gives every action a twin worth the same to both, so the value stays.
+  Paths are skipped.
 
 Derandomized: fixed seeds, fractional c, mixed denominators."""
 
@@ -63,6 +71,48 @@ def _relabel_elements(inst: Instance, sigma: list[int]) -> Instance:
     )
 
 
+def _split_state(inst: Instance, state: int) -> Instance:
+    """``state`` and a new last state, a copy of it, share its prior."""
+    half = inst.prior[state] / 2
+
+    def rows(util):
+        return UtilitySpec.from_linear([*util.linear, util.linear[state]])
+
+    return replace_fields(
+        inst,
+        state_names=(*inst.state_names, inst.state_names[state] + "'"),
+        prior=tuple(half if t == state else p for t, p in enumerate(inst.prior)) + (half,),
+        sender=rows(inst.sender),
+        receiver=rows(inst.receiver),
+    )
+
+
+def _zero_element(inst: Instance, rng: random.Random) -> Instance:
+    """A new last element, worth 0 to both players in every state: a new
+    edge between two vertices of a graph, a new member of a partition
+    block, one more element under a uniform matroid."""
+    n = inst.num_elements
+
+    def rows(util):
+        return UtilitySpec.from_linear([[*row, 0] for row in util.linear])
+
+    constraint = inst.constraint
+    if isinstance(constraint, Partition):
+        b = rng.randrange(len(constraint.blocks))
+        blocks = tuple((*block, n) if k == b else block for k, block in enumerate(constraint.blocks))
+        constraint = Partition(blocks, constraint.caps)
+    elif isinstance(constraint, Graphic):
+        edge = tuple(rng.sample(range(constraint.num_vertices), 2))
+        constraint = replace_fields(constraint, edges=(*constraint.edges, edge))
+    return replace_fields(
+        inst,
+        element_names=(*inst.element_names, "zero"),
+        sender=rows(inst.sender),
+        receiver=rows(inst.receiver),
+        constraint=constraint,
+    )
+
+
 def _outcomes(inst: Instance, clean: bool) -> dict:
     """(value, scheme) per engine that takes the instance."""
     results = {"full": persuasion.solve_full(inst), "cce": cce.solve_cce_exact(cce.make_view(inst))}
@@ -111,3 +161,20 @@ def test_engines_obey_scaling_and_renaming(case):
 
     sigma = rng.sample(range(inst.num_elements), inst.num_elements)
     assert _values(_outcomes(_relabel_elements(inst, sigma), clean)) == _values(base)
+
+
+@pytest.mark.parametrize("case", range(len(CORPUS)))
+def test_engines_obey_state_splits_and_zero_elements(case):
+    inst, clean = CORPUS[case]
+    rng = random.Random(f"metamorphic-split/{case}")
+    base = _values(_outcomes(inst, clean))
+
+    # Split a state whose halved prior changes the masses' denominator.
+    splits = [_split_state(inst, t) for t in range(inst.num_states)]
+    split = rng.choice([s for s in splits if s.masses[1] != inst.masses[1]])
+    assert _values(_outcomes(split, clean)) == base
+
+    if isinstance(inst.constraint, PathGraph):
+        return
+    sigma = rng.sample(range(inst.num_elements + 1), inst.num_elements + 1)
+    assert _values(_outcomes(_relabel_elements(_zero_element(inst, rng), sigma), clean)) == base

@@ -240,13 +240,14 @@ def test_linear_instances_never_enumerate_actions(monkeypatch):
 def test_lazy_rows_stop_on_the_certify_verdict(monkeypatch):
     """Each round's scheme gets one obedience pass, ``certify``'s: its
     verdict names the new pair rows, and the last one, on the returned
-    scheme, ends the loop; no pass repeats it."""
-    passes, certified = [], []
-    genuine_pass, genuine_certify = persuasion._violations, persuasion.certify
+    scheme, ends the loop; no pass repeats it.  ``certify`` builds each
+    round's signals once, for the scheme value and the pass."""
+    passes, certified, built = [], [], []
+    genuine_pass, genuine_certify, genuine_signals = persuasion._violations, persuasion.certify, persuasion._signals
 
-    def pass_spy(instance, scheme, pool=None):
+    def pass_spy(instance, scheme, pool=None, signals=None):
         passes.append(scheme)
-        return genuine_pass(instance, scheme, pool)
+        return genuine_pass(instance, scheme, pool, signals)
 
     def certify_spy(instance, scheme, value, notion, pool=None):
         certified.append(scheme)
@@ -254,14 +255,17 @@ def test_lazy_rows_stop_on_the_certify_verdict(monkeypatch):
 
     monkeypatch.setattr(persuasion, "_violations", pass_spy)
     monkeypatch.setattr(persuasion, "certify", certify_spy)
+    monkeypatch.setattr(persuasion, "_signals", lambda *args: built.append(args[1]) or genuine_signals(*args))
     for name in ("two_state_toy", "weather_pair", "route_min"):
         inst = jsonio.instance_from_json(jsonio.load_json(f"instances/{name}.json"))
         for solve in (persuasion.solve_full, lambda i: persuasion.solve_full(as_tables(i))):
             passes.clear()
             certified.clear()
+            built.clear()
             result = solve(inst)
             rounds = result.lp_stats["cut_rounds"]
-            assert rounds >= 2 and len(passes) == len(certified) == rounds, name
+            assert rounds >= 2 and len(passes) == len(certified) == len(built) == rounds, name
+            assert all(a is b for a, b in zip(built, certified)), name
             assert all(a is b for a, b in zip(passes, certified)) and passes[-1] is result.scheme, name
 
 
@@ -272,13 +276,13 @@ def test_lazy_rows_keep_one_model_across_rounds(monkeypatch):
     objectives, rows, models, pivots = [], [], [], []
     genuine_objective, genuine_row, genuine_solve = lp.LPModel.set_objective, lp.LPModel.add_row, lp.solve
 
-    def objective_spy(self, coeffs):
+    def objective_spy(self, *args):
         objectives.append(self)
-        genuine_objective(self, coeffs)
+        genuine_objective(self, *args)
 
-    def row_spy(self, coeffs, rel, rhs):
+    def row_spy(self, *args):
         rows.append(self)
-        return genuine_row(self, coeffs, rel, rhs)
+        return genuine_row(self, *args)
 
     def solve_spy(model, *args):
         models.append(model)
