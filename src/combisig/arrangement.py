@@ -240,10 +240,10 @@ def _strict_point(cutting, context, signs) -> tuple[Fraction, ...] | None:
     funcs.extend(context)
     m = len(funcs)
     model = lp.LPModel(m + 1, sense=lp.MIN)
-    model.set_objective([Fraction(b) for _, b in funcs] + [ONE])
+    model.set_objective([b for _, b in funcs] + [1])
     for j in range(dim):
-        model.add_row({h: Fraction(-funcs[h][0][j]) for h in range(m)}, lp.EQ, 0)
-    model.add_row([ONE] * (m + 1), lp.EQ, 1)
+        model.add_row({h: -funcs[h][0][j] for h in range(m)}, lp.EQ, 0)
+    model.add_row([1] * (m + 1), lp.EQ, 1)
     res = lp.solve(model)
     if res.status != lp.OPTIMAL:
         raise CertificateError(f"strict-feasibility LP is bounded and feasible, yet ended {res.status}")
@@ -258,9 +258,9 @@ def _strict_point(cutting, context, signs) -> tuple[Fraction, ...] | None:
 def _weak_point(rows, dim: int) -> tuple[Fraction, ...] | None:
     """Point of the closed simplex with sign * f >= 0 for every (f, sign) row."""
     model = lp.LPModel(dim)
-    model.add_row([ONE] * dim, lp.LE, ONE)
+    model.add_row([1] * dim, lp.LE, 1)
     for (a, b), s in rows:
-        model.add_row([Fraction(s * v) for v in a], lp.GE, Fraction(-s * b))
+        model.add_row([s * v for v in a], lp.GE, -s * b)
     res = lp.solve(model)
     if res.status != lp.OPTIMAL:
         return None

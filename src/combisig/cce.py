@@ -26,14 +26,15 @@ Two solver paths:
 
 Both price columns with ``separation`` on a point of integers over one
 denominator, comparing each row times a positive scale, so every verdict
-is the rational one.
+is the rational one.  Tabular utilities are scanned over
+``persuasion.feasible_actions``, enumerated once per instance.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import floor, gcd, isqrt, lcm
+from math import floor, gcd, isqrt
 from typing import Callable
 
 from . import matroid
@@ -59,10 +60,9 @@ from .model import (
 from .persuasion import (
     RELAXED,
     SolveResult,
-    best_action,
     best_deviation,
     certify,
-    enumerate_actions,
+    feasible_actions,
     scheme_lp,
     uninformative_scheme,
 )
@@ -89,11 +89,10 @@ class ApproxOracle(Record):
 
 
 class CCEInstanceView(Record):
-    """``pool`` is every feasible action when ``make_view`` enumerated them
-    (to audit the oracle, or for the exact oracle on tabular utilities),
-    else None; the oracle, the prior best and ``certify`` share it."""
+    """An instance with its oracle, the receiver's prior-best value C and
+    action, the search tolerance and whether each oracle answer is audited."""
 
-    __slots__ = ("instance", "oracle", "C", "prior_best", "epsilon", "audit", "pool")
+    __slots__ = ("instance", "oracle", "C", "prior_best", "epsilon", "audit")
 
     def __init__(
         self,
@@ -103,7 +102,6 @@ class CCEInstanceView(Record):
         prior_best: ActionSet,
         epsilon: Fraction,
         audit: bool = False,
-        pool: tuple[ActionSet, ...] | None = None,
     ):
         object.__setattr__(self, "instance", instance)
         object.__setattr__(self, "oracle", oracle)
@@ -111,13 +109,11 @@ class CCEInstanceView(Record):
         object.__setattr__(self, "prior_best", prior_best)
         object.__setattr__(self, "epsilon", epsilon)
         object.__setattr__(self, "audit", audit)
-        object.__setattr__(self, "pool", pool)
 
 
-def prior_best_value(instance: Instance, pool: list[ActionSet] | None = None) -> tuple[Fraction, ActionSet]:
-    """Receiver's best expected value (and action) under the prior alone;
-    a tabular receiver's is scanned from ``pool`` (default: enumerated)."""
-    return best_deviation(instance, Posterior(xi=instance.prior), pool)
+def prior_best_value(instance: Instance) -> tuple[Fraction, ActionSet]:
+    """Receiver's best expected value (and action) under the prior alone."""
+    return best_deviation(instance, Posterior(xi=instance.prior))
 
 
 def _action_value_bounds(util, n: int) -> tuple[Fraction, Fraction | None]:
@@ -134,7 +130,7 @@ def _action_value_bounds(util, n: int) -> tuple[Fraction, Fraction | None]:
     return Fraction(max(values) * (n if linear else 1), den), Fraction(min(positive), den) if positive else None
 
 
-def compute_v_bounds(instance: Instance, pool: list[ActionSet] | None = None) -> tuple[Fraction, Fraction]:
+def compute_v_bounds(instance: Instance) -> tuple[Fraction, Fraction]:
     """Strict bracket (v_min, v_max) around any positive optimum.
 
     v_max strictly exceeds the best possible sender value (subadditivity of
@@ -145,7 +141,7 @@ def compute_v_bounds(instance: Instance, pool: list[ActionSet] | None = None) ->
     ratios whose numerator lies on the lattice generated by the prior
     masses (after clearing receiver denominators) and whose denominator is
     at most |E| times the largest receiver singleton, all read off the
-    integer views.  ``pool`` goes to ``prior_best_value``.
+    integer views.
     """
     n = instance.num_elements
     s_bound, s_min = _action_value_bounds(instance.sender, n)
@@ -160,7 +156,7 @@ def compute_v_bounds(instance: Instance, pool: list[ActionSet] | None = None) ->
         scale = instance.receiver.ints[1]
         masses, mass_den = instance.masses
         g = Fraction(gcd(*masses), mass_den)
-        C, _ = prior_best_value(instance, pool)
+        C, _ = prior_best_value(instance)
         c_scaled = C * scale
         rem = c_scaled - g * floor(c_scaled / g)
         precision = g if rem == 0 else min(rem, g - rem)
@@ -172,30 +168,29 @@ def compute_v_bounds(instance: Instance, pool: list[ActionSet] | None = None) ->
     return v_min, v_max
 
 
-def exact_oracle(instance: Instance, pool: list[ActionSet] | None = None) -> ApproxOracle:
-    """Exact oracle: ``persuasion.best_action`` at state t's point belief
-    with a = y and b = 1.  Tabular utilities: each call scans ``pool``,
-    every feasible action (enumerated here, once, if not given), ties going
-    to the lexicographically least.  Linear utilities: one greedy or Dijkstra call
-    on best_action's weights y * r_e + s_e times the positive integer
-    y.denominator * D_r * D_s, read off the integer views (denominators D_r
-    and D_s), which keeps greedy's order and Dijkstra's comparisons, so the
-    answer.  A matroid's independence oracle is built once, here, for every
-    call."""
-    D = instance.num_states
-    if UtilityKind.TABULAR in (instance.sender.kind, instance.receiver.kind):
-        if pool is None:
-            pool = enumerate_actions(instance.constraint, instance.num_elements)
-        points = [Posterior(tuple(ONE if s == t else ZERO for s in range(D))) for t in range(D)]
-        return ApproxOracle("exact", ONE, lambda state, y: best_action(instance, points[state], y, ONE, pool))
-
-    independence = None
-    if isinstance(instance.constraint, MATROID_KINDS):
-        independence = matroid.oracle_for(instance.constraint, instance.num_elements)
+def exact_oracle(instance: Instance) -> ApproxOracle:
+    """Exact oracle: an action maximizing (min sense: minimizing)
+    s_t(S) + y * r_t(S), in integers on the integer views (denominators D_r
+    and D_s) as ``a * r_t(S) + b * s_t(S)``, a = y.numerator * D_s and
+    b = y.denominator * D_r: its times y.denominator * D_r * D_s > 0.
+    Tabular utilities: each call scans ``feasible_actions`` on that key, ties
+    going to the lexicographically least, at y = 0 too.  Linear utilities:
+    one greedy or Dijkstra call on the element weights a * r_e + b * s_e,
+    which keeps greedy's order and Dijkstra's comparisons, so the answer,
+    with a matroid's independence oracle built once, here, for every call."""
     (receiver, r_den), (sender, s_den) = instance.receiver.ints, instance.sender.ints
+    r_value, s_value = instance.receiver.int_value, instance.sender.int_value
+    sign = -1 if instance.sense is Sense.MAX else 1
+    tabular = UtilityKind.TABULAR in (instance.sender.kind, instance.receiver.kind)
+    actions = feasible_actions(instance) if tabular else None
+    independence = None
+    if not tabular and isinstance(instance.constraint, MATROID_KINDS):
+        independence = matroid.oracle_for(instance.constraint, instance.num_elements)
 
     def fn(state: int, y: Fraction) -> ActionSet:
         a, b = y.numerator * s_den, y.denominator * r_den
+        if tabular:
+            return min(actions, key=lambda S: (sign * (a * r_value(state, S) + b * s_value(state, S)), S))
         weights = [a * r + b * s for r, s in zip(receiver[state], sender[state])]
         return matroid.max_weight_action(instance.constraint, weights, instance.sense, independence)
 
@@ -255,14 +250,13 @@ def make_view(
     max_actions: int | None = None,
 ) -> CCEInstanceView:
     """Bundle an instance with its oracle, the receiver's prior-best action
-    and value, and the search tolerance.  Every feasible action is
-    enumerated at most once, here."""
-    pool = None
+    and value, and the search tolerance.  Past ``max_actions`` it refuses the
+    audit, and the exact oracle on tabular utilities: both scan every action."""
     if audit or (oracle == "exact" and UtilityKind.TABULAR in (instance.sender.kind, instance.receiver.kind)):
-        pool = tuple(enumerate_actions(instance.constraint, instance.num_elements, max_actions))
+        feasible_actions(instance, max_actions)
     if isinstance(oracle, str):
         if oracle == "exact":
-            oracle = exact_oracle(instance, pool)
+            oracle = exact_oracle(instance)
         elif oracle == "half-greedy":
             oracle = half_greedy_submodular_oracle(instance)
         else:
@@ -270,7 +264,7 @@ def make_view(
     epsilon = as_fraction(epsilon)
     if not 0 < epsilon < oracle.alpha:
         raise ParameterError("epsilon must lie strictly between 0 and the oracle's alpha")
-    C, S_C = prior_best_value(instance, pool)
+    C, S_C = prior_best_value(instance)
     return CCEInstanceView(
         instance=instance,
         oracle=oracle,
@@ -278,7 +272,6 @@ def make_view(
         prior_best=S_C,
         epsilon=epsilon,
         audit=audit,
-        pool=pool,
     )
 
 
@@ -288,7 +281,7 @@ def _audit_oracle(view: CCEInstanceView, state: int, y: Fraction, got: ActionSet
     checks plain optimality."""
     inst = view.instance
     achieved = inst.sender.value(state, got) + y * inst.receiver.value(state, got)
-    for S in view.pool:
+    for S in feasible_actions(inst):
         other = inst.sender.value(state, S) + y * inst.receiver.value(state, S)
         if inst.sense is Sense.MAX:
             bar = view.oracle.alpha * inst.sender.value(state, S) + y * inst.receiver.value(state, S)
@@ -308,18 +301,20 @@ def separation(view: CCEInstanceView, X, Y: int, den: int, memo: dict | None = N
     The point is integers over one denominator: x_t = X[t] / den and
     y = Y / den, den > 0.  Row (t, S) of the dual reads
     ``x_t >= mu_t * (s_t(S) + y * r_t(S))`` (``<=`` for minimize); for the
-    primal it is the reduced-cost test of column (t, S).  With
-    mu_t * s_t(S) = a / K and mu_t * r_t(S) = b / K over K > 0, the lcm of
-    their denominators (memoized in ``memo``, one dict per solve), the test
-    is ``X[t] * K >= a * den + b * Y``: both sides are the row's times the
-    positive K * den, so it is exact, and a point on the row is not
-    violated.  Only y becomes a ``Fraction``, once, for the oracle.
+    primal it is the reduced-cost test of column (t, S).  On the integer
+    views (masses M_t / m, utilities over D_s and D_r), mu_t * s_t(S) = a / K
+    and mu_t * r_t(S) = b / K with a = M_t * s_int * D_r, b = M_t * r_int *
+    D_s and K = m * D_s * D_r (memoized in ``memo``, one dict per solve), so
+    the test is ``X[t] * K >= a * den + b * Y``: both sides are the row's
+    times the positive K * den, so it is exact, and a point on the row is
+    not violated.  Only y becomes a ``Fraction``, once, for the oracle.
     Returns (rows, proposals): ``rows`` lists violated (state, action)
     pairs — empty means (x/alpha, y/alpha) is feasible for the full dual —
     and ``proposals`` every oracle-returned pair (the ellipsoid keeps these
     as primal columns whether or not they cut).
     """
     inst = view.instance
+    (masses, mass_den), (_, s_den), (_, r_den) = inst.masses, inst.sender.ints, inst.receiver.ints
     memo = {} if memo is None else memo
     y = Fraction(Y, den)
     sense_max = inst.sense is Sense.MAX
@@ -331,9 +326,8 @@ def separation(view: CCEInstanceView, X, Y: int, den: int, memo: dict | None = N
             _audit_oracle(view, t, y, S)
         proposals.append((t, S))
         if (t, S) not in memo:
-            s, r = inst.prior[t] * inst.sender.value(t, S), inst.prior[t] * inst.receiver.value(t, S)
-            K = lcm(s.denominator, r.denominator)
-            memo[t, S] = s.numerator * (K // s.denominator), r.numerator * (K // r.denominator), K
+            s, r = inst.sender.int_value(t, S), inst.receiver.int_value(t, S)
+            memo[t, S] = masses[t] * s * r_den, masses[t] * r * s_den, mass_den * s_den * r_den
         a, b, K = memo[t, S]
         lhs, rhs = X[t] * K, a * den + b * Y
         if lhs < rhs if sense_max else lhs > rhs:
@@ -385,7 +379,7 @@ def solve_cce_exact(view: CCEInstanceView) -> SolveResult:
         if stale:
             raise CertificateError(f"columns {sorted(stale)} price out at the certified duals of an LP that holds them")
         columns.update(rows)
-    certify(inst, scheme, res.value, RELAXED, view.pool)
+    certify(inst, scheme, res.value, RELAXED)
     return SolveResult(
         scheme=scheme,
         sender_value=res.value,
@@ -539,7 +533,7 @@ def solve_cce_approx(view: CCEInstanceView) -> SolveResult:
     if inst.sense is not Sense.MAX:
         raise UnsupportedSense("the binary-search path handles the maximize sense only")
     try:
-        v_min, v_max = compute_v_bounds(inst, view.pool)
+        v_min, v_max = compute_v_bounds(inst)
     except DegenerateBounds:
         # Optimum is zero; any positive bracket makes the search a no-op.
         v_min, v_max = Fraction(1, 2), ONE
@@ -572,7 +566,7 @@ def solve_cce_approx(view: CCEInstanceView) -> SolveResult:
         scheme, res = scheme_lp(inst, ordered, [_obedience_row(view, ordered)])
         value = res.value
         stats["pivots"] = res.pivots
-    certify(inst, scheme, value, RELAXED, view.pool)
+    certify(inst, scheme, value, RELAXED)
     return SolveResult(
         scheme=scheme,
         sender_value=value,

@@ -24,14 +24,14 @@ import sys
 import time
 from bisect import bisect_right
 from fractions import Fraction
-from math import ceil, sqrt
+from math import sqrt
 
 # cce, best_response and reductions are imported by the subcommands that
 # run them, so a child process compiles only what it uses
 from . import jsonio, persuasion
 from .errors import CombisigError, InstanceFormatError, ParameterError
-from .model import Instance, UtilityKind, posterior, signal_mass
-from .rationals import ZERO
+from .model import Instance, posterior, signal_mass
+from .rationals import ZERO, over_one_denominator
 
 USAGE_EXIT = 1
 SOLVER_EXIT = 2
@@ -209,18 +209,19 @@ def cmd_enumerate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cut_points(weights) -> list[int]:
-    """``ceil(acc_k * 2^53)`` for the cumulative weights ``acc_k``.
+def _cut_points(nums: list[int], den: int) -> list[int]:
+    """``ceil(acc_k * 2^53)``, in integers, for the cumulative weights
+    ``acc_k``: the running sums of ``nums``, over ``den``.
 
     A 53-bit draw ``bits`` has ``bits / 2^53 < acc_k`` exactly when
     ``bits < cut_k``, so ``bisect_right(cuts, bits)`` is the index an exact
     ``Fraction`` walk over the cumulative weights picks.
     """
     cuts = []
-    acc = ZERO
-    for w in weights:
+    acc = 0
+    for w in nums:
         acc += w
-        cuts.append(ceil(acc * (1 << 53)))
+        cuts.append(-(-(acc << 53) // den))
     return cuts
 
 
@@ -241,19 +242,14 @@ def cmd_validate(args) -> int:
         raise _fail_usage("scheme was computed for a different instance (digest mismatch)")
 
     _log(args, f"validating {args.scheme} with {args.samples} samples")
-    # A tabular utility is scanned over every feasible action: enumerate
-    # them once for the audit and all the tie-broken responses.
-    pool = None
-    if UtilityKind.TABULAR in (instance.receiver.kind, instance.sender.kind):
-        pool = persuasion.enumerate_actions(instance.constraint, instance.num_elements)
-    report_exact = persuasion.check_persuasive(instance, scheme, pool)
+    report_exact = persuasion.check_persuasive(instance, scheme)
     lp_value = persuasion.expected_sender_value(instance, scheme)
 
     # The receiver best-responds to each recommendation's posterior with
     # sender-favoring ties; sample (state, recommendation) pairs, then score
     # each pair once, weighted by its count.
     responses = {
-        action: persuasion.tie_broken_response(instance, posterior(instance, scheme, action), pool)
+        action: persuasion.tie_broken_response(instance, posterior(instance, scheme, action))
         for action in scheme.support
         if signal_mass(instance, scheme, action) != 0
     }
@@ -263,8 +259,8 @@ def cmd_validate(args) -> int:
         [(a, p) for (tt, a), p in sorted(scheme.phi.items()) if tt == t and p > 0]
         for t in range(instance.num_states)
     ]
-    state_cuts = _cut_points(instance.prior)
-    action_cuts = [_cut_points(p for _, p in recs) for recs in per_state]
+    state_cuts = _cut_points(*instance.masses)
+    action_cuts = [_cut_points(*over_one_denominator([p for _, p in recs])) for recs in per_state]
     counts: dict[tuple[int, int], int] = {}
     n = args.samples
     for _ in range(n):

@@ -126,11 +126,13 @@ class LPModel:
         if type(den) is not int or den <= 0:
             raise InstanceFormatError(f"row denominator {den!r} is not a positive integer")
         dense = [0] * self.num_vars
+        ints = True
         for j, v in coeffs.items() if isinstance(coeffs, dict) else enumerate(coeffs):
             if not 0 <= j < self.num_vars:
                 raise InstanceFormatError(f"variable index {j} out of range")
             dense[j] = v
-        if not all(type(v) is int for v in dense):
+            ints = ints and type(v) is int
+        if not ints:
             dense, common = over_one_denominator([as_fraction(v) for v in dense])
             den *= common
         rhs = rhs if type(rhs) is int else as_fraction(rhs)

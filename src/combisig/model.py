@@ -10,6 +10,7 @@ rows or tables (``UtilitySpec.ints``) and the prior (``Instance.masses``)
 as integer numerators over one positive denominator, the lcm of their
 entries' denominators.  Weights and comparisons made of it are the
 ``Fraction`` ones times a positive integer, so no order, tie or verdict moves.
+``Instance._actions`` keeps ``persuasion.feasible_actions``' list the same way.
 """
 
 from __future__ import annotations
@@ -309,7 +310,8 @@ def _sink_reachable(spec: PathGraph) -> bool:
 class Instance(Record):
     """A persuasion instance: prior, utilities for both players, feasible actions."""
 
-    __slots__ = ("state_names", "prior", "element_names", "sender", "receiver", "constraint", "sense", "_masses")
+    __slots__ = ("state_names", "prior", "element_names", "sender", "receiver", "constraint", "sense",
+                 "_masses", "_actions")
 
     def __init__(
         self,
@@ -450,7 +452,7 @@ class SignalingScheme(Record):
     @classmethod
     def from_phi(cls, num_states: int, phi: Mapping[tuple[int, ActionSet], Fraction]):
         """Build a scheme from a raw map, dropping exact zeros and dead actions."""
-        cleaned = {key: p for key, p in phi.items() if p != 0}
+        cleaned = {key: p for key, p in phi.items() if p}
         support = tuple(sorted({action for (_, action) in cleaned}))
         return cls(num_states=num_states, support=support, phi=cleaned)
 

@@ -22,17 +22,18 @@ dual simplex pivots that the new rows need.
 The reduced solver recommends only best-response catalog members;
 deviations still range over every feasible action.
 
-Every best-action question (``best_deviation``, ``tie_broken_response`` and
-the exact oracle of ``cce``) goes through ``best_action``: one greedy or
-shortest-path call for linear utilities, so a linear instance's scheme is
-audited with no action enumerated, else one scan of the feasible actions.
-It, the obedience pass and the scheme value (``certify`` builds a scheme's
-signals once for both) run in integers on the integer view (``model``): a
-belief B / L over one denominator times a view row D * u_t gives L * D
-times the expected singleton values, the ``Fraction`` weights times one
-positive integer.  That keeps greedy's order, ties (index order) and sign
-filter, each comparison of Dijkstra's path sums and each scan's argmax and
-ties: the same actions come back.
+Every best-action question (``best_deviation``, ``tie_broken_response``,
+the obedience pass) goes through one integer dispatch, ``_best``: one
+greedy or shortest-path call when every weighted utility is linear, so a
+linear instance's scheme is audited with no action enumerated, else one
+scan of ``feasible_actions``, the instance's actions enumerated once, on
+first use, and kept on it.  It, the obedience pass and the scheme value
+(``certify`` builds a scheme's signals once for both) run in integers on
+the integer view (``model``): a belief B / L over one denominator times a
+view row D * u_t gives L * D times the expected singleton values, the
+``Fraction`` weights times one positive integer.  That keeps greedy's
+order, ties (index order) and sign filter, each comparison of Dijkstra's
+path sums and each scan's argmax and ties: the same actions come back.
 """
 
 from __future__ import annotations
@@ -65,6 +66,7 @@ __all__ = [
     "SolveResult",
     "PersuasivenessReport",
     "enumerate_actions",
+    "feasible_actions",
     "solve_full",
     "solve_reduced",
     "check_persuasive",
@@ -158,6 +160,24 @@ def _extend(oracle, n: int, max_actions: int | None, start: int, prefix: list[in
         prefix.pop()
 
 
+def feasible_actions(instance: Instance, max_actions: int | None = None) -> tuple[ActionSet, ...]:
+    """Every feasible action, enumerated (``enumerate_actions``) on first use
+    and kept on the instance (``_actions``): the actions at first use, so an
+    ``OracleMatroid`` id re-registered afterwards is not seen.  More than
+    ``max_actions`` (a path's default: ``paths.DEFAULT_PATH_CAP``) raise the
+    enumeration's ``TooLarge``, kept or not; a refused call keeps nothing."""
+    path = isinstance(instance.constraint, PathGraph)
+    cap = paths.DEFAULT_PATH_CAP if path and max_actions is None else max_actions
+    try:
+        actions = instance._actions
+    except AttributeError:
+        actions = tuple(enumerate_actions(instance.constraint, instance.num_elements, cap))
+        object.__setattr__(instance, "_actions", actions)
+    if cap is not None and len(actions) > cap:
+        raise TooLarge(f"more than {cap} source-sink paths" if path else "more actions than the requested cap", cap)
+    return actions
+
+
 def _int_weights(n: int, parts) -> list[int]:
     """Per element e < n, the sum over (utility, belief) in ``parts`` of
     ``sum_t belief[t] * (the utility's view row t)[e]``."""
@@ -174,43 +194,35 @@ def _int_value(utility, belief: list[int], action: ActionSet) -> int:
     return sum(b * utility.int_value(t, action) for t, b in enumerate(belief) if b)
 
 
-def best_action(
-    instance: Instance, xi: Posterior, a: Fraction, b: Fraction, pool: list[ActionSet] | None = None
-) -> ActionSet:
-    """A feasible action maximizing (min sense: minimizing) ``a * R + b * S``,
-    R and S the receiver's and sender's expected values at the belief.
+def _best(instance: Instance, parts) -> ActionSet:
+    """A feasible action maximizing (min sense: minimizing) the sum over
+    (utility, belief) in ``parts`` of ``_int_value``: with every utility
+    linear, one ``matroid.max_weight_action`` call (greedy, or Dijkstra on
+    a path) on those element weights, ties in its order; else a scan of
+    ``feasible_actions``, ties going to the lexicographically least action."""
+    if all(u.kind is UtilityKind.LINEAR for u, _ in parts):
+        weights = _int_weights(instance.num_elements, parts)
+        return matroid.max_weight_action(instance.constraint, weights, instance.sense)
+    sign = -1 if instance.sense is Sense.MAX else 1
+    return min(feasible_actions(instance), key=lambda S: (sign * sum(_int_value(u, w, S) for u, w in parts), S))
 
-    In integers: the belief as B / L and each coefficient c / D_u (D_u the
-    utility's view denominator) as k / K, each over one denominator, give
-    each utility the belief k * B, and ``a * R + b * S`` times K * L is the
-    sum of its ``_int_value``s.  With no ``pool`` and linear utilities
-    wherever the coefficient is nonzero: one ``matroid.max_weight_action``
-    call (greedy, or Dijkstra on a path) on those element weights, ties in
-    its order.  Else a scan of ``pool`` (default: every feasible action),
-    ties going to the lexicographically least action.
-    """
+
+def best_action(instance: Instance, xi: Posterior, a: Fraction, b: Fraction) -> ActionSet:
+    """A feasible action maximizing (min sense: minimizing) ``a * R + b * S``,
+    R and S the receiver's and sender's expected values at the belief: with
+    the belief as B / L and each nonzero coefficient c / D_u (D_u the
+    utility's view denominator) as k / K, each over one denominator, it is
+    ``_best`` on each utility at the belief k * B, the objective times K * L."""
     terms = [(c, u) for c, u in ((a, instance.receiver), (b, instance.sender)) if c != 0]
     belief, _ = over_one_denominator(xi.xi)
     coeffs, _ = over_one_denominator([c / u.ints[1] for c, u in terms])
-    parts = [(u, [k * m for m in belief]) for k, (_, u) in zip(coeffs, terms)]
-    if pool is None and all(u.kind is UtilityKind.LINEAR for u, _ in parts):
-        weights = _int_weights(instance.num_elements, parts)
-        return matroid.max_weight_action(instance.constraint, weights, instance.sense)
-    if pool is None:
-        pool = enumerate_actions(instance.constraint, instance.num_elements)
-    sign = -1 if instance.sense is Sense.MAX else 1
-    return min(pool, key=lambda S: (sign * sum(_int_value(u, w, S) for u, w in parts), S))
+    return _best(instance, [(u, [k * m for m in belief]) for k, (_, u) in zip(coeffs, terms)])
 
 
-def best_deviation(
-    instance: Instance, xi: Posterior, pool: list[ActionSet] | None = None
-) -> tuple[Fraction, ActionSet]:
+def best_deviation(instance: Instance, xi: Posterior) -> tuple[Fraction, ActionSet]:
     """The receiver's best value at the belief and an action attaining it:
-    ``best_action`` with a = 1, b = 0.  A linear receiver ignores ``pool``:
-    one greedy or shortest-path call answers it."""
-    if instance.receiver.kind is UtilityKind.LINEAR:
-        pool = None
-    action = best_action(instance, xi, ONE, ZERO, pool)
+    ``best_action`` with a = 1, b = 0."""
+    action = best_action(instance, xi, ONE, ZERO)
     return expected_value(instance.receiver, xi, action), action
 
 
@@ -224,33 +236,21 @@ def _signals(instance: Instance, scheme: SignalingScheme) -> tuple[list, int]:
     return list(zip(scheme.support, weights)), mass_den * prob_den
 
 
-def _violations(
-    instance: Instance, scheme: SignalingScheme, pool: list[ActionSet] | None = None, signals=None
-) -> list[tuple[ActionSet, ActionSet, Fraction]]:
+def _violations(instance: Instance, scheme: SignalingScheme, signals=None) -> list[tuple]:
     """(recommended, best deviation, gap) for every signal the receiver
     would rather not obey, decided in integers: signal S's ``_signals``
     (``signals``, if the caller built them) weights W are its posterior times
     sum(W) * den, so ``_int_value`` of (receiver, W) is the expected value
-    there times sum(W) * den * D_r.  A linear receiver's best deviation is
-    one ``matroid.max_weight_action`` call on those weights,
-    ``best_deviation``'s times a positive integer; a tabular one's a scan of
-    ``pool`` (default: every feasible action, enumerated here) as in
-    ``best_action``.  Only a gap becomes a Fraction."""
+    there times sum(W) * den * D_r, and ``_best`` on it is the best
+    deviation.  Only a gap becomes a Fraction."""
     receiver = instance.receiver
-    linear = receiver.kind is UtilityKind.LINEAR
-    if not linear and pool is None:
-        pool = enumerate_actions(instance.constraint, instance.num_elements)
     signals, _ = signals or _signals(instance, scheme)
     sign = 1 if instance.sense is Sense.MAX else -1
     out = []
     for S, W in signals:
         if not any(W):
             continue
-        if linear:
-            weights = _int_weights(instance.num_elements, [(receiver, W)])
-            alt = matroid.max_weight_action(instance.constraint, weights, instance.sense)
-        else:
-            alt = min(pool, key=lambda A: (-sign * _int_value(receiver, W, A), A))
+        alt = _best(instance, [(receiver, W)])
         gap = sign * (_int_value(receiver, W, alt) - _int_value(receiver, W, S))
         if gap > 0:
             out.append((S, alt, Fraction(gap, sum(W) * receiver.ints[1])))
@@ -284,19 +284,17 @@ def scheme_lp(
     result = lp.solve(model)
     if result.status != lp.OPTIMAL:
         raise CertificateError(f"scheme LP is bounded and feasible, yet ended {result.status}")
-    phi = {col: v for col, v in zip(columns, result.x) if v != 0}
-    return SignalingScheme.from_phi(instance.num_states, phi), result
+    return SignalingScheme.from_phi(instance.num_states, dict(zip(columns, result.x))), result
 
 
 def _solve_scheme_lp(
-    instance: Instance, actions: list[ActionSet], method: str, catalog_size: int | None, pool=None, **stats
+    instance: Instance, actions: list[ActionSet], method: str, catalog_size: int | None, **stats
 ) -> SolveResult:
     """``scheme_lp`` recommending ``actions``, with persuasiveness rows added
     lazily to one model.  Each round's scheme goes to ``certify``, whose
     obedience pass names the new pair rows when it fails and ends the loop
-    when it holds, so the returned scheme is audited once.  ``pool`` is every
-    feasible action, if the caller holds them, for a tabular receiver's passes.
-    ``stats`` are more counters for ``lp_stats``."""
+    when it holds, so the returned scheme is audited once.  ``stats`` are
+    more counters for ``lp_stats``."""
     columns = [(t, S) for t in range(instance.num_states) for S in actions]
     index = {col: j for j, col in enumerate(columns)}
     masses, mass_den = instance.masses
@@ -311,7 +309,7 @@ def _solve_scheme_lp(
         pivots += result.pivots
         rounds += 1
         try:
-            certify(instance, scheme, result.value, PERSUASIVE, pool)
+            certify(instance, scheme, result.value, PERSUASIVE)
             break
         except _Disobeyed as exc:
             # A pair row already in the LP holds there, so its pair cannot recur.
@@ -344,8 +342,7 @@ def _solve_scheme_lp(
 
 def solve_full(instance: Instance, max_actions: int | None = None) -> SolveResult:
     """Exact optimum of the brute-force LP over every feasible action."""
-    actions = enumerate_actions(instance.constraint, instance.num_elements, max_actions)
-    return _solve_scheme_lp(instance, actions, "full-lp", None, actions)
+    return _solve_scheme_lp(instance, feasible_actions(instance, max_actions), "full-lp", None)
 
 
 def solve_reduced(instance: Instance) -> SolveResult:
@@ -385,34 +382,26 @@ def _check_scheme(instance: Instance, scheme: SignalingScheme) -> None:
             raise InstanceFormatError(f"recommended action {list(S)} is not {what}")
 
 
-def check_persuasive(
-    instance: Instance, scheme: SignalingScheme, pool: list[ActionSet] | None = None
-) -> PersuasivenessReport:
+def check_persuasive(instance: Instance, scheme: SignalingScheme) -> PersuasivenessReport:
     """Exact persuasiveness audit of a scheme: no tolerance, weak inequalities.
 
-    Each signal is decided by its best deviation: one greedy or
-    shortest-path call for a linear receiver, a scan of every feasible
-    action for a tabular one (``pool``, if the caller has enumerated them
-    already).  A scheme for another number of states, or one recommending
-    an infeasible action, raises InstanceFormatError.
+    Each signal is decided by its best deviation (``_best``).  A scheme for
+    another number of states, or one recommending an infeasible action,
+    raises InstanceFormatError.
     """
     _check_scheme(instance, scheme)
-    violations = tuple(_violations(instance, scheme, pool))
+    violations = tuple(_violations(instance, scheme))
     return PersuasivenessReport(persuasive=not violations, violations=violations)
 
 
-def certify(
-    instance: Instance, scheme: SignalingScheme, value: Fraction, notion: str, pool: list[ActionSet] | None = None
-) -> None:
+def certify(instance: Instance, scheme: SignalingScheme, value: Fraction, notion: str) -> None:
     """Every engine's exit check; raises ``CertificateError``, also under
     ``python -O``.  The scheme recommends only feasible actions, is worth
     ``value`` to the sender, and is obeyed: ``PERSUASIVE``, no signal has a
     better deviation; ``RELAXED``, following is worth at least (min sense:
     at most) the best prior action.  No LP is solved.  A disobeyed signal
     raises ``_Disobeyed``, which lists every one: the lazy-row loop of
-    ``full`` and ``reduced`` takes its new pair rows from that verdict.
-    ``pool``, every feasible action if the caller holds them, spares a
-    tabular receiver's scans (obedience pass, prior best) their enumeration."""
+    ``full`` and ``reduced`` takes its new pair rows from that verdict."""
     try:
         _check_scheme(instance, scheme)
     except InstanceFormatError as exc:
@@ -422,10 +411,10 @@ def certify(
     if worth != value:
         raise CertificateError(f"scheme is worth {worth} to the sender, not the {value} reported")
     if notion == PERSUASIVE:
-        if violations := _violations(instance, scheme, pool, signals):
+        if violations := _violations(instance, scheme, signals):
             raise _Disobeyed(violations)
     else:
-        prior_best, _ = best_deviation(instance, Posterior(xi=instance.prior), pool)
+        prior_best, _ = best_deviation(instance, Posterior(xi=instance.prior))
         follow = _scheme_value(instance, scheme, instance.receiver, signals)
         if (follow < prior_best) if instance.sense is Sense.MAX else (follow > prior_best):
             raise CertificateError(f"following is worth {follow} to the receiver, its prior best {prior_best}")
@@ -449,9 +438,7 @@ def uninformative_scheme(instance: Instance) -> tuple[SignalingScheme, Fraction]
     return deterministic_scheme(instance.num_states, pick), expected_value(instance.sender, prior, pick)
 
 
-def tie_broken_response(
-    instance: Instance, xi: Posterior, pool: list[ActionSet] | None = None
-) -> ActionSet:
+def tie_broken_response(instance: Instance, xi: Posterior) -> ActionSet:
     """The receiver's best action at the belief, ties resolved in the
     sender's favor: ``best_action`` with a = 1 and b = ``delta``.
 
@@ -466,10 +453,9 @@ def tie_broken_response(
     favorite.  ``best_action``'s integer key is ``(1 + M) * L * D_r * R +
     L * D_s * S``.  Actions tied in both go to greedy's element order or
     Dijkstra's edge sequence for linear utilities, to the lexicographically
-    least action for tabular ones, scanned from ``pool`` as in
-    ``best_action``.
+    least action for tabular ones, as in ``best_action``.
     """
     belief, _ = over_one_denominator(xi.xi)
     (_, r_den), (rows, s_den) = instance.receiver.ints, instance.sender.ints
     M = sum(m * sum(row.values() if isinstance(row, dict) else row) for m, row in zip(belief, rows))
-    return best_action(instance, xi, ONE, Fraction(s_den, (1 + M) * r_den), pool)
+    return best_action(instance, xi, ONE, Fraction(s_den, (1 + M) * r_den))

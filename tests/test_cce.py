@@ -169,9 +169,9 @@ def test_every_engine_certifies_the_scheme_it_returns(monkeypatch):
     calls = []
     genuine = persuasion.certify
 
-    def spy(instance, scheme, value, notion, pool=None):
+    def spy(instance, scheme, value, notion):
         calls.append((scheme, value, notion))
-        genuine(instance, scheme, value, notion, pool)
+        genuine(instance, scheme, value, notion)
 
     monkeypatch.setattr(persuasion, "certify", spy)
     monkeypatch.setattr(cce, "certify", spy)
@@ -341,17 +341,15 @@ def test_exact_oracle_builds_its_matroid_oracle_once(monkeypatch):
 
 
 def test_relaxed_solve_enumerates_a_tabular_instance_once(monkeypatch):
-    """``make_view`` enumerates the feasible actions once, and the exact
-    oracle, the prior best, the approximate path's bracket and ``certify``
-    all scan that pool."""
+    """``make_view`` enumerates the feasible actions on first use, and the
+    exact oracle, the prior best, the approximate path's bracket and
+    ``certify`` of both solves all scan that one tuple: one enumeration
+    per instance."""
     genuine = persuasion.enumerate_actions
     calls = []
-    spy = lambda *a: calls.append(a) or genuine(*a)
-    monkeypatch.setattr(persuasion, "enumerate_actions", spy)
-    monkeypatch.setattr(cce, "enumerate_actions", spy)
+    monkeypatch.setattr(persuasion, "enumerate_actions", lambda *a: calls.append(a) or genuine(*a))
     inst = as_tables(jsonio.instance_from_json(jsonio.load_json("instances/weather_pair.json")))
     for solve in (cce.solve_cce_exact, cce.solve_cce_approx):
-        calls.clear()
         result = solve(cce.make_view(inst))
         assert len(calls) == 1, solve.__name__
         assert result.sender_value == brute_cce_value(inst)
@@ -360,17 +358,25 @@ def test_relaxed_solve_enumerates_a_tabular_instance_once(monkeypatch):
 def test_exact_oracle_agrees_with_brute():
     """The exact oracle's greedy / Dijkstra path against its scan of every
     action on the same instance written as tables, and against
-    ``best_action`` itself, ties included, max and min sense."""
+    ``best_action`` itself, ties included, max and min sense.  With only
+    the receiver as a table the oracle scans too, and picks the tables'
+    action, ties going to the least, also at y = 0, where only the linear
+    sender is weighed."""
     rng = random.Random(515)
     for trial in range(12):
         sense = (Sense.MAX, Sense.MIN)[trial % 2]
         inst = rand_instance(rng, 2, 5, "uniform", sense=sense, hi=3)
         fast = cce.exact_oracle(inst)
-        brute = cce.exact_oracle(as_tables(inst))
+        tables = as_tables(inst)
+        brute = cce.exact_oracle(tables)
+        mixed = cce.exact_oracle(replace_fields(inst, receiver=tables.receiver))
         s, r = inst.sender.value, inst.receiver.value
+        for t in range(2):
+            assert mixed.fn(t, F(0)) == brute.fn(t, F(0)), "y = 0 scans, ties to the least action"
         for _ in range(6):
             t = rng.randrange(2)
             y = F(rng.randint(0, 12), rng.randint(1, 4))
+            assert mixed.fn(t, y) == brute.fn(t, y)
 
             def score(S: ActionSet) -> F:
                 return s(t, S) + y * r(t, S)

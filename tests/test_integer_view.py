@@ -97,19 +97,22 @@ def test_value_reads_the_view_and_refuses_an_index_out_of_range():
 
 
 def test_the_view_is_built_on_first_use_and_stays_out_of_equality_and_pickling():
+    """The integer view and the kept action list (``_actions``) alike."""
     raw = jsonio.load_json("instances/weather_pair.json")
     inst, twin = jsonio.instance_from_json(raw), jsonio.instance_from_json(raw)
-    for record, slot in ((inst.receiver, "_ints"), (inst.sender, "_ints"), (inst, "_masses")):
+    slots = ((inst.receiver, "_ints"), (inst.sender, "_ints"), (inst, "_masses"), (inst, "_actions"))
+    for record, slot in slots:
         with pytest.raises(AttributeError):
             object.__getattribute__(record, slot)  # parsing built nothing
     persuasion.solve_full(inst)
-    assert inst.receiver.ints and inst.masses  # now cached
+    assert all(object.__getattribute__(record, slot) for record, slot in slots)  # now cached
     assert inst == twin and hash(inst) == hash(twin) and repr(inst) == repr(twin)
-    assert "_ints" not in repr(inst) and "_masses" not in repr(inst)
+    assert all(slot not in repr(inst) for _, slot in slots)
     copy = pickle.loads(pickle.dumps(inst))
     assert copy == inst
-    with pytest.raises(AttributeError):
-        object.__getattribute__(copy.receiver, "_ints")
+    for record, slot in ((copy.receiver, "_ints"), (copy, "_masses"), (copy, "_actions")):
+        with pytest.raises(AttributeError):
+            object.__getattribute__(record, slot)
 
 
 @pytest.mark.parametrize("kind", KINDS)

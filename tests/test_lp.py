@@ -580,6 +580,31 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
+def test_feasible_actions_are_a_value_of_the_instance_not_an_argument():
+    """Only ``persuasion.feasible_actions`` calls ``enumerate_actions``, and
+    no function takes a ``pool`` of actions: every scan reads the list the
+    instance keeps, so no layer threads one through its callers."""
+    calls, inside, pools = [], [], []
+
+    def enumerates(node) -> bool:
+        func = getattr(node, "func", None)
+        names = (getattr(func, "id", None), getattr(func, "attr", None))
+        return isinstance(node, ast.Call) and "enumerate_actions" in names
+
+    for path in sorted((SRC / "combisig").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if enumerates(node):
+                calls.append(f"{path.name}:{node.lineno}")
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                if "pool" in [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg) if p]:
+                    pools.append(f"{path.name}:{node.lineno}")
+                if getattr(node, "name", None) == "feasible_actions" and path.name == "persuasion.py":
+                    inside += [f"{path.name}:{n.lineno}" for n in ast.walk(node) if enumerates(n)]
+    assert calls == inside and len(inside) == 1
+    assert pools == []
+
+
 def test_package_does_not_import_dataclasses():
     """Every CLI process would pay for ``dataclasses`` and the ``inspect``
     chain it loads; the package's records derive from ``model.Record``."""

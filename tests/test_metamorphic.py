@@ -15,6 +15,11 @@
   matroid allows (a new edge of the graph, a member of a partition block),
   gives every action a twin worth the same to both, so the value stays.
   Paths are skipped.
+* ``check_nondegeneracy`` decides whether differences of the receiver's
+  per-element vectors are independent.  Scaling one state's row by c > 0
+  maps them all by one invertible diagonal matrix, adding a constant to
+  one state's row cancels in every difference, and scaling every utility
+  is one positive scalar, so the report stays.
 
 Derandomized: fixed seeds, fractional c, mixed denominators."""
 
@@ -24,6 +29,7 @@ from fractions import Fraction
 import pytest
 
 from combisig import cce, persuasion
+from combisig.best_response import check_nondegeneracy
 from combisig.model import Graphic, Instance, Partition, PathGraph, Sense, UtilitySpec
 from helpers import MIXED_DENOMINATORS, rand_clean_instance, rand_instance, replace_fields
 
@@ -178,3 +184,30 @@ def test_engines_obey_state_splits_and_zero_elements(case):
         return
     sigma = rng.sample(range(inst.num_elements + 1), inst.num_elements + 1)
     assert _values(_outcomes(_relabel_elements(_zero_element(inst, rng), sigma), clean)) == base
+
+
+def _one_row(util: UtilitySpec, state: int, f) -> UtilitySpec:
+    """``util`` with ``f`` applied to each entry of ``state``'s row."""
+    return UtilitySpec.from_linear([[f(v) for v in row] if t == state else row for t, row in enumerate(util.linear)])
+
+
+def test_nondegeneracy_report_obeys_row_scaling_and_shifts():
+    """Utilities from 0, so ties make some reports fail; c is never an integer."""
+    rng = random.Random("metamorphic-nondegeneracy")
+    reports = []
+    for k in range(40):
+        D, n = rng.randint(2, 3), rng.randint(3, 6)
+        kind = ("uniform", "partition", "graphic")[k % 3]
+        inst = rand_instance(rng, D, n, kind, lo=0, hi=2, dens=MIXED_DENOMINATORS)
+        base = check_nondegeneracy(inst)
+        reports.append(base)
+        t = rng.randrange(D)
+        c = F(2 * rng.randint(0, 4) + 1, 2 * rng.randint(1, 4))
+        shift = F(rng.randint(1, 9), rng.choice(MIXED_DENOMINATORS))
+        for variant in (
+            replace_fields(inst, receiver=_one_row(inst.receiver, t, lambda v: c * v)),
+            replace_fields(inst, receiver=_one_row(inst.receiver, t, lambda v: v + shift)),
+            replace_fields(inst, receiver=_scaled(inst.receiver, c), sender=_scaled(inst.sender, c)),
+        ):
+            assert check_nondegeneracy(variant) == base, k
+    assert any(r.clean for r in reports) and any(len(r.violations) > 1 for r in reports)

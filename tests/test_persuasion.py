@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from combisig import jsonio, lp, persuasion
+from combisig import cce, jsonio, lp, paths, persuasion
 from combisig.errors import InstanceFormatError, TooLarge
 from combisig.model import (
     TABULAR_MAX_ELEMENTS,
@@ -25,6 +25,7 @@ from helpers import (
     grid_path_instance,
     rand_clean_instance,
     rand_instance,
+    replace_fields,
     scan_tie_broken_response,
 )
 
@@ -245,13 +246,13 @@ def test_lazy_rows_stop_on_the_certify_verdict(monkeypatch):
     passes, certified, built = [], [], []
     genuine_pass, genuine_certify, genuine_signals = persuasion._violations, persuasion.certify, persuasion._signals
 
-    def pass_spy(instance, scheme, pool=None, signals=None):
+    def pass_spy(instance, scheme, signals=None):
         passes.append(scheme)
-        return genuine_pass(instance, scheme, pool, signals)
+        return genuine_pass(instance, scheme, signals)
 
-    def certify_spy(instance, scheme, value, notion, pool=None):
+    def certify_spy(instance, scheme, value, notion):
         certified.append(scheme)
-        genuine_certify(instance, scheme, value, notion, pool)
+        genuine_certify(instance, scheme, value, notion)
 
     monkeypatch.setattr(persuasion, "_violations", pass_spy)
     monkeypatch.setattr(persuasion, "certify", certify_spy)
@@ -313,7 +314,8 @@ def test_lazy_rows_keep_one_model_across_rounds(monkeypatch):
 
 def test_solve_full_enumerates_a_tabular_receiver_once(monkeypatch):
     """The lazy-row loop's obedience passes scan ``solve_full``'s own
-    actions: one enumeration per solve, however many rounds it takes."""
+    actions, and a later audit of the same instance scans them again: one
+    enumeration per instance, however many rounds the solve takes."""
     genuine = persuasion.enumerate_actions
     calls = []
     monkeypatch.setattr(persuasion, "enumerate_actions", lambda *a: calls.append(a) or genuine(*a))
@@ -322,7 +324,60 @@ def test_solve_full_enumerates_a_tabular_receiver_once(monkeypatch):
         calls.clear()
         result = persuasion.solve_full(inst)
         assert result.lp_stats["cut_rounds"] >= 2 and len(calls) == 1, name
-        assert persuasion.check_persuasive(inst, result.scheme).persuasive, name
+        assert persuasion.check_persuasive(inst, result.scheme).persuasive and len(calls) == 1, name
+
+
+def test_every_tabular_scan_of_an_instance_shares_one_enumeration(monkeypatch):
+    """Full and relaxed solves, the audit, the tie-broken responses, the
+    relaxed view and ``certify`` of one tabular instance enumerate its
+    actions once, on first use; the kept tuple is what ``enumerate_actions``
+    lists, and a second instance equal to the first enumerates its own."""
+    genuine = persuasion.enumerate_actions
+    calls = []
+    monkeypatch.setattr(persuasion, "enumerate_actions", lambda *a: calls.append(a) or genuine(*a))
+    raw = jsonio.instance_to_json(as_tables(jsonio.instance_from_json(jsonio.load_json("instances/weather_pair.json"))))
+    inst, twin = jsonio.instance_from_json(raw), jsonio.instance_from_json(raw)
+    result = persuasion.solve_full(inst)
+    assert len(calls) == 1
+    assert persuasion.check_persuasive(inst, result.scheme).persuasive
+    responses = [persuasion.tie_broken_response(inst, posterior(inst, result.scheme, S)) for S in result.scheme.support]
+    assert responses == list(result.scheme.support)
+    view = cce.make_view(inst)
+    relaxed = [cce.solve_cce_exact(view), cce.solve_cce_approx(view)]
+    for r in relaxed:
+        persuasion.certify(inst, r.scheme, r.sender_value, persuasion.RELAXED)
+    persuasion.certify(inst, result.scheme, result.sender_value, persuasion.PERSUASIVE)
+    assert len(calls) == 1
+    assert persuasion.feasible_actions(inst) == tuple(genuine(inst.constraint, inst.num_elements))
+    persuasion.check_persuasive(twin, result.scheme)
+    assert len(calls) == 2
+
+
+def test_a_kept_action_list_keeps_its_caps():
+    """``feasible_actions`` refuses past the call's cap whether it enumerates
+    or reads the kept tuple, with the enumeration's error and that cap as
+    its bound; a path instance with no cap checks ``paths.DEFAULT_PATH_CAP``;
+    a refused first call keeps nothing."""
+    weather = jsonio.instance_from_json(jsonio.load_json("instances/weather_pair.json"))
+    route = jsonio.instance_from_json(jsonio.load_json("instances/route_min.json"))
+    for inst in (weather, route):
+        with pytest.raises(TooLarge) as first:
+            persuasion.feasible_actions(inst, max_actions=1)
+        with pytest.raises(AttributeError):
+            object.__getattribute__(inst, "_actions")  # the refused call kept nothing
+        actions = persuasion.feasible_actions(inst)
+        assert len(actions) > 1 and persuasion.feasible_actions(inst, len(actions)) is actions
+        with pytest.raises(TooLarge) as kept:
+            persuasion.feasible_actions(inst, max_actions=1)
+        assert kept.value.bound == first.value.bound == 1 and str(kept.value) == str(first.value)
+        with pytest.raises(TooLarge, match="requested cap|source-sink paths"):
+            persuasion.solve_full(inst, max_actions=len(actions) - 1)
+    big = replace_fields(route)
+    object.__setattr__(big, "_actions", ((0,),) * (paths.DEFAULT_PATH_CAP + 1))
+    with pytest.raises(TooLarge) as default:
+        persuasion.feasible_actions(big)
+    assert default.value.bound == paths.DEFAULT_PATH_CAP
+    assert len(persuasion.feasible_actions(big, paths.DEFAULT_PATH_CAP + 1)) == paths.DEFAULT_PATH_CAP + 1
 
 
 def test_check_persuasive_names_one_best_deviation_per_signal():
