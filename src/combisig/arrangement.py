@@ -424,22 +424,21 @@ def _flood(cutting, simplex) -> dict:
 
 def _classify_box_cells(cutting, simplex, cells) -> dict:
     """Keep the box cells that meet or touch the simplex, classified by the
-    ``strict_simplex_point`` and ``weak_simplex_point`` LPs."""
-    num_states = len(simplex[0][0]) + 1
-    # the hull plane whose chart form is the canonical functional a . y + b
-    planes = [Hyperplane((Fraction(b), *(Fraction(v + b) for v in a))) for a, b in cutting]
+    strict and weak feasibility LPs on the canonical functionals and the
+    cell's signs."""
+    dim = len(simplex[0][0])
     kept = {}
     for key, y in cells.items():
         if all(_evaluate(f, y) > 0 for f in simplex):
             kept[key] = [y, True, {}]
             continue
-        inner = strict_simplex_point(key, planes, num_states)
+        inner = _strict_point(cutting, simplex, key)
         if inner is not None:
-            kept[key] = [inner[1:], True, {}]
+            kept[key] = [inner, True, {}]
             continue
-        weak = weak_simplex_point(key, planes, num_states)
+        weak = _weak_point(list(zip(cutting, key)), dim)
         if weak is not None:
-            kept[key] = [y, False, {None: weak[1:]}]
+            kept[key] = [y, False, {None: weak}]
     return kept
 
 

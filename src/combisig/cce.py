@@ -52,7 +52,6 @@ from .model import (
     MATROID_KINDS,
     ActionSet,
     Instance,
-    Posterior,
     Record,
     Sense,
     UtilityKind,
@@ -113,7 +112,7 @@ class CCEInstanceView(Record):
 
 def prior_best_value(instance: Instance) -> tuple[Fraction, ActionSet]:
     """Receiver's best expected value (and action) under the prior alone."""
-    return best_deviation(instance, Posterior(xi=instance.prior))
+    return best_deviation(instance, instance.masses[0])
 
 
 def _action_value_bounds(util, n: int) -> tuple[Fraction, Fraction | None]:

@@ -30,7 +30,7 @@ from math import sqrt
 # run them, so a child process compiles only what it uses
 from . import jsonio, persuasion
 from .errors import CombisigError, InstanceFormatError, ParameterError
-from .model import Instance, posterior, signal_mass
+from .model import Instance
 from .rationals import ZERO, over_one_denominator
 
 USAGE_EXIT = 1
@@ -125,6 +125,8 @@ def _emit_report(report: dict, args) -> None:
 
 
 def cmd_solve(args) -> int:
+    if args.max_actions is not None and args.max_actions < 1:
+        raise _fail_usage("--max-actions must be at least 1")
     instance = _load_instance(args.instance)
     digest = jsonio.instance_digest(instance)
     _log(args, f"solving {args.instance} mode={args.mode}")
@@ -248,11 +250,7 @@ def cmd_validate(args) -> int:
     # The receiver best-responds to each recommendation's posterior with
     # sender-favoring ties; sample (state, recommendation) pairs, then score
     # each pair once, weighted by its count.
-    responses = {
-        action: persuasion.tie_broken_response(instance, posterior(instance, scheme, action))
-        for action in scheme.support
-        if signal_mass(instance, scheme, action) != 0
-    }
+    responses = persuasion.tie_broken_responses(instance, scheme)
 
     rng = random.Random(args.seed)
     per_state = [

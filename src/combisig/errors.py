@@ -9,10 +9,6 @@ class InstanceFormatError(CombisigError):
     """A JSON document or constructor argument does not describe a valid instance."""
 
 
-class ZeroMassSignal(CombisigError):
-    """Posterior requested for a signal that is sent with probability zero."""
-
-
 class MissingTabularEntry(CombisigError):
     """A tabular utility has no entry for the queried action."""
 

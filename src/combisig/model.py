@@ -1,4 +1,4 @@
-"""Core data model: instances, utilities, constraints, schemes, posteriors.
+"""Core data model: instances, utilities, constraints, schemes, beliefs.
 
 States and ground-set elements are dense 0-based indices everywhere in the
 library; human-readable names are kept alongside purely for serialization.
@@ -11,6 +11,8 @@ as integer numerators over one positive denominator, the lcm of their
 entries' denominators.  Weights and comparisons made of it are the
 ``Fraction`` ones times a positive integer, so no order, tie or verdict moves.
 ``Instance._actions`` keeps ``persuasion.feasible_actions``' list the same way.
+``Posterior`` is a belief's public ``Fraction`` form; the engines read a
+belief as integer weights over their sum (``persuasion``).
 """
 
 from __future__ import annotations
@@ -20,12 +22,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Mapping
 
-from .errors import (
-    InstanceFormatError,
-    MissingTabularEntry,
-    NoPath,
-    ZeroMassSignal,
-)
+from .errors import InstanceFormatError, MissingTabularEntry, NoPath
 from .rationals import ONE, ZERO, as_fraction, over_one_denominator
 
 ActionSet = tuple[int, ...]
@@ -380,12 +377,12 @@ class Instance(Record):
 
 
 # --------------------------------------------------------------------------
-# Posteriors and schemes
+# Beliefs and schemes
 # --------------------------------------------------------------------------
 
 
 class Posterior(Record):
-    """A distribution over states."""
+    """A distribution over states, in ``Fraction``s."""
 
     __slots__ = ("xi",)
 
@@ -442,13 +439,6 @@ class SignalingScheme(Record):
         T = self.num_states
         return {(i % T, self.support[i // T]): p for i, p in enumerate(self.probs) if p}
 
-    def column(self, action: ActionSet) -> tuple[Fraction, ...]:
-        """Per state, the probability that ``action`` is recommended."""
-        if action not in self.support:
-            return (ZERO,) * self.num_states
-        k = self.support.index(action)
-        return self.probs[k * self.num_states : (k + 1) * self.num_states]
-
     @classmethod
     def from_phi(cls, num_states: int, phi: Mapping[tuple[int, ActionSet], Fraction]):
         """Build a scheme from a raw map, dropping exact zeros and dead actions."""
@@ -461,20 +451,6 @@ def deterministic_scheme(num_states: int, action: ActionSet) -> SignalingScheme:
     """The uninformative scheme that always recommends ``action``."""
     phi = {(state, action): ONE for state in range(num_states)}
     return SignalingScheme(num_states=num_states, support=(action,), phi=phi)
-
-
-def signal_mass(instance: Instance, scheme: SignalingScheme, action: ActionSet) -> Fraction:
-    """Total prior probability that ``action`` is recommended."""
-    return sum((q * p for q, p in zip(instance.prior, scheme.column(action))), ZERO)
-
-
-def posterior(instance: Instance, scheme: SignalingScheme, action: ActionSet) -> Posterior:
-    """Bayes-consistent belief over states conditioned on ``action`` being sent."""
-    mass = signal_mass(instance, scheme, action)
-    if mass == 0:
-        raise ZeroMassSignal(f"action {action} is recommended with probability zero")
-    xi = tuple(q * p / mass for q, p in zip(instance.prior, scheme.column(action)))
-    return Posterior(xi=xi)
 
 
 def expected_value(utility: UtilitySpec, belief: Posterior, action: ActionSet) -> Fraction:

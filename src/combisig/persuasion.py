@@ -22,24 +22,29 @@ dual simplex pivots that the new rows need.
 The reduced solver recommends only best-response catalog members;
 deviations still range over every feasible action.
 
-Every best-action question (``best_deviation``, ``tie_broken_response``,
-the obedience pass) goes through one integer dispatch, ``_best``: one
-greedy or shortest-path call when every weighted utility is linear, so a
-linear instance's scheme is audited with no action enumerated, else one
-scan of ``feasible_actions``, the instance's actions enumerated once, on
-first use, and kept on it.  It, the obedience pass and the scheme value
-(``certify`` builds a scheme's signals once for both) run in integers on
-the integer view (``model``): a belief B / L over one denominator times a
-view row D * u_t gives L * D times the expected singleton values, the
-``Fraction`` weights times one positive integer.  That keeps greedy's
-order, ties (index order) and sign filter, each comparison of Dijkstra's
-path sums and each scan's argmax and ties: the same actions come back.
+A belief is a list B of nonnegative integers, not all zero, read over its
+sum: the prior is ``instance.masses[0]``, signal S's belief its
+``_signals`` weights (mu_t * phi(t, S) times one integer), so no engine
+forms a ``Fraction`` posterior.  Every best-action question
+(``best_deviation``, ``tie_broken_response``, the obedience pass) goes
+through one integer dispatch, ``_best``: one greedy or shortest-path call
+when every weighted utility is linear, so a linear instance's scheme is
+audited with no action enumerated, else one scan of ``feasible_actions``,
+the instance's actions enumerated once, on first use, and kept on it.  It,
+the obedience pass and the scheme value (``certify`` builds a scheme's
+signals once for both) run in integers on the integer view (``model``): B
+times a view row D * u_t gives sum(B) * D times the expected singleton
+values, the ``Fraction`` weights times one positive integer.  That keeps
+greedy's order, ties (index order) and sign filter, each comparison of
+Dijkstra's path sums and each scan's argmax and ties: the same actions
+come back at B and at any c * B.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
+from math import gcd
 
 from . import lp, matroid, paths
 from .errors import CertificateError, InstanceFormatError, TooLarge
@@ -47,16 +52,16 @@ from .model import (
     ActionSet,
     Instance,
     PathGraph,
-    Posterior,
     Record,
     SignalingScheme,
     Sense,
     UtilityKind,
     deterministic_scheme,
-    expected_value,
 )
-from .paths import shortest_path  # unused here; bench/test_bench.py checks that the tracer wraps this binding
-from .rationals import ONE, ZERO, over_one_denominator
+# unused here; bench/test_bench.py checks that the tracer wraps these bindings
+from .model import expected_value
+from .paths import shortest_path
+from .rationals import over_one_denominator
 
 MATROID_ENUM_LIMIT = 20
 
@@ -70,10 +75,10 @@ __all__ = [
     "solve_full",
     "solve_reduced",
     "check_persuasive",
-    "best_action",
     "best_deviation",
     "uninformative_scheme",
     "tie_broken_response",
+    "tie_broken_responses",
     "expected_sender_value",
     "scheme_lp",
     "certify",
@@ -207,23 +212,12 @@ def _best(instance: Instance, parts) -> ActionSet:
     return min(feasible_actions(instance), key=lambda S: (sign * sum(_int_value(u, w, S) for u, w in parts), S))
 
 
-def best_action(instance: Instance, xi: Posterior, a: Fraction, b: Fraction) -> ActionSet:
-    """A feasible action maximizing (min sense: minimizing) ``a * R + b * S``,
-    R and S the receiver's and sender's expected values at the belief: with
-    the belief as B / L and each nonzero coefficient c / D_u (D_u the
-    utility's view denominator) as k / K, each over one denominator, it is
-    ``_best`` on each utility at the belief k * B, the objective times K * L."""
-    terms = [(c, u) for c, u in ((a, instance.receiver), (b, instance.sender)) if c != 0]
-    belief, _ = over_one_denominator(xi.xi)
-    coeffs, _ = over_one_denominator([c / u.ints[1] for c, u in terms])
-    return _best(instance, [(u, [k * m for m in belief]) for k, (_, u) in zip(coeffs, terms)])
-
-
-def best_deviation(instance: Instance, xi: Posterior) -> tuple[Fraction, ActionSet]:
+def best_deviation(instance: Instance, belief: list[int]) -> tuple[Fraction, ActionSet]:
     """The receiver's best value at the belief and an action attaining it:
-    ``best_action`` with a = 1, b = 0."""
-    action = best_action(instance, xi, ONE, ZERO)
-    return expected_value(instance.receiver, xi, action), action
+    ``_best`` on the receiver alone."""
+    receiver = instance.receiver
+    action = _best(instance, [(receiver, belief)])
+    return Fraction(_int_value(receiver, belief, action), sum(belief) * receiver.ints[1]), action
 
 
 def _signals(instance: Instance, scheme: SignalingScheme) -> tuple[list, int]:
@@ -361,7 +355,7 @@ def solve_reduced(instance: Instance) -> SolveResult:
     from .best_response import enumerate_best_responses
 
     catalog = enumerate_best_responses(instance)
-    actions = sorted({*catalog.actions, tie_broken_response(instance, Posterior(xi=instance.prior))})
+    actions = sorted({*catalog.actions, tie_broken_response(instance, instance.masses[0])})
     return _solve_scheme_lp(instance, actions, "reduced-lp", len(actions), perturbed=catalog.perturbed)
 
 
@@ -414,7 +408,7 @@ def certify(instance: Instance, scheme: SignalingScheme, value: Fraction, notion
         if violations := _violations(instance, scheme, signals):
             raise _Disobeyed(violations)
     else:
-        prior_best, _ = best_deviation(instance, Posterior(xi=instance.prior))
+        prior_best, _ = best_deviation(instance, instance.masses[0])
         follow = _scheme_value(instance, scheme, instance.receiver, signals)
         if (follow < prior_best) if instance.sense is Sense.MAX else (follow > prior_best):
             raise CertificateError(f"following is worth {follow} to the receiver, its prior best {prior_best}")
@@ -433,29 +427,38 @@ def expected_sender_value(instance: Instance, scheme: SignalingScheme) -> Fracti
 def uninformative_scheme(instance: Instance) -> tuple[SignalingScheme, Fraction]:
     """Always-recommend-one-action scheme: the receiver's best response to the
     prior, ties resolved in the sender's favor (``tie_broken_response``)."""
-    prior = Posterior(xi=instance.prior)
-    pick = tie_broken_response(instance, prior)
-    return deterministic_scheme(instance.num_states, pick), expected_value(instance.sender, prior, pick)
+    scheme = deterministic_scheme(instance.num_states, tie_broken_response(instance, instance.masses[0]))
+    return scheme, expected_sender_value(instance, scheme)
 
 
-def tie_broken_response(instance: Instance, xi: Posterior) -> ActionSet:
+def tie_broken_response(instance: Instance, belief: list[int]) -> ActionSet:
     """The receiver's best action at the belief, ties resolved in the
-    sender's favor: ``best_action`` with a = 1 and b = ``delta``.
+    sender's favor.
 
-    ``delta = D_s / ((1 + M) * D_r)``: with the belief B / L over one
-    denominator and D_r, D_s the view denominators, ``L * D_r * R(A)`` and
-    ``L * D_s * S(A)`` are integers, and M, every sender view entry weighted
-    by B, bounds the second for every action and edge set (utilities are
-    nonnegative).  Two receiver values are equal or 1 / (L * D_r) apart, and
-    ``delta * |S(A) - S(B)| <= M / ((1 + M) * L * D_r)`` is less, so
-    ``R + delta * S`` orders actions, elements and path prefixes by R, then
-    by S: its optimum is receiver-optimal and, among those, the sender's
-    favorite.  ``best_action``'s integer key is ``(1 + M) * L * D_r * R +
-    L * D_s * S``.  Actions tied in both go to greedy's element order or
-    Dijkstra's edge sequence for linear utilities, to the lexicographically
-    least action for tabular ones, as in ``best_action``.
+    With B the belief divided by its gcd and D_r, D_s the view
+    denominators, ``_int_value`` gives ``sum(B) * D_r * R(A)`` and
+    ``sum(B) * D_s * S(A)``, integers, and M, every sender view entry
+    weighted by B, bounds the second for every action and edge set
+    (utilities are nonnegative).  Two receiver values are equal or 1 apart
+    there, so the key ``(1 + M) * sum(B) * D_r * R + sum(B) * D_s * S``,
+    ``_best`` on the parts (receiver, (1 + M) * B) and (sender, B), orders
+    actions, elements and path prefixes by R, then by S: its optimum is
+    receiver-optimal and, among those, the sender's favorite.  Actions tied
+    in both go to greedy's element order or Dijkstra's edge sequence for
+    linear utilities, to the lexicographically least action for tabular
+    ones.  The key grows with the square of the belief's scale; divided by
+    its gcd, a signal's weights are its posterior's numerators over their
+    lcm.
     """
-    belief, _ = over_one_denominator(xi.xi)
-    (_, r_den), (rows, s_den) = instance.receiver.ints, instance.sender.ints
-    M = sum(m * sum(row.values() if isinstance(row, dict) else row) for m, row in zip(belief, rows))
-    return best_action(instance, xi, ONE, Fraction(s_den, (1 + M) * r_den))
+    g = gcd(*belief)
+    B = [b // g for b in belief]
+    rows, _ = instance.sender.ints
+    M = sum(m * sum(row.values() if isinstance(row, dict) else row) for m, row in zip(B, rows))
+    return _best(instance, [(instance.receiver, [(1 + M) * b for b in B]), (instance.sender, B)])
+
+
+def tie_broken_responses(instance: Instance, scheme: SignalingScheme) -> dict[ActionSet, ActionSet]:
+    """Per recommendation sent with positive probability, the receiver's
+    ``tie_broken_response`` at its ``_signals`` weights."""
+    signals, _ = _signals(instance, scheme)
+    return {S: tie_broken_response(instance, W) for S, W in signals if any(W)}

@@ -30,7 +30,6 @@ from .model import (
     Instance,
     PathGraph,
     Partition,
-    Posterior,
     Record,
     Sense,
     SignalingScheme,
@@ -38,7 +37,7 @@ from .model import (
     UtilitySpec,
 )
 from .persuasion import tie_broken_response
-from .rationals import ONE, ZERO, as_fraction
+from .rationals import ONE, ZERO, as_fraction, over_one_denominator
 
 
 class LineqMaSpec(Record):
@@ -393,15 +392,10 @@ def completeness_scheme(spec: LineqMaSpec, target: str = "uniform") -> Signaling
     D = instance.num_states
     phi: dict[tuple[int, ActionSet], Fraction] = {}
     for masses in (lead, tuple(ONE - p for p in lead)):
-        total = sum(
-            (instance.prior[t] * masses[t] for t in range(D)), ZERO
-        )
-        if total == 0:
+        belief, _ = over_one_denominator([q * p for q, p in zip(instance.prior, masses)])
+        if not any(belief):
             continue
-        xi = Posterior(
-            xi=tuple(instance.prior[t] * masses[t] / total for t in range(D))
-        )
-        action = tie_broken_response(instance, xi)
+        action = tie_broken_response(instance, belief)
         for t in range(D):
             if masses[t] != 0:
                 key = (t, action)

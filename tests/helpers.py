@@ -28,8 +28,6 @@ from combisig.model import (
     UtilityKind,
     UtilitySpec,
     expected_value,
-    posterior,
-    signal_mass,
 )
 from combisig.persuasion import enumerate_actions, expected_sender_value
 
@@ -404,6 +402,24 @@ def nondegeneracy_by_permutations(instance: Instance) -> tuple[bool, int]:
             if _rank(vectors) < d:
                 clean = False
     return clean, len(seen)
+
+
+def signal_mass(instance: Instance, scheme: SignalingScheme, action: ActionSet) -> Fraction:
+    """Total prior probability that ``action`` is recommended."""
+    phi = scheme.phi
+    return sum((q * phi.get((t, action), ZERO) for t, q in enumerate(instance.prior)), ZERO)
+
+
+def posterior(instance: Instance, scheme: SignalingScheme, action: ActionSet) -> Posterior:
+    """Bayes' rule: the belief over states once ``action`` is recommended,
+    which must have positive ``signal_mass``."""
+    phi, mass = scheme.phi, signal_mass(instance, scheme, action)
+    return Posterior(tuple(q * phi.get((t, action), ZERO) / mass for t, q in enumerate(instance.prior)))
+
+
+def as_posterior(belief: list[int]) -> Posterior:
+    """The integer belief B (the engines' format) as the ``Posterior`` B / sum(B)."""
+    return Posterior(tuple(F(b, sum(belief)) for b in belief))
 
 
 def scan_tie_broken_response(instance: Instance, belief, actions: list[ActionSet]) -> ActionSet:
@@ -953,6 +969,15 @@ def fraction_tie_broken_response(instance: Instance, xi, pool=None) -> ActionSet
     s = _fraction_atoms(instance.sender, xi.xi)
     delta = 1 / (lcm(*(w.denominator for w in r)) * (1 + sum(s, ZERO)))
     return fraction_best_action(instance, xi, F(1), delta, pool)
+
+
+def fraction_best_deviation(instance: Instance, belief: list[int]) -> tuple[Fraction, ActionSet]:
+    """``persuasion.best_deviation`` at the integer belief B, on the
+    ``Posterior`` B / sum(B): ``fraction_best_action`` with a = 1, b = 0 and
+    its expected receiver value."""
+    xi = as_posterior(belief)
+    action = fraction_best_action(instance, xi, F(1), ZERO)
+    return fraction_expected(instance.receiver, xi, action), action
 
 
 def fraction_violations(instance: Instance, scheme: SignalingScheme, pool=None) -> list:

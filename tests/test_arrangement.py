@@ -196,8 +196,8 @@ def assert_closed_mode_matches_lp(planes, num_states):
 
 def test_closed_simplex_cells_match_lp_classification():
     rng = random.Random(8086)
-    for trial in range(12):
-        num_states = 2 + trial % 2  # chart dimensions one and two
+    for trial in range(24):
+        num_states = 2 + trial % 4  # chart dimensions one and two (the walk), three and four (the flood)
         planes = rand_planes(rng, rng.randint(1, 6), num_states, coef=3)
         assert_closed_mode_matches_lp(planes, num_states)
 

@@ -30,6 +30,7 @@ from helpers import (
     coverage_instance,
     follow_value,
     fraction_det,
+    fraction_best_action,
     fraction_ellipsoid_run,
     fraction_half_greedy,
     fraction_separation,
@@ -357,8 +358,8 @@ def test_relaxed_solve_enumerates_a_tabular_instance_once(monkeypatch):
 
 def test_exact_oracle_agrees_with_brute():
     """The exact oracle's greedy / Dijkstra path against its scan of every
-    action on the same instance written as tables, and against
-    ``best_action`` itself, ties included, max and min sense.  With only
+    action on the same instance written as tables, and against the
+    ``Fraction`` best action, ties included, max and min sense.  With only
     the receiver as a table the oracle scans too, and picks the tables'
     action, ties going to the least, also at y = 0, where only the linear
     sender is weighed."""
@@ -383,7 +384,7 @@ def test_exact_oracle_agrees_with_brute():
 
             assert score(fast.fn(t, y)) == score(brute.fn(t, y))
             point = Posterior(tuple(F(int(s == t)) for s in range(2)))
-            assert fast.fn(t, y) == persuasion.best_action(inst, point, y, F(1)), "integer rows keep ties"
+            assert fast.fn(t, y) == fraction_best_action(inst, point, y, F(1)), "integer rows keep ties"
 
 
 def test_approx_alpha_one_within_epsilon():

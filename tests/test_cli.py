@@ -98,6 +98,17 @@ def test_validate_rejects_fewer_than_one_sample(capsys, tmp_path, samples):
     assert err.splitlines() == ["error: --samples must be at least 1"]
 
 
+@pytest.mark.parametrize("mode", ["full", "reduced", "cce"])
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_solve_rejects_a_cap_below_one_action(capsys, mode, cap):
+    """In every mode, also where the cap would go unused (cce on a linear
+    instance, reduced), before the instance is read."""
+    for instance in (TOY, ROUTE):
+        code, out, err = run(capsys, "solve", instance, "--mode", mode, "--max-actions", cap)
+        assert code == 1 and out == ""
+        assert err.splitlines() == ["error: --max-actions must be at least 1"]
+
+
 def test_validate_needs_no_catalog_past_the_enumeration_cap(capsys, tmp_path):
     inst = wide_uniform_instance()
     digest = jsonio.instance_digest(inst)

@@ -18,10 +18,12 @@ from combisig import cce, jsonio, persuasion
 from combisig.best_response import enumerate_best_responses
 from combisig.errors import InstanceFormatError
 from combisig.model import TABULAR_MAX_ELEMENTS, Posterior, Sense, SignalingScheme
+from combisig.rationals import over_one_denominator
 from helpers import (
     MIXED_DENOMINATORS,
+    as_posterior,
     as_tables,
-    fraction_best_action,
+    fraction_best_deviation,
     fraction_exact_view,
     fraction_relaxed_lp,
     fraction_scheme_value,
@@ -117,9 +119,9 @@ def test_the_view_is_built_on_first_use_and_stays_out_of_equality_and_pickling()
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_integer_passes_match_the_fraction_references(kind):
-    """Violations with their gaps, best actions at a = 1, b = 0 and at
-    a = y, b = 1, tie-broken responses and scheme values, on random schemes
-    and beliefs; tabular copies take the scans.  Then ``solve_full``
+    """Violations with their gaps, best deviations with their values,
+    tie-broken responses and scheme values, on random schemes and integer
+    beliefs; tabular copies take the scans.  Then ``solve_full``
     against the ``Fraction`` lazy-row loop: value, scheme and counters."""
     for rng, inst in _corpus(kind, 16):
         D = inst.num_states
@@ -134,11 +136,10 @@ def test_integer_passes_match_the_fraction_references(kind):
                 for util in (copy.sender, copy.receiver):
                     assert persuasion._scheme_value(copy, scheme, util) == fraction_scheme_value(copy, scheme, util)
             for _ in range(3):
-                xi = Posterior(_rational_point(rng, D))
-                y = F(rng.randint(0, 9), rng.choice(MIXED_DENOMINATORS))
-                for a, b in ((F(1), F(0)), (y, F(1))):
-                    assert persuasion.best_action(copy, xi, a, b) == fraction_best_action(copy, xi, a, b)
-                assert persuasion.tie_broken_response(copy, xi) == fraction_tie_broken_response(copy, xi)
+                belief, _ = over_one_denominator(_rational_point(rng, D))
+                assert persuasion.best_deviation(copy, belief) == fraction_best_deviation(copy, belief)
+                tie_broken = fraction_tie_broken_response(copy, as_posterior(belief))
+                assert persuasion.tie_broken_response(copy, belief) == tie_broken
         result = persuasion.solve_full(inst)
         assert (result.sender_value, result.scheme, result.lp_stats) == fraction_solve_full(inst)
 
@@ -151,7 +152,7 @@ def test_reduced_solves_match_the_fraction_lp(kind):
     for _, inst in _corpus(kind, 10):
         got = persuasion.solve_reduced(inst)
         catalog = enumerate_best_responses(inst)
-        actions = sorted({*catalog.actions, persuasion.tie_broken_response(inst, Posterior(inst.prior))})
+        actions = sorted({*catalog.actions, fraction_tie_broken_response(inst, Posterior(inst.prior))})
         value, scheme, stats = fraction_solve_full(inst, actions)
         stats["perturbed"] = catalog.perturbed
         assert (got.sender_value, got.scheme, got.lp_stats) == (value, scheme, stats)
@@ -166,7 +167,7 @@ def test_relaxed_solves_match_the_fraction_oracle(kind, monkeypatch):
     for _, inst in _corpus(kind, 10):
         got = cce.solve_cce_exact(cce.make_view(inst))
         with monkeypatch.context() as patch:
-            patch.setattr(persuasion, "best_action", fraction_best_action)
+            patch.setattr(persuasion, "best_deviation", fraction_best_deviation)
             patch.setattr(persuasion, "_scheme_value", lambda *args: fraction_scheme_value(*args[:3]))
             patch.setattr(cce, "scheme_lp", fraction_relaxed_lp)
             want = cce.solve_cce_exact(fraction_exact_view(inst))

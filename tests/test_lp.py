@@ -605,6 +605,26 @@ def test_feasible_actions_are_a_value_of_the_instance_not_an_argument():
     assert pools == []
 
 
+def test_beliefs_are_integer_weights_outside_model():
+    """Only ``model`` names ``Posterior``: every engine takes a belief as
+    integer weights read over their sum, and no function forms a
+    ``Fraction`` posterior or signal mass, or weighs a belief with
+    ``Fraction`` coefficients."""
+    names, defs = [], []
+    for path in sorted((SRC / "combisig").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            named = {getattr(node, "id", None), getattr(node, "attr", None)}
+            if isinstance(node, ast.alias):
+                named.add(node.name)
+            if "Posterior" in named and path.name != "model.py":
+                names.append(f"{path.name}:{getattr(node, 'lineno', '?')}")
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in (
+                "best_action", "posterior", "signal_mass"
+            ):
+                defs.append(f"{path.name}:{node.lineno}")
+    assert names == [] and defs == []
+
+
 def test_package_does_not_import_dataclasses():
     """Every CLI process would pay for ``dataclasses`` and the ``inspect``
     chain it loads; the package's records derive from ``model.Record``."""

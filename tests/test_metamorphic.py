@@ -21,7 +21,9 @@
   one state's row cancels in every difference, and scaling every utility
   is one positive scalar, so the report stays.
 
-Derandomized: fixed seeds, fractional c, mixed denominators."""
+The scalings and renamings also run past the enumeration caps (a uniform
+matroid on 21 elements, 12 x 12 grid paths) for the engines that list no
+action.  Derandomized: fixed seeds, fractional c, mixed denominators."""
 
 import random
 from fractions import Fraction
@@ -31,7 +33,14 @@ import pytest
 from combisig import cce, persuasion
 from combisig.best_response import check_nondegeneracy
 from combisig.model import Graphic, Instance, Partition, PathGraph, Sense, UtilitySpec
-from helpers import MIXED_DENOMINATORS, rand_clean_instance, rand_instance, replace_fields
+from helpers import (
+    MIXED_DENOMINATORS,
+    grid_path_instance,
+    rand_clean_instance,
+    rand_instance,
+    replace_fields,
+    wide_uniform_instance,
+)
 
 F = Fraction
 
@@ -119,9 +128,12 @@ def _zero_element(inst: Instance, rng: random.Random) -> Instance:
     )
 
 
-def _outcomes(inst: Instance, clean: bool) -> dict:
-    """(value, scheme) per engine that takes the instance."""
-    results = {"full": persuasion.solve_full(inst), "cce": cce.solve_cce_exact(cce.make_view(inst))}
+def _outcomes(inst: Instance, clean: bool, enumerable: bool = True) -> dict:
+    """(value, scheme) per engine that takes the instance: without
+    ``enumerable``, only those that list no action."""
+    results = {"cce": cce.solve_cce_exact(cce.make_view(inst))}
+    if enumerable:
+        results["full"] = persuasion.solve_full(inst)
     if clean:
         results["reduced"] = persuasion.solve_reduced(inst)
     outcomes = {name: (r.sender_value, r.scheme) for name, r in results.items()}
@@ -149,24 +161,47 @@ def _corpus():
 CORPUS = list(_corpus())
 
 
-@pytest.mark.parametrize("case", range(len(CORPUS)))
-def test_engines_obey_scaling_and_renaming(case):
-    inst, clean = CORPUS[case]
-    rng = random.Random(f"metamorphic/{case}")
-    base = _outcomes(inst, clean)
+def _check_scaling_and_renaming(inst: Instance, rng: random.Random, outcomes) -> None:
+    base = outcomes(inst)
     c = F(rng.randint(1, 9), rng.randint(2, 9))
 
-    receiver_scaled = _outcomes(replace_fields(inst, receiver=_scaled(inst.receiver, c)), clean)
+    receiver_scaled = outcomes(replace_fields(inst, receiver=_scaled(inst.receiver, c)))
     assert receiver_scaled == base
 
-    sender_scaled = _outcomes(replace_fields(inst, sender=_scaled(inst.sender, c)), clean)
+    sender_scaled = outcomes(replace_fields(inst, sender=_scaled(inst.sender, c)))
     assert _values(sender_scaled) == _values(base, c)
 
     perm = rng.sample(range(inst.num_states), inst.num_states)
-    assert _values(_outcomes(_permute_states(inst, perm), clean)) == _values(base)
+    assert _values(outcomes(_permute_states(inst, perm))) == _values(base)
 
     sigma = rng.sample(range(inst.num_elements), inst.num_elements)
-    assert _values(_outcomes(_relabel_elements(inst, sigma), clean)) == _values(base)
+    assert _values(outcomes(_relabel_elements(inst, sigma))) == _values(base)
+
+
+@pytest.mark.parametrize("case", range(len(CORPUS)))
+def test_engines_obey_scaling_and_renaming(case):
+    inst, clean = CORPUS[case]
+    _check_scaling_and_renaming(inst, random.Random(f"metamorphic/{case}"), lambda i: _outcomes(i, clean))
+
+
+PAST_THE_CAPS = [
+    wide_uniform_instance(),  # 21 elements, past MATROID_ENUM_LIMIT
+    # 705,432 source-sink paths each, past paths.DEFAULT_PATH_CAP
+    grid_path_instance(random.Random("metamorphic-grid/2"), 12, 12, 2, dens=MIXED_DENOMINATORS),
+    grid_path_instance(random.Random("metamorphic-grid/3"), 12, 12, 3, dens=MIXED_DENOMINATORS),
+]
+
+
+@pytest.mark.parametrize("case", range(len(PAST_THE_CAPS)))
+def test_engines_past_the_enumeration_caps_obey_scaling_and_renaming(case, monkeypatch):
+    """``solve_cce_exact`` and ``uninformative_scheme``, the engines that
+    list no action, on instances whose actions no engine may enumerate."""
+    monkeypatch.setattr(persuasion, "enumerate_actions", lambda *a: pytest.fail("enumerated the actions"))
+    _check_scaling_and_renaming(
+        PAST_THE_CAPS[case],
+        random.Random(f"metamorphic-past-the-caps/{case}"),
+        lambda i: _outcomes(i, clean=False, enumerable=False),
+    )
 
 
 @pytest.mark.parametrize("case", range(len(CORPUS)))

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from combisig.errors import InstanceFormatError, ZeroMassSignal
+from combisig import persuasion
+from combisig.errors import InstanceFormatError
 from combisig.model import (
     Instance,
     PathGraph,
@@ -16,8 +17,6 @@ from combisig.model import (
     UtilitySpec,
     deterministic_scheme,
     expected_value,
-    posterior,
-    signal_mass,
 )
 
 F = Fraction
@@ -139,30 +138,33 @@ def test_scheme_from_phi_drops_zeros_and_checks_mass():
 
 
 def test_deterministic_scheme_and_posterior():
+    """A signal's weights W over den are its mass; W / sum(W) is its belief."""
     inst = small_instance()
-    scheme = deterministic_scheme(2, (1,))
-    assert signal_mass(inst, scheme, (1,)) == 1
-    xi = posterior(inst, scheme, (1,))
-    assert xi.xi == inst.prior  # uninformative recommendation keeps the prior
+    [(S, W)], den = persuasion._signals(inst, deterministic_scheme(2, (1,)))
+    assert S == (1,) and F(sum(W), den) == 1
+    assert tuple(F(w, sum(W)) for w in W) == inst.prior  # uninformative recommendation keeps the prior
 
 
 def test_posterior_bayes_rule():
     inst = small_instance()
-    scheme = SignalingScheme.from_phi(
+    scheme = SignalingScheme(
         2,
+        ((0,), (1,), (0, 1)),
         {
             (0, (0,)): F(1),
             (1, (0,)): F(1, 4),
             (1, (1,)): F(3, 4),
         },
     )
-    mass0 = signal_mass(inst, scheme, (0,))
+    signals, den = persuasion._signals(inst, scheme)
+    W = dict(signals)[(0,)]
+    mass0 = F(sum(W), den)
     assert mass0 == F(1, 3) + F(2, 3) * F(1, 4)
-    xi = posterior(inst, scheme, (0,))
-    assert xi.xi[0] == F(1, 3) / mass0
-    assert sum(xi.xi) == 1
-    with pytest.raises(ZeroMassSignal):
-        posterior(inst, scheme, (0, 1))
+    xi = [F(w, sum(W)) for w in W]
+    assert xi[0] == F(1, 3) / mass0
+    assert sum(xi) == 1
+    assert not any(dict(signals)[(0, 1)])  # never sent: no belief, so no response
+    assert list(persuasion.tie_broken_responses(inst, scheme)) == [(0,), (1,)]
 
 
 def test_expected_value_linear_and_tabular():

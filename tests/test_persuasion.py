@@ -18,15 +18,17 @@ from combisig.model import (
     UtilitySpec,
     deterministic_scheme,
     expected_value,
-    posterior,
 )
 from helpers import (
+    as_posterior,
     as_tables,
     grid_path_instance,
     rand_clean_instance,
     rand_instance,
+    posterior,
     replace_fields,
     scan_tie_broken_response,
+    signal_mass,
 )
 
 F = Fraction
@@ -176,17 +178,17 @@ def test_min_random_paths_persuasive_and_below_uninformative():
         assert result.sender_value <= base
 
 
-def _beliefs(rng: random.Random, num_states: int, prior, count: int):
-    """The prior, the uniform belief, every simplex vertex (where ties are
-    most common) and ``count`` random rational beliefs."""
-    D = num_states
-    points = [prior, tuple(F(1, D) for _ in range(D))]
-    points += [tuple(F(int(t == k)) for t in range(D)) for k in range(D)]
+def _beliefs(rng: random.Random, inst: Instance, count: int) -> list[list[int]]:
+    """Integer beliefs: the prior's masses, the uniform belief, every
+    simplex vertex (where ties are most common) and ``count`` random ones."""
+    D = inst.num_states
+    points = [list(inst.masses[0]), [1] * D]
+    points += [[int(t == k) for t in range(D)] for k in range(D)]
     for _ in range(count):
         w = [rng.randint(0, 3) for _ in range(D)]
         w[rng.randrange(D)] += 1
-        points.append(tuple(F(x, sum(w)) for x in w))
-    return [Posterior(p) for p in points]
+        points.append(w)
+    return points
 
 
 def _degenerate_corpus(kind: str, count: int):
@@ -206,19 +208,65 @@ def _degenerate_corpus(kind: str, count: int):
 def test_oracle_matches_the_scan_on_degenerate_instances(kind):
     """The one-call oracle gives the scan's (receiver, sender) values at
     every belief; only the choice among actions tied in both may differ.
-    Written as tables, the same instance takes the scan inside
-    ``best_action``, which must pick the reference's action exactly."""
+    Written as tables, the same instance takes the scan inside ``_best``,
+    which must pick the reference's action exactly."""
     for rng, inst in _degenerate_corpus(kind, 40):
         actions = persuasion.enumerate_actions(inst.constraint, inst.num_elements)
         tables = as_tables(inst) if inst.num_elements <= TABULAR_MAX_ELEMENTS else None
-        for xi in _beliefs(rng, inst.num_states, inst.prior, 4):
-            got = persuasion.tie_broken_response(inst, xi)
+        for belief in _beliefs(rng, inst, 4):
+            xi = as_posterior(belief)
+            got = persuasion.tie_broken_response(inst, belief)
             want = scan_tie_broken_response(inst, xi, actions)
             assert got in actions
             assert expected_value(inst.receiver, xi, got) == expected_value(inst.receiver, xi, want)
             assert expected_value(inst.sender, xi, got) == expected_value(inst.sender, xi, want)
             if tables is not None:
-                assert persuasion.tie_broken_response(tables, xi) == scan_tie_broken_response(tables, xi, actions)
+                assert persuasion.tie_broken_response(tables, belief) == scan_tie_broken_response(tables, xi, actions)
+
+
+@pytest.mark.parametrize("kind", ["uniform", "partition", "graphic", "oracle", "layered", "grid"])
+def test_answers_are_invariant_under_scaling_the_belief(kind):
+    """B and c * B are one belief: ``tie_broken_response`` and
+    ``best_deviation`` give the same action and value at both, for c = 2, 3
+    and 10^12, on the linear instance and on its tables."""
+    for rng, inst in _degenerate_corpus(kind, 12):
+        variants = [inst, as_tables(inst)] if inst.num_elements <= TABULAR_MAX_ELEMENTS else [inst]
+        for copy in variants:
+            for belief in _beliefs(rng, inst, 2):
+                want = persuasion.tie_broken_response(copy, belief), persuasion.best_deviation(copy, belief)
+                for c in (2, 3, 10**12):
+                    scaled = [c * b for b in belief]
+                    assert (persuasion.tie_broken_response(copy, scaled), persuasion.best_deviation(copy, scaled)) == want
+
+
+@pytest.mark.parametrize("kind", ["uniform", "partition", "graphic", "oracle", "layered", "grid"])
+def test_tie_broken_responses_match_the_scan_at_each_posterior(kind):
+    """``tie_broken_responses`` answers every signal of positive mass and no
+    other, each with the scan's (receiver, sender) values at the signal's
+    ``Fraction`` posterior; on tables, with the scan's action."""
+    for rng, inst in _degenerate_corpus(kind, 12):
+        actions = persuasion.enumerate_actions(inst.constraint, inst.num_elements)
+        D = inst.num_states
+        support = tuple(sorted(rng.sample(actions, min(len(actions), 3))))
+        phi = {}
+        for t in range(D):
+            w = [rng.randint(0, 2) for _ in support]
+            w[rng.randrange(len(support))] += 1
+            phi.update({(t, S): F(x, sum(w)) for S, x in zip(support, w)})
+        scheme = SignalingScheme(D, support, phi)
+        sent = [S for S in support if signal_mass(inst, scheme, S)]
+        got = persuasion.tie_broken_responses(inst, scheme)
+        assert list(got) == sent
+        for S in sent:
+            xi = posterior(inst, scheme, S)
+            want = scan_tie_broken_response(inst, xi, actions)
+            for util in (inst.receiver, inst.sender):
+                assert expected_value(util, xi, got[S]) == expected_value(util, xi, want)
+        if inst.num_elements <= TABULAR_MAX_ELEMENTS:
+            tables = as_tables(inst)
+            assert persuasion.tie_broken_responses(tables, scheme) == {
+                S: scan_tie_broken_response(tables, posterior(inst, scheme, S), actions) for S in sent
+            }
 
 
 def test_linear_instances_never_enumerate_actions(monkeypatch):
@@ -340,8 +388,8 @@ def test_every_tabular_scan_of_an_instance_shares_one_enumeration(monkeypatch):
     result = persuasion.solve_full(inst)
     assert len(calls) == 1
     assert persuasion.check_persuasive(inst, result.scheme).persuasive
-    responses = [persuasion.tie_broken_response(inst, posterior(inst, result.scheme, S)) for S in result.scheme.support]
-    assert responses == list(result.scheme.support)
+    support = result.scheme.support
+    assert persuasion.tie_broken_responses(inst, result.scheme) == dict(zip(support, support))
     view = cce.make_view(inst)
     relaxed = [cce.solve_cce_exact(view), cce.solve_cce_approx(view)]
     for r in relaxed:

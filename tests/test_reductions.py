@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from combisig import matroid, paths, persuasion, reductions
+from combisig import cce, matroid, paths, persuasion, reductions
 from combisig.errors import MissingSolution, ParameterError, PriorDegenerate
 from combisig.model import Posterior, Sense, expected_value
 from combisig.persuasion import check_persuasive, expected_sender_value
@@ -222,6 +222,27 @@ def test_completeness_scheme_enumerates_no_action(monkeypatch, target):
     monkeypatch.setattr(persuasion, "enumerate_actions", refuse)
     scheme = reductions.completeness_scheme(spec, target=target)
     assert check_persuasive(reductions.TARGETS[target](spec), scheme).persuasive
+
+
+def test_completeness_witness_is_within_every_engine_optimum():
+    """A satisfiable system's witness is persuasive, so each engine's
+    optimum bounds its value: ``solve_full`` and the relaxed
+    ``solve_cce_exact`` from above on the uniform target and from below on
+    the min-sense path target, ``solve_cce_exact`` from above on the
+    graphic target, whose forests are too many for the full LP."""
+    rng = random.Random("witness-bound")
+    for k in range(12):
+        # 2-4 variables; every fourth system has 3 equations, whose uniform
+        # full LP (130 actions) takes most of the test's time
+        spec = rand_spec(rng, n_var=2 + k % 3, n_eq=3 if k % 4 == 3 else 2)
+        for target in ("uniform", "path", "graphic"):
+            inst = reductions.TARGETS[target](spec)
+            witness = expected_sender_value(inst, reductions.completeness_scheme(spec, target))
+            optima = [cce.solve_cce_exact(cce.make_view(inst)).sender_value]
+            if target != "graphic":
+                optima.append(persuasion.solve_full(inst).sender_value)
+            for optimum in optima:
+                assert witness <= optimum if inst.sense is Sense.MAX else witness >= optimum, (target, spec)
 
 
 def test_completeness_scheme_path_cost_bound():
